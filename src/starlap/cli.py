@@ -23,12 +23,10 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    connected_components,
     laplacian,
     normalized_laplacian,
     signless_laplacian,
     adjacency,
-    strengths,
 )
 from .partition import compare_signs, kway, recursive_bisection, sign_bipartition
 from .reduction import (
@@ -137,8 +135,8 @@ def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _multiplicity(matrix: np.ndarray, value: float, tol: float) -> int:
-    table = eigen.group_multiplicities(eigen.sym_eigen(matrix).values, tol)
+def _multiplicity(values: np.ndarray, value: float, tol: float) -> int:
+    table = eigen.group_multiplicities(values, tol)
     return eigen.multiplicity_at(table, value, tol)
 
 
@@ -185,9 +183,9 @@ def _star_payload(s: stars_mod.MkStar) -> dict[str, Any]:
 
 
 def _cmd_stars(args) -> int:
-    g = _load(args.file)
-    detected = stars_mod.detect_stars(g)
-    verification = stars_mod.verify_star_predictions(g, args.tol)
+    ctx = stars_mod.analyze(_load(args.file))
+    detected = ctx.stars
+    verification = stars_mod.verify_star_predictions(ctx, args.tol)
     lines = []
     if not detected:
         lines.append("no stars detected")
@@ -239,6 +237,7 @@ def _partition_payload(p: stars_mod.LDependentPartition) -> dict[str, Any]:
 
 def _cmd_ldep(args) -> int:
     g = _load(args.file)
+    ctx = stars_mod.analyze(g)
     candidates: list[stars_mod.LDependentPartition] = []
     lines: list[str] = []
     failures: list[str] = []
@@ -247,28 +246,19 @@ def _cmd_ldep(args) -> int:
             spec = json.load(fh)
         try:
             candidates.append(
-                stars_mod.verify_ldependent(g, spec["v1"], spec["v2"], spec["v3"])
+                stars_mod.verify_ldependent(ctx, spec["v1"], spec["v2"], spec["v3"])
             )
         except (ConditionViolatedError, NoCommonStrengthError) as exc:
             failures.append(str(exc))
     else:
-        candidates.extend(stars_mod.detect_proportional_ldependent(g))
-        for s in stars_mod.detect_stars(g):
-            if s.weight_uniform is not None:
-                continue
-            try:
-                v1, v3 = stars_mod.dependence_split(g, s.v1)
-                if v3:
-                    candidates.append(stars_mod.verify_ldependent(g, v1, s.v2, v3))
-            except (ConditionViolatedError, NoCommonStrengthError):
-                continue
+        candidates.extend(ctx.proportional)
+        candidates.extend(stars_mod.certify_structural_stars(ctx)[0])
         if not candidates:
             lines.append("no dependent-row structures detected")
 
-    lap = laplacian(g) if g.n else np.zeros((0, 0))
     checks = []
     for p in candidates:
-        computed = _multiplicity(lap, p.wtilde, args.tol) if g.n else 0
+        computed = _multiplicity(ctx.values("laplacian"), p.wtilde, args.tol) if g.n else 0
         ok = computed >= p.l
         checks.append({"wtilde": p.wtilde, "l": p.l, "computed": computed, "passed": ok})
         status = "PASS" if ok else "FAIL"
@@ -291,9 +281,8 @@ def _cmd_ldep(args) -> int:
     return 0 if passed else 2
 
 
-def _reduction_payload(g: Graph, r, tol: float) -> dict[str, Any]:
-    adj_record = verify_adjacency_reduction(g, r, tol)
-    lap_record = verify_laplacian_reduction(g, r, tol)
+def _reduction_payload(r, adj_record, lap_record) -> dict[str, Any]:
+    g = r.original
     return {
         "original_vertices": g.n,
         "reduced_vertices": r.reduced.n,
@@ -319,10 +308,15 @@ def _reduction_payload(g: Graph, r, tol: float) -> dict[str, Any]:
 
 def _cmd_reduce(args) -> int:
     g = _load(args.file)
-    r = reduce_all(g, args.policy)
+    ctx = stars_mod.analyze(g)
+    r = reduce_all(ctx, args.policy)
     fileio.save_graph(r.reduced, args.output)
+    records = (
+        verify_adjacency_reduction(ctx, r, args.tol),
+        verify_laplacian_reduction(ctx, r, args.tol),
+    )
     payload = {
-        "reduction": _reduction_payload(g, r, args.tol),
+        "reduction": _reduction_payload(r, *records),
         "policy": args.policy,
         "conventions": _CONVENTIONS,
         "tolerances": {"relative": args.tol},
@@ -346,27 +340,12 @@ def _verify_checks(g: Graph, tol: float, q: int | None) -> tuple[list[dict[str, 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    detected = stars_mod.detect_stars(g)
-    certified: list[stars_mod.LDependentPartition] = []
-    extra_warnings: list[str] = []
-
+    ctx = stars_mod.analyze(g)
+    detected = ctx.stars
     # structural-only classes may still certify as dependent rows
-    for s in detected:
-        if s.weight_uniform is not None:
-            continue
-        try:
-            v1, v3 = stars_mod.dependence_split(g, s.v1)
-            if not v3:
-                raise ConditionViolatedError(3, s.v1[0], "rows are linearly independent")
-            part = stars_mod.verify_ldependent(g, v1, s.v2, v3)
-            certified.append(part)
-        except (ConditionViolatedError, NoCommonStrengthError) as exc:
-            extra_warnings.append(
-                f"class v1={list(s.v1)} has unequal weight vectors and no "
-                f"dependent-row structure ({exc})"
-            )
+    certified, extra_warnings = stars_mod.certify_structural_stars(ctx)
 
-    star_verification = stars_mod.verify_star_predictions(g, tol)
+    star_verification = stars_mod.verify_star_predictions(ctx, tol)
     for c in star_verification.checks:
         add(
             f"{c.family}-multiplicity(w={c.eigenvalue:.12g})",
@@ -378,25 +357,24 @@ def _verify_checks(g: Graph, tol: float, q: int | None) -> tuple[list[dict[str, 
     # disjoint v3 sets, and a certified class can subsume a proportional group
     partitions = []
     used: set[int] = set()
-    for p in certified + stars_mod.detect_proportional_ldependent(g):
+    for p in certified + list(ctx.proportional):
         if not (set(p.v3) & used):
             partitions.append(p)
             used.update(p.v3)
     if partitions and g.n:
-        lap = laplacian(g)
         by_w: dict[float, int] = {}
         for p in partitions:
             key = next((w for w in by_w if abs(w - p.wtilde) <= 1e-9 * max(1.0, w)), p.wtilde)
             by_w[key] = by_w.get(key, 0) + p.l
         for w, total_l in sorted(by_w.items()):
-            computed = _multiplicity(lap, w, tol)
+            computed = _multiplicity(ctx.values("laplacian"), w, tol)
             add(
                 f"dependent-rows-multiplicity(w={w:.12g})",
                 computed >= total_l,
                 f"computed {computed} >= {total_l}",
             )
-        if all(sv > 0 for sv in strengths(g)):
-            computed = _multiplicity(normalized_laplacian(g), 1.0, tol)
+        if all(sv > 0 for sv in ctx.strengths):
+            computed = _multiplicity(ctx.values("normalized"), 1.0, tol)
             total_l = sum(p.l for p in partitions)
             add(
                 "dependent-rows-normalized-multiplicity",
@@ -423,17 +401,21 @@ def _verify_checks(g: Graph, tol: float, q: int | None) -> tuple[list[dict[str, 
                 True,
                 f"reducing star v1={list(detected[0].v1)} by q={qs[0]}",
             )
-        r = reduce_all(g, qs)
+        r = reduce_all(ctx, qs)
     else:
-        r = reduce_all(g, "collapse")
-    for c in verify_adjacency_reduction(g, r, tol).checks + verify_laplacian_reduction(g, r, tol).checks:
+        r = reduce_all(ctx, "collapse")
+    records = (
+        verify_adjacency_reduction(ctx, r, tol),
+        verify_laplacian_reduction(ctx, r, tol),
+    )
+    for c in records[0].checks + records[1].checks:
         add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}")
-    add("reduction-interlacing", interlacing_check(g, r, tol), "")
+    add("reduction-interlacing", interlacing_check(ctx, r, tol), "")
 
     sign_section: dict[str, Any] = {}
-    if g.n >= 2 and len(connected_components(g)) == 1 and r.reduced.n >= 2:
-        if len(connected_components(r.reduced)) == 1:
-            report = compare_signs(g, r, tol)
+    if g.n >= 2 and len(ctx.components) == 1 and r.reduced.n >= 2:
+        if len(ctx.reduced(r).components) == 1:
+            report = compare_signs(ctx, r, tol)
             if report.degenerate:
                 add("sign-agreement", True, f"inconclusive: {report.reason}")
             else:
@@ -463,7 +445,7 @@ def _verify_checks(g: Graph, tol: float, q: int | None) -> tuple[list[dict[str, 
         ],
         "dependent_rows": [_partition_payload(p) for p in partitions],
         "warnings": list(star_verification.warnings) + extra_warnings,
-        "reduction": _reduction_payload(g, r, tol),
+        "reduction": _reduction_payload(r, *records),
         "sign_agreement": sign_section,
     }
     return checks, sections

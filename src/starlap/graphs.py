@@ -143,9 +143,12 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 
     Every vertex must have positive strength.
     """
-    a = adjacency(g)
-    d = strengths(g)
-    for v in range(g.n):
+    return normalized_laplacian_from(adjacency(g), strengths(g))
+
+
+def normalized_laplacian_from(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Normalized Laplacian of adjacency matrix `a` with strengths `d`."""
+    for v in range(d.size):
         if d[v] <= 0.0:
             raise IsolatedVertexError(v)
     inv_sqrt = 1.0 / np.sqrt(d)

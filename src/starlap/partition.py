@@ -16,7 +16,8 @@ import numpy as np
 from . import eigen
 from .errors import BadKError, DisconnectedError, TooFewValuesError
 from .graphs import Graph, connected_components, induced_subgraph, laplacian
-from .reduction import Reduction, lift_vector, sym_mass_laplacian
+from .reduction import Reduction, lift_vector
+from .stars import GraphAnalysis, analyze
 
 ZERO_ENTRY_EPS = 1e-12
 SIGN_COMPARE_EPS = 1e-9
@@ -55,25 +56,29 @@ class SignAgreementReport:
         return not self.degenerate and self.agreement_fraction == 1.0
 
 
-def _require_connected(g: Graph) -> None:
-    comps = connected_components(g)
+def _require_connected(g: Graph | GraphAnalysis) -> None:
+    comps = analyze(g).components
     if len(comps) != 1:
         raise DisconnectedError(len(comps))
 
 
-def fiedler(g: Graph, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
-    """Second-smallest Laplacian eigenpair of a connected graph."""
-    _require_connected(g)
-    if g.n < 2:
+def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> FiedlerResult:
+    _require_connected(ctx)
+    if ctx.graph.n < 2:
         raise TooFewValuesError("second eigenpair needs at least 2 vertices")
-    spectrum = eigen.sym_eigen(laplacian(g))
-    table = eigen.group_multiplicities(spectrum.values, tol_rel)
+    values = ctx.values(family)
+    table = eigen.group_multiplicities(values, tol_rel)
     group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
     return FiedlerResult(
-        lambda2=float(spectrum.values[1]),
-        vector=spectrum.vectors[:, 1],
+        lambda2=float(values[1]),
+        vector=ctx.second_vector(family),
         degenerate=group.multiplicity > 1,
     )
+
+
+def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
+    """Second-smallest Laplacian eigenpair of a connected graph."""
+    return _second_eigenpair(analyze(g), "laplacian", tol_rel)
 
 
 def _labels_from_signs(vector: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
@@ -216,34 +221,28 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     )
 
 
-def reduced_fiedler(r: Reduction, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
+def reduced_fiedler(
+    r: Reduction, tol_rel: float = eigen.DEFAULT_TOL, reduced: GraphAnalysis | None = None
+) -> FiedlerResult:
     """Second eigenpair of the reduced graph's mass-weighted Laplacian.
 
     The returned vector is the right eigenvector of the nonsymmetric mass
     Laplacian (the symmetric solve's eigenvector scaled by sqrt(mass)),
     renormalized and sign-normalized, so its sign pattern is the one the
-    lifted comparison uses.
+    lifted comparison uses.  `reduced`, the analysis of r.reduced, lets a
+    caller share its spectra.
     """
-    _require_connected(r.reduced)
-    if r.reduced.n < 2:
-        raise TooFewValuesError("second eigenpair needs at least 2 vertices")
-    spectrum = eigen.sym_eigen(sym_mass_laplacian(r))
-    table = eigen.group_multiplicities(spectrum.values, tol_rel)
-    group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
-    vec = spectrum.vectors[:, 1] * np.sqrt(np.asarray(r.reduced.mass))
+    sym = _second_eigenpair(reduced or GraphAnalysis(r.reduced), "mass-laplacian", tol_rel)
+    vec = sym.vector * np.sqrt(np.asarray(r.reduced.mass))
     vec = vec / np.linalg.norm(vec)
     significant = np.nonzero(np.abs(vec) > ZERO_ENTRY_EPS)[0]
     if significant.size and vec[significant[0]] < 0:
         vec = -vec
-    return FiedlerResult(
-        lambda2=float(spectrum.values[1]),
-        vector=vec,
-        degenerate=group.multiplicity > 1,
-    )
+    return FiedlerResult(lambda2=sym.lambda2, vector=vec, degenerate=sym.degenerate)
 
 
 def compare_signs(
-    g: Graph, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
+    g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> SignAgreementReport:
     """Compare Fiedler sign patterns of a graph and its reduction.
 
@@ -254,8 +253,9 @@ def compare_signs(
     inconclusive rather than failed.  Removed vertices inherit the cluster of
     their kept twin in `extended_labels` (a convention, not a theorem).
     """
-    orig = fiedler(g, tol_rel)
-    red = reduced_fiedler(r, tol_rel)
+    ctx = analyze(g)
+    orig = fiedler(ctx, tol_rel)
+    red = reduced_fiedler(r, tol_rel, ctx.reduced(r))
     if orig.degenerate or red.degenerate:
         which = "original" if orig.degenerate else "reduced"
         return SignAgreementReport(
@@ -279,7 +279,7 @@ def compare_signs(
 
     lifted = lift_vector(r, red.vector, source="lmb_right")
     lifted = lifted / np.linalg.norm(lifted)
-    kept = [v for v in range(g.n) if r.vertex_map[v] is not None]
+    kept = [v for v in range(ctx.graph.n) if r.vertex_map[v] is not None]
     significant = [
         v
         for v in kept

@@ -15,6 +15,7 @@ strength.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -27,7 +28,7 @@ from .errors import (
     StructuralStarOnlyError,
 )
 from .graphs import Graph, adjacency, build_graph
-from .stars import MkStar, detect_stars
+from .stars import GraphAnalysis, MkStar, analyze
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,16 @@ class Reduction:
 
 @dataclass(frozen=True)
 class Check:
+    """A named identity check: it passes when its residual is finite and at most tol."""
+
     name: str
-    passed: bool
     residual: float
     tol: float
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.residual) and self.residual <= self.tol
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,9 @@ def reduce_star(g: Graph, s: MkStar, q: int) -> Reduction:
     return _reduce(g, [(s, q)])
 
 
-def reduce_all(g: Graph, policy: str | Sequence[int] = "collapse") -> Reduction:
+def reduce_all(
+    g: Graph | GraphAnalysis, policy: str | Sequence[int] = "collapse"
+) -> Reduction:
     """Reduce every reducible star under a policy.
 
     "collapse" removes all but one vertex per star (q = m - 1); "keep-pair"
@@ -163,7 +171,8 @@ def reduce_all(g: Graph, policy: str | Sequence[int] = "collapse") -> Reduction:
     (q = 0 skips a star).  Structural-only stars are skipped by the named
     policies and rejected when an explicit positive q targets them.
     """
-    stars = detect_stars(g)
+    ctx = analyze(g)
+    stars = ctx.stars
     assignments: list[tuple[MkStar, int]] = []
     if isinstance(policy, str):
         if policy not in ("collapse", "keep-pair"):
@@ -183,7 +192,7 @@ def reduce_all(g: Graph, policy: str | Sequence[int] = "collapse") -> Reduction:
             if q == 0:
                 continue
             assignments.append((s, int(q)))
-    return _reduce(g, assignments)
+    return _reduce(ctx.graph, assignments)
 
 
 def build_k_matrix(r: Reduction) -> np.ndarray:
@@ -211,9 +220,7 @@ def mass_degree(r: Reduction) -> np.ndarray:
 
 def sym_mass_laplacian(r: Reduction) -> np.ndarray:
     """Symmetric mass-weighted Laplacian: mass_degree - M^(1/2) B M^(1/2)."""
-    root = np.sqrt(np.asarray(r.reduced.mass))
-    b = adjacency(r.reduced)
-    return mass_degree(r) - b * np.outer(root, root)
+    return GraphAnalysis(r.reduced).matrix("mass-laplacian")
 
 
 def mass_laplacian(r: Reduction) -> np.ndarray:
@@ -248,16 +255,14 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _structural_checks(r: Reduction, tol_rel: float, a: np.ndarray) -> list[Check]:
+def _structural_checks(r: Reduction, a: np.ndarray, s: np.ndarray) -> list[Check]:
     k = r.k_matrix
     scale = max(1.0, _maxabs(a))
-    root = np.sqrt(np.asarray(r.reduced.mass))
-    s = adjacency(r.reduced) * np.outer(root, root)
     ortho = _maxabs(k.T @ k - np.eye(r.reduced.n))
     congr = _maxabs(k.T @ a @ k - s)
     return [
-        Check("k-orthonormality", ortho <= 1e-10, ortho, 1e-10),
-        Check("adjacency-congruence", congr <= 1e-9 * scale, congr, 1e-9 * scale),
+        Check("k-orthonormality", ortho, 1e-10),
+        Check("adjacency-congruence", congr, 1e-9 * scale),
     ]
 
 
@@ -266,26 +271,41 @@ def _match_after_removal(
     reduced_vals: np.ndarray,
     removals: list[float],
     tol: float,
-) -> tuple[bool, float, str]:
+) -> tuple[float, str]:
     """Match spectra as multisets after deleting one original value per removal.
 
     Each removal deletes the remaining original value nearest the requested
-    one; a removal farther than tol from its request is a failure.
+    one; a removal farther than tol from its request is a failure.  Returns
+    the deviation, which is above tol on failure, and a note.
     """
     vals = list(original_vals)
     for target in removals:
         idx = int(np.argmin([abs(v - target) for v in vals]))
         if abs(vals[idx] - target) > tol:
-            return False, abs(vals[idx] - target), f"no eigenvalue near {target:.6g} to remove"
+            return abs(vals[idx] - target), f"no eigenvalue near {target:.6g} to remove"
         vals.pop(idx)
     if len(vals) != len(reduced_vals):
-        return False, float("inf"), "size mismatch after removal"
+        return float("inf"), "size mismatch after removal"
     deviation = float(np.abs(np.sort(vals) - np.sort(reduced_vals)).max()) if vals else 0.0
-    return deviation <= tol, deviation, ""
+    return deviation, ""
+
+
+def _worst_lift_residual(
+    r: Reduction, matrix: np.ndarray, spec: eigen.Spectrum, radius: float
+) -> float:
+    """Largest eigen-equation residual of the lifted reduced eigenvectors.
+
+    A NaN residual propagates, so it cannot hide behind a finite one.
+    """
+    residuals = np.empty(r.reduced.n)
+    for i in range(r.reduced.n):
+        lifted = r.k_matrix @ spec.vectors[:, i]
+        residuals[i] = np.linalg.norm(matrix @ lifted - spec.values[i] * lifted) / radius
+    return float(residuals.max()) if residuals.size else 0.0
 
 
 def verify_adjacency_reduction(
-    g: Graph, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
+    g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> VerificationRecord:
     """Check the adjacency-side reduction identities; failures are recorded.
 
@@ -293,31 +313,35 @@ def verify_adjacency_reduction(
     spectrum preservation up to q zeros, and the eigen-equation residual of
     every lifted eigenvector.
     """
-    a = adjacency(g)
-    checks = _structural_checks(r, tol_rel, a)
-    spec_a = eigen.sym_eigen(a)
-    root = np.sqrt(np.asarray(r.reduced.mass))
-    s = adjacency(r.reduced) * np.outer(root, root)
-    spec_s = eigen.sym_eigen(s)
-    radius = max(1.0, float(np.abs(spec_a.values).max()) if g.n else 0.0)
+    ctx = analyze(g)
+    red = ctx.reduced(r)
+    a = ctx.adjacency
+    s = red.matrix("mass-adjacency")
+    checks = _structural_checks(r, a, s)
+    spec_s = red.spectrum("mass-adjacency", s)
+    del s  # lowers peak memory: only the spectrum is used below
+    values_a = ctx.values("adjacency")
+    radius = max(1.0, float(np.abs(values_a).max()) if ctx.graph.n else 0.0)
     tol = tol_rel * radius
 
-    ok, dev, note = _match_after_removal(
-        spec_a.values, spec_s.values, [0.0] * r.q_total, tol
-    )
-    checks.append(Check("adjacency-spectrum", ok, dev, tol, note))
-
-    worst = 0.0
-    for i in range(r.reduced.n):
-        lifted = r.k_matrix @ spec_s.vectors[:, i]
-        res = float(np.linalg.norm(a @ lifted - spec_s.values[i] * lifted)) / radius
-        worst = max(worst, res)
-    checks.append(Check("adjacency-lift-residual", worst <= tol_rel, worst, tol_rel))
+    dev, note = _match_after_removal(values_a, spec_s.values, [0.0] * r.q_total, tol)
+    checks.append(Check("adjacency-spectrum", dev, tol, note))
+    worst = _worst_lift_residual(r, a, spec_s, radius)
+    checks.append(Check("adjacency-lift-residual", worst, tol_rel))
     return VerificationRecord(checks=tuple(checks))
 
 
+def _similarity_deviation(r: Reduction, tilde: np.ndarray) -> float:
+    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde."""
+    if not r.reduced.n:
+        return 0.0
+    root = np.sqrt(np.asarray(r.reduced.mass))
+    similar = mass_laplacian(r) * np.outer(1.0 / root, root)
+    return float(np.abs(similar - tilde).max())
+
+
 def verify_laplacian_reduction(
-    g: Graph, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
+    g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> VerificationRecord:
     """Check the Laplacian-side reduction identities; failures are recorded.
 
@@ -325,43 +349,46 @@ def verify_laplacian_reduction(
     star's weight, the similarity between the nonsymmetric and symmetric
     mass Laplacians, and the lifted eigen-equation residuals.
     """
-    from .graphs import laplacian
-
-    lap = laplacian(g)
-    checks: list[Check] = []
-    spec_l = eigen.sym_eigen(lap)
-    tilde = sym_mass_laplacian(r)
-    spec_t = eigen.sym_eigen(tilde)
-    radius = max(1.0, float(np.abs(spec_l.values).max()) if g.n else 0.0)
+    ctx = analyze(g)
+    red = ctx.reduced(r)
+    tilde = red.matrix("mass-laplacian")
+    sim = _similarity_deviation(r, tilde)
+    spec_t = red.spectrum("mass-laplacian", tilde)
+    del tilde  # lowers peak memory: only the spectrum is used below
+    values_l = ctx.values("laplacian")
+    radius = max(1.0, float(np.abs(values_l).max()) if ctx.graph.n else 0.0)
     tol = tol_rel * radius
 
     removals: list[float] = []
     for info in r.star_info:
         removals.extend([info.star.weight_uniform] * info.q)
-    ok, dev, note = _match_after_removal(spec_l.values, spec_t.values, removals, tol)
-    checks.append(Check("laplacian-spectrum", ok, dev, tol, note))
+    dev, note = _match_after_removal(values_l, spec_t.values, removals, tol)
+    checks = [
+        Check("laplacian-spectrum", dev, tol, note),
+        Check("mass-laplacian-similarity", sim, tol),
+    ]
 
-    root = np.sqrt(np.asarray(r.reduced.mass))
-    lmb = mass_laplacian(r)
-    similar = lmb * np.outer(1.0 / root, root)    # M^(-1/2) L(MB) M^(1/2)
-    sim = float(np.abs(similar - tilde).max()) if r.reduced.n else 0.0
-    checks.append(Check("mass-laplacian-similarity", sim <= tol, sim, tol))
-
-    worst = 0.0
-    for i in range(r.reduced.n):
-        lifted = r.k_matrix @ spec_t.vectors[:, i]
-        res = float(np.linalg.norm(lap @ lifted - spec_t.values[i] * lifted)) / radius
-        worst = max(worst, res)
-    checks.append(Check("laplacian-lift-residual", worst <= tol_rel, worst, tol_rel))
+    worst = _worst_lift_residual(r, ctx.matrix("laplacian"), spec_t, radius)
+    checks.append(Check("laplacian-lift-residual", worst, tol_rel))
     return VerificationRecord(checks=tuple(checks))
 
 
-def interlacing_check(g: Graph, r: Reduction, tol: float = eigen.DEFAULT_TOL) -> bool:
-    """Eigenvalues of K^T A K interlace those of A (descending convention)."""
-    a = adjacency(g)
-    compressed = r.k_matrix.T @ a @ r.k_matrix
-    alpha = np.sort(eigen.sym_eigen(a).values)[::-1]
-    beta = np.sort(eigen.sym_eigen(0.5 * (compressed + compressed.T)).values)[::-1]
+def interlacing_check(
+    g: Graph | GraphAnalysis, r: Reduction, tol: float = eigen.DEFAULT_TOL
+) -> bool:
+    """Eigenvalues of K^T A K interlace those of A (descending convention).
+
+    The K^T A K spectrum is read off M^(1/2) B M^(1/2), its value once the
+    adjacency-congruence check of verify_adjacency_reduction passes.  The
+    tolerance is tol times the spectral radius of A, and a non-finite
+    eigenvalue fails.
+    """
+    ctx = analyze(g)
+    alpha = np.sort(ctx.values("adjacency"))[::-1]
+    beta = np.sort(ctx.reduced(r).values("mass-adjacency"))[::-1]
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        return False
+    tol = tol * float(np.abs(alpha).max()) if alpha.size else 0.0
     n_a, n_b = alpha.size, beta.size
     for i in range(n_b):
         if alpha[i] < beta[i] - tol:

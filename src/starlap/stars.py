@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -30,7 +31,17 @@ from .errors import (
     NoCommonStrengthError,
     UnequalWeightVectorsError,
 )
-from .graphs import Graph, adjacency, build_graph, laplacian, normalized_laplacian, signless_laplacian, strengths
+from .graphs import (
+    Graph,
+    adjacency,
+    build_graph,
+    connected_components,
+    normalized_laplacian_from,
+    strengths,
+)
+
+if TYPE_CHECKING:
+    from .reduction import Reduction
 
 WEIGHT_TOL = 1e-9
 COEFF_EPS = 1e-12
@@ -119,9 +130,118 @@ class StarVerification:
     passed: bool
 
 
-def _class_rows(g: Graph, v1: Sequence[int], v2: Sequence[int]) -> np.ndarray:
-    a = adjacency(g)
-    return a[np.ix_(list(v1), list(v2))]
+class GraphAnalysis:
+    """Lazily filled, per-graph record of the work that several checks share.
+
+    The adjacency matrix and the strengths (both read-only), the connected
+    components, the detected stars and the proportional-row groups are
+    computed once, on first use.  Each matrix family is solved at most once
+    through ``eigen.sym_eigen``; after the solve only its eigenvalues are
+    kept, plus the second eigenvector of the Laplacian and of the mass
+    Laplacian, which the sign comparison reads.  Full eigenvectors reach only
+    the caller of :meth:`spectrum`, so a family whose vectors are needed must
+    be asked for with :meth:`spectrum` before anything asks for its values.
+
+    Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
+    (the normalized Laplacian), and with the vertex masses M,
+    "mass-adjacency" (M^(1/2) A M^(1/2)) and "mass-laplacian"
+    (diag(column sums of M A) - M^(1/2) A M^(1/2)), the reduced graph's
+    operators when the graph came out of a reduction.
+    """
+
+    _KEEP_SECOND_VECTOR = ("laplacian", "mass-laplacian")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._values: dict[str, np.ndarray] = {}
+        self._second: dict[str, np.ndarray] = {}
+        self._reduced: GraphAnalysis | None = None
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        a = adjacency(self.graph)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def strengths(self) -> np.ndarray:
+        s = strengths(self.graph)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def components(self) -> list[frozenset[int]]:
+        return connected_components(self.graph)
+
+    @cached_property
+    def stars(self) -> tuple[MkStar, ...]:
+        return tuple(detect_stars(self))
+
+    @cached_property
+    def proportional(self) -> tuple[LDependentPartition, ...]:
+        return tuple(detect_proportional_ldependent(self))
+
+    def matrix(self, family: str) -> np.ndarray:
+        """One family's matrix, built from the cached A and strengths.
+
+        Every family but "adjacency", which is the cached A itself, is built
+        anew on each call.
+        """
+        a, s = self.adjacency, self.strengths
+        if family == "adjacency":
+            return a
+        if family == "laplacian":
+            return np.diag(s) - a
+        if family == "signless":
+            return np.diag(s) + a
+        if family == "normalized":
+            return normalized_laplacian_from(a, s)
+        root = np.sqrt(np.asarray(self.graph.mass))
+        sym = a * np.outer(root, root)
+        if family == "mass-adjacency":
+            return sym
+        if family == "mass-laplacian":
+            return np.diag((np.diag(self.graph.mass) @ a).sum(axis=0)) - sym
+        raise ValueError(f"unknown matrix family {family!r}")
+
+    def spectrum(self, family: str, matrix: np.ndarray | None = None) -> eigen.Spectrum:
+        """Solve one family now and return its full spectrum.
+
+        `matrix` is the family's matrix when the caller has already built it.
+        Only the eigenvalues (and a kept second eigenvector) outlive the call.
+        """
+        spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix)
+        self._values[family] = spec.values
+        if family in self._KEEP_SECOND_VECTOR and spec.n >= 2:
+            self._second[family] = spec.vectors[:, 1].copy()
+        return spec
+
+    def values(self, family: str) -> np.ndarray:
+        """Ascending eigenvalues of one family, solved on first use."""
+        if family not in self._values:
+            self.spectrum(family)
+        return self._values[family]
+
+    def second_vector(self, family: str) -> np.ndarray:
+        """Sign-normalized eigenvector of the second-smallest eigenvalue."""
+        if family not in self._second:
+            self.spectrum(family)
+        return self._second[family]
+
+    def reduced(self, r: Reduction) -> GraphAnalysis:
+        """Analysis of a reduction's reduced graph, kept for the latest reduction."""
+        if self._reduced is None or self._reduced.graph is not r.reduced:
+            self._reduced = GraphAnalysis(r.reduced)
+        return self._reduced
+
+
+def analyze(g: Graph | GraphAnalysis) -> GraphAnalysis:
+    """The analysis of a graph: `g` itself when it already is one."""
+    return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
+
+
+def _class_rows(g: Graph | GraphAnalysis, v1: Sequence[int], v2: Sequence[int]) -> np.ndarray:
+    return analyze(g).adjacency[np.ix_(list(v1), list(v2))]
 
 
 def _uniform_weight(rows: np.ndarray) -> float | None:
@@ -143,20 +263,22 @@ def _uniform_weight(rows: np.ndarray) -> float | None:
     return float(rows[0].sum())
 
 
-def detect_stars(g: Graph) -> list[MkStar]:
+def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     """All maximal classes of >= 2 vertices with identical open neighborhoods.
 
     Classes with an empty neighborhood (isolated twins) are skipped.  Output
     is ordered by the smallest vertex index in v1.
     """
+    ctx = analyze(g)
+    graph = ctx.graph
     by_neighborhood: dict[frozenset[int], list[int]] = {}
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
+    adj: list[set[int]] = [set() for _ in range(graph.n)]
+    for u, v, _ in graph.edges:
         adj[u].add(v)
         adj[v].add(u)
-    for v in range(g.n):
+    for v in range(graph.n):
         by_neighborhood.setdefault(frozenset(adj[v]), []).append(v)
-    a = adjacency(g)
+    a = ctx.adjacency
     stars = []
     for nbhd, members in by_neighborhood.items():
         if len(members) < 2 or not nbhd:
@@ -169,7 +291,7 @@ def detect_stars(g: Graph) -> list[MkStar]:
     return stars
 
 
-def star_weight(g: Graph, s: MkStar) -> float:
+def star_weight(g: Graph | GraphAnalysis, s: MkStar) -> float:
     """Common strength of the star's v1 vertices.
 
     Raises when the v1 weight vectors differ (structural-only star).
@@ -211,17 +333,20 @@ def _finish_class(bucket: list[MkStar]) -> StarClass:
     return StarClass(weight=weight, stars=tuple(bucket), degree=degree)
 
 
-def predict_multiplicities(g: Graph, tol_rel: float = WEIGHT_TOL) -> PredictionReport:
+def predict_multiplicities(
+    g: Graph | GraphAnalysis, tol_rel: float = WEIGHT_TOL
+) -> PredictionReport:
     """Eigenvalue lower bounds from detected stars and proportional-row groups.
 
     Structural-only star classes contribute nothing; dependent-row entries
     come from the proportional-row detector.
     """
-    weighted = [s for s in detect_stars(g) if s.weight_uniform is not None]
+    ctx = analyze(g)
+    weighted = [s for s in ctx.stars if s.weight_uniform is not None]
     classes = group_by_weight(weighted, tol_rel=tol_rel)
     lap_preds = tuple((c.weight, c.degree) for c in classes)
     total_degree = sum(c.degree for c in classes)
-    ldep = tuple((p.wtilde, p.l) for p in detect_proportional_ldependent(g))
+    ldep = tuple((p.wtilde, p.l) for p in ctx.proportional)
     return PredictionReport(
         laplacian_predictions=lap_preds,
         signless_predictions=lap_preds,
@@ -230,24 +355,28 @@ def predict_multiplicities(g: Graph, tol_rel: float = WEIGHT_TOL) -> PredictionR
     )
 
 
-def verify_star_predictions(g: Graph, tol_rel: float = eigen.DEFAULT_TOL) -> StarVerification:
+def verify_star_predictions(
+    g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL
+) -> StarVerification:
     """Check every star-based prediction against computed multiplicities.
 
     With no predictions the result is a vacuous pass; structural-only stars
-    are reported as warnings.
+    are reported as warnings.  The normalized-Laplacian claim is skipped,
+    with a warning, when the graph has an isolated vertex.
     """
-    report = predict_multiplicities(g)
-    structural = [s for s in detect_stars(g) if s.weight_uniform is None]
-    warn = tuple(
+    ctx = analyze(g)
+    report = predict_multiplicities(ctx)
+    warn = [
         f"star class v1={list(s.v1)} has unequal weight vectors; no prediction emitted"
-        for s in structural
-    )
+        for s in ctx.stars
+        if s.weight_uniform is None
+    ]
     checks: list[PredictionCheck] = []
 
-    def run(family: str, matrix: np.ndarray, preds: Sequence[tuple[float, int]]):
+    def run(family: str, preds: Sequence[tuple[float, int]]):
         if not preds:
             return
-        table = eigen.group_multiplicities(eigen.sym_eigen(matrix).values, tol_rel)
+        table = eigen.group_multiplicities(ctx.values(family), tol_rel)
         for value, bound in preds:
             computed = eigen.multiplicity_at(table, value, tol_rel)
             checks.append(
@@ -260,19 +389,26 @@ def verify_star_predictions(g: Graph, tol_rel: float = eigen.DEFAULT_TOL) -> Sta
                 )
             )
 
-    run("laplacian", laplacian(g), report.laplacian_predictions)
-    run("signless", signless_laplacian(g), report.signless_predictions)
+    run("laplacian", report.laplacian_predictions)
+    run("signless", report.signless_predictions)
     if report.normalized_prediction is not None:
-        run("normalized", normalized_laplacian(g), [report.normalized_prediction])
+        isolated = np.flatnonzero(ctx.strengths <= 0.0).tolist()
+        if isolated:
+            warn.append(
+                f"normalized-Laplacian prediction skipped: isolated vertices {isolated} "
+                "have no normalized row"
+            )
+        else:
+            run("normalized", [report.normalized_prediction])
     return StarVerification(
         checks=tuple(checks),
-        warnings=warn,
+        warnings=tuple(warn),
         passed=all(c.passed for c in checks),
     )
 
 
 def verify_ldependent(
-    g: Graph,
+    g: Graph | GraphAnalysis,
     v1: Sequence[int],
     v2: Sequence[int],
     v3: Sequence[int],
@@ -290,8 +426,8 @@ def verify_ldependent(
     sets = (set(v1_t), set(v2_t), set(v3_t))
     if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
         raise ConditionViolatedError(0, -1, "v1, v2, v3 must be disjoint")
-    a = adjacency(g)
-    s = strengths(g)
+    ctx = analyze(g)
+    a, s = ctx.adjacency, ctx.strengths
 
     # condition 1: every v1 vertex attaches into v2 and vice versa
     for i in v1_t:
@@ -302,7 +438,7 @@ def verify_ldependent(
             raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
 
     # condition 2: v1 and v3 have neighbors only inside v2
-    outside = [x for x in range(g.n) if x not in sets[1]]
+    outside = [x for x in range(ctx.graph.n) if x not in sets[1]]
     for i in list(v1_t) + list(v3_t):
         for x in outside:
             if a[i, x] > 0:
@@ -347,7 +483,9 @@ def verify_ldependent(
     )
 
 
-def detect_proportional_ldependent(g: Graph, tol: float = WEIGHT_TOL) -> list[LDependentPartition]:
+def detect_proportional_ldependent(
+    g: Graph | GraphAnalysis, tol: float = WEIGHT_TOL
+) -> list[LDependentPartition]:
     """Dependent-row partitions found by grouping identical adjacency rows.
 
     Heuristic: vertices are grouped by row direction (row / strength) and
@@ -356,48 +494,55 @@ def detect_proportional_ldependent(g: Graph, tol: float = WEIGHT_TOL) -> list[LD
     proportional but carry different strengths are not a common-strength
     structure and produce nothing.  Multi-row combinations are out of scope
     for this detector; they can still be certified via verify_ldependent.
+
+    Two vertices with identical rows are not adjacent (each row is zero on
+    its own diagonal), so they share an open neighborhood: only members of
+    one detect_stars class are compared, and rows with different supports
+    never group, even when the entries that differ are below the tolerance.
+    Within a class a vertex joins the first group, in vertex order, whose
+    representative's direction is within `tol` entrywise and whose strength
+    is within tol * max(1, strength); groups come out ordered by
+    representative.
     """
-    a = adjacency(g)
-    s = strengths(g)
-    groups: list[list[int]] = []
-    reps: list[int] = []
-    for v in range(g.n):
-        if s[v] <= 0:
-            continue
-        direction = a[v] / s[v]
-        placed = False
-        for gi, r in enumerate(reps):
-            if np.abs(direction - a[r] / s[r]).max() <= tol and abs(
-                s[v] - s[r]
-            ) <= tol * max(1.0, s[r]):
-                groups[gi].append(v)
-                placed = True
-                break
-        if not placed:
-            groups.append([v])
-            reps.append(v)
+    ctx = analyze(g)
+    a, s = ctx.adjacency, ctx.strengths
     out = []
-    for members in groups:
-        if len(members) < 2:
-            continue
-        rep = members[0]
-        v3 = tuple(members[1:])
-        v2 = tuple(sorted(np.nonzero(a[rep])[0].tolist()))
-        out.append(
-            LDependentPartition(
-                v1=(rep,),
-                v2=v2,
-                v3=v3,
-                coefficients={i: {rep: 1.0} for i in v3},
-                wtilde=float(s[rep]),
-                coefficients_nonnegative=True,
+    for star in ctx.stars:
+        members = list(star.v1)
+        strength = s[members]
+        direction = a[np.ix_(members, list(star.v2))] / strength[:, None]
+        groups: list[list[int]] = []
+        for i in range(len(members)):
+            if groups:
+                reps = [grp[0] for grp in groups]
+                fits = (np.abs(direction[reps] - direction[i]).max(axis=1) <= tol) & (
+                    np.abs(strength[i] - strength[reps]) <= tol * np.maximum(1.0, strength[reps])
+                )
+                if fits.any():
+                    groups[int(np.argmax(fits))].append(i)
+                    continue
+            groups.append([i])
+        for grp in groups:
+            if len(grp) < 2:
+                continue
+            rep = members[grp[0]]
+            v3 = tuple(members[i] for i in grp[1:])
+            out.append(
+                LDependentPartition(
+                    v1=(rep,),
+                    v2=star.v2,
+                    v3=v3,
+                    coefficients={i: {rep: 1.0} for i in v3},
+                    wtilde=float(s[rep]),
+                    coefficients_nonnegative=True,
+                )
             )
-        )
+    out.sort(key=lambda p: p.v1)
     return out
 
 
 def dependence_split(
-    g: Graph, vertices: Sequence[int], tol_rel: float = WEIGHT_TOL
+    g: Graph | GraphAnalysis, vertices: Sequence[int], tol_rel: float = WEIGHT_TOL
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split equal-neighborhood vertices into independent rows and dependent rest.
 
@@ -407,7 +552,7 @@ def dependence_split(
     for verify_ldependent.
     """
     verts = sorted(vertices)
-    a = adjacency(g)
+    a = analyze(g).adjacency
     cols = sorted(set().union(*(set(np.nonzero(a[v])[0].tolist()) for v in verts)))
     v1: list[int] = []
     v3: list[int] = []
@@ -423,6 +568,35 @@ def dependence_split(
         else:
             v3.append(v)
     return tuple(v1), tuple(v3)
+
+
+def certify_structural_stars(
+    g: Graph | GraphAnalysis,
+) -> tuple[list[LDependentPartition], list[str]]:
+    """Dependent-row partitions certified on the structural-only star classes.
+
+    Each detected class whose weight vectors differ is split with
+    dependence_split and certified with verify_ldependent.  Returns the
+    certified partitions, and for every other such class a warning saying
+    why it carries no dependent-row structure.
+    """
+    ctx = analyze(g)
+    certified: list[LDependentPartition] = []
+    rejected: list[str] = []
+    for s in ctx.stars:
+        if s.weight_uniform is not None:
+            continue
+        try:
+            v1, v3 = dependence_split(ctx, s.v1)
+            if not v3:
+                raise ConditionViolatedError(3, s.v1[0], "rows are linearly independent")
+            certified.append(verify_ldependent(ctx, v1, s.v2, v3))
+        except (ConditionViolatedError, NoCommonStrengthError) as exc:
+            rejected.append(
+                f"class v1={list(s.v1)} has unequal weight vectors and no "
+                f"dependent-row structure ({exc})"
+            )
+    return certified, rejected
 
 
 def plant_star_graph(

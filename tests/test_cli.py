@@ -196,3 +196,22 @@ class TestJsonStability:
         _, first, _ = run(capsys, *resolved)
         _, second, _ = run(capsys, *resolved)
         assert first == second and first
+
+
+class TestIsolatedVertex:
+    @pytest.fixture
+    def isolated_file(self, tmp_path):
+        from starlap import build_graph, plant_star_graph
+
+        g = plant_star_graph(3, 30, [(3, 2, 2.0)], background_p=0.3)
+        path = tmp_path / "isolated.graph"
+        save_graph(build_graph(31, g.edges), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["stars", "verify"])
+    def test_valid_graph_with_isolated_vertex_exits_0(self, capsys, isolated_file, command):
+        code, out, _ = run(capsys, command, isolated_file, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert any("isolated vertices [30]" in w for w in payload["warnings"])
+        assert not any(c.get("family") == "normalized" for c in payload["checks"])

@@ -1,12 +1,14 @@
 """Property-based invariants over random graphs and matrices."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
     adjacency,
     build_graph,
     connected_components,
+    detect_proportional_ldependent,
     detect_stars,
     group_multiplicities,
     interlacing_check,
@@ -23,6 +25,7 @@ from starlap import (
     verify_laplacian_reduction,
     write_graph_file,
 )
+from starlap.stars import WEIGHT_TOL, LDependentPartition
 
 
 @st.composite
@@ -156,3 +159,94 @@ def test_planted_reduction_invariants(seed):
     assert verify_adjacency_reduction(g, r).passed
     assert verify_laplacian_reduction(g, r).passed
     assert interlacing_check(g, r)
+
+
+def quadratic_proportional_ldependent(g, tol=WEIGHT_TOL):
+    """The proportional-row detector as first written: every row against every group.
+
+    Kept as the reference the neighborhood-bucketed detector must reproduce.
+    """
+    a = adjacency(g)
+    s = strengths(g)
+    groups, reps = [], []
+    for v in range(g.n):
+        if s[v] <= 0:
+            continue
+        direction = a[v] / s[v]
+        for gi, r in enumerate(reps):
+            if np.abs(direction - a[r] / s[r]).max() <= tol and abs(s[v] - s[r]) <= tol * max(
+                1.0, s[r]
+            ):
+                groups[gi].append(v)
+                break
+        else:
+            groups.append([v])
+            reps.append(v)
+    out = []
+    for members in groups:
+        if len(members) < 2:
+            continue
+        rep, v3 = members[0], tuple(members[1:])
+        out.append(
+            LDependentPartition(
+                v1=(rep,),
+                v2=tuple(sorted(np.nonzero(a[rep])[0].tolist())),
+                v3=v3,
+                coefficients={i: {rep: 1.0} for i in v3},
+                wtilde=float(s[rep]),
+                coefficients_nonnegative=True,
+            )
+        )
+    return out
+
+
+_weights = st.floats(min_value=0.5, max_value=1.5)
+# relative entry perturbations: inside the equality tolerance, straddling it,
+# and clearly past it
+_JITTER = {"within": 4e-10, "boundary": 3e-9, "beyond": 1e-6}
+
+
+@st.composite
+def twin_row(draw, base):
+    kind = draw(st.sampled_from(["exact", "scaled", *_JITTER]))
+    if kind == "exact":
+        return list(base)
+    if kind == "scaled":
+        # same direction, strength equal within tolerance or not
+        factor = draw(st.sampled_from([1 + 5e-10, 1 + 5e-9, 2.0]))
+        return [w * factor for w in base]
+    size = _JITTER[kind]
+    return [w * (1 + draw(st.floats(min_value=-size, max_value=size))) for w in base]
+
+
+@st.composite
+def twin_graphs(draw):
+    """Planted twin classes with exact, near-equal and scaled rows, plus a background."""
+    edges, hubs, cursor = [], [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        m, k = draw(st.integers(min_value=2, max_value=5)), draw(st.integers(min_value=1, max_value=4))
+        base = draw(st.lists(_weights, min_size=k, max_size=k))
+        group_hubs = list(range(cursor + m, cursor + m + k))
+        for t in range(cursor, cursor + m):
+            edges.extend((t, h, w) for h, w in zip(group_hubs, draw(twin_row(base))))
+        hubs.extend(group_hubs)
+        cursor += m + k
+    n = cursor + draw(st.integers(min_value=0, max_value=4))
+    others = hubs + list(range(cursor, n))
+    pairs = [(u, v) for i, u in enumerate(others) for v in others[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    edges.extend((u, v, draw(_weights)) for u, v in chosen)
+    return build_graph(n, edges)
+
+
+@pytest.mark.filterwarnings("ignore:star weight vectors differ")
+@given(twin_graphs())
+@settings(max_examples=150, deadline=None)
+def test_bucketed_proportional_detector_matches_quadratic_scan(g):
+    assert detect_proportional_ldependent(g) == quadratic_proportional_ldependent(g)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_bucketed_proportional_detector_matches_on_random_graphs(g):
+    assert detect_proportional_ldependent(g) == quadratic_proportional_ldependent(g)

@@ -250,3 +250,37 @@ class TestRandomizedReductions:
             assert verify_adjacency_reduction(g, r).passed
             assert verify_laplacian_reduction(g, r).passed
             assert interlacing_check(g, r)
+
+
+def _scaled(g, factor):
+    return build_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
+
+
+class TestNonFiniteAndScale:
+    def test_overflowing_strengths_fail_the_lift_residuals(self):
+        # strengths overflow to inf, so every lifted residual is NaN
+        g = _scaled(plant_star_graph(3, 30, [(3, 2, 2.0)], background_p=0.3), 2.5e307)
+        r = reduce_all(g)
+        with np.errstate(all="ignore"):
+            checks = {
+                c.name: c
+                for record in (verify_adjacency_reduction(g, r), verify_laplacian_reduction(g, r))
+                for c in record.checks
+            }
+        for name in ("adjacency-lift-residual", "laplacian-lift-residual"):
+            assert not np.isfinite(checks[name].residual)
+            assert not checks[name].passed
+
+    def test_non_finite_residual_never_passes(self):
+        from starlap.reduction import Check
+
+        assert not Check("c", float("nan"), 1.0).passed
+        assert not Check("c", float("inf"), float("inf")).passed
+        assert Check("c", 0.5, 1.0).passed
+
+    @pytest.mark.parametrize("k", [-9, 0, 6, 9])
+    def test_interlacing_is_scale_covariant(self, k):
+        for seed in range(20):
+            g = plant_star_graph(seed, 60, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.2)
+            g = _scaled(g, 10.0**k)
+            assert interlacing_check(g, reduce_all(g)), seed
