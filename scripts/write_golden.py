@@ -3,9 +3,11 @@
 
 For each input graph (the write_fixtures.py graphs, a planted 120-vertex star
 graph and a planted dependent-row graph) it saves the graph file and the
-exact ``--json`` stdout of ``stars``, ``ldep``, ``verify``, ``reduce`` and
-``compare``, plus every call's exit code in ``index.json``.  Regenerate a
-file only when a change is meant to alter that output.
+exact ``--json`` stdout of every call in ``COMMANDS`` (``info``, ``spectrum``
+of each matrix family, ``stars``, ``ldep``, ``verify``, ``reduce``,
+``compare`` and three ``partition`` modes), plus every call's exit code in
+``index.json``.  Regenerate a file only when a change is meant to alter that
+output.
 
 Usage:
     PYTHONPATH=src python scripts/write_golden.py [--out tests/golden]
@@ -25,7 +27,19 @@ from starlap import build_graph, plant_ldependent_graph, plant_star_graph, save_
 from starlap.cli import run_cli
 from write_fixtures import FIXTURES
 
-COMMANDS = ("stars", "ldep", "verify", "reduce", "compare")
+# output name -> CLI arguments before the graph path
+COMMANDS = {
+    "info": ["info"],
+    **{f"spectrum-{m}": ["spectrum", "--matrix", m] for m in ("adjacency", "laplacian", "normalized", "signless")},
+    "stars": ["stars"],
+    "ldep": ["ldep"],
+    "verify": ["verify"],
+    "reduce": ["reduce"],
+    "compare": ["compare"],
+    "partition-bisect": ["partition", "--bisect"],
+    "partition-rsb": ["partition", "--rsb", "--max-clusters", "4"],
+    "partition-kway": ["partition", "--kway", "auto"],
+}
 
 
 def golden_graphs():
@@ -40,8 +54,9 @@ def golden_graphs():
 
 def run_command(command, graph_path, workdir):
     """Exit code and stdout of one ``--json`` CLI call, run in this process."""
-    args = [command, graph_path, "--json"]
-    if command == "reduce":
+    head, *options = COMMANDS[command]
+    args = [head, graph_path, *options, "--json"]
+    if head == "reduce":
         args += ["-o", os.path.join(workdir, "reduced.graph")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
