@@ -13,35 +13,9 @@ import json
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
-from . import __version__, eigen, fileio, stars as stars_mod
-from .errors import (
-    ConditionViolatedError,
-    NoCommonStrengthError,
-    StarlapError,
-)
-from .graphs import (
-    Graph,
-    laplacian,
-    normalized_laplacian,
-    signless_laplacian,
-    adjacency,
-)
-from .partition import compare_signs, kway, recursive_bisection, sign_bipartition
-from .reduction import (
-    interlacing_check,
-    reduce_all,
-    verify_adjacency_reduction,
-    verify_laplacian_reduction,
-)
-
-_MATRICES = {
-    "laplacian": laplacian,
-    "adjacency": adjacency,
-    "signless": signless_laplacian,
-    "normalized": normalized_laplacian,
-}
+from . import __version__, eigen, fileio, partition, reduction, stars as stars_mod
+from .errors import ConditionViolatedError, NoCommonStrengthError, StarlapError
+from .verify import verify_graph
 
 _CONVENTIONS = {
     "reduced_degree": (
@@ -54,27 +28,19 @@ _CONVENTIONS = {
 
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted before and after the subcommand; the subparser
-    # copies default to None and run_cli merges them (a plain shared dest would
-    # let the subparser default clobber a pre-subcommand value)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=float, default=None, help="relative tolerance (default 1e-8)"
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for generator-backed operations"
-    )
-    common.add_argument(
-        "--json", action="store_true", default=None, help="machine-readable output"
-    )
-
+    # copies default to SUPPRESS, so they leave a pre-subcommand value in place
     parser = argparse.ArgumentParser(
         prog="starlap",
         description="Star and dependent-row structure analysis, spectrum-preserving "
         "reduction, and spectral partitioning of weighted graphs.",
     )
-    parser.add_argument("--tol", type=float, default=None, dest="tol_global", help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=None, dest="seed_global", help=argparse.SUPPRESS)
-    parser.add_argument("--json", action="store_true", default=None, dest="json_global", help=argparse.SUPPRESS)
+    parser.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default 1e-8)")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="relative tolerance")
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common], help="graph summary")
@@ -82,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common], help="eigenvalues of a matrix family")
     p.add_argument("file")
-    p.add_argument("--matrix", choices=sorted(_MATRICES), default="laplacian")
+    p.add_argument(
+        "--matrix", choices=("adjacency", "laplacian", "normalized", "signless"), default="laplacian"
+    )
 
     p = sub.add_parser("stars", parents=[common], help="detect stars and verify their predictions")
     p.add_argument("file")
@@ -116,17 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_globals(args: argparse.Namespace) -> argparse.Namespace:
-    args.tol = args.tol if args.tol is not None else (args.tol_global if args.tol_global is not None else 1e-8)
-    args.seed = args.seed if args.seed is not None else (args.seed_global if args.seed_global is not None else 0)
-    args.json = bool(args.json if args.json is not None else args.json_global)
-    return args
-
-
-def _load(path: str) -> Graph:
-    return fileio.load_graph(path)
-
-
 def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
     if as_json:
         sys.stdout.write(fileio.to_json(payload))
@@ -135,13 +92,8 @@ def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _multiplicity(values: np.ndarray, value: float, tol: float) -> int:
-    table = eigen.group_multiplicities(values, tol)
-    return eigen.multiplicity_at(table, value, tol)
-
-
 def _cmd_info(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     summary = fileio.graph_summary(g)
     lines = [f"{k}: {v}" for k, v in summary.items()]
     _emit({"summary": summary, "version": __version__}, args.json, lines)
@@ -149,20 +101,19 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _load(args.file)
-    spectrum = eigen.sym_eigen(_MATRICES[args.matrix](g))
-    table = eigen.group_multiplicities(spectrum.values, args.tol)
+    values = stars_mod.analyze(fileio.load_graph(args.file)).values(args.matrix)
+    table = eigen.group_multiplicities(values, args.tol)
     groups = [
         {"value": grp.value, "multiplicity": grp.multiplicity} for grp in table.groups
     ]
-    lines = [f"{v:.12g}" for v in spectrum.values]
+    lines = [f"{v:.12g}" for v in values]
     lines.append(
         "groups: " + ", ".join(f"{grp.value:.12g} (x{grp.multiplicity})" for grp in table.groups)
     )
     _emit(
         {
             "matrix": args.matrix,
-            "values": [float(v) for v in spectrum.values],
+            "values": [float(v) for v in values],
             "groups": groups,
             "version": __version__,
         },
@@ -183,7 +134,7 @@ def _star_payload(s: stars_mod.MkStar) -> dict[str, Any]:
 
 
 def _cmd_stars(args) -> int:
-    ctx = stars_mod.analyze(_load(args.file))
+    ctx = stars_mod.analyze(fileio.load_graph(args.file))
     detected = ctx.stars
     verification = stars_mod.verify_star_predictions(ctx, args.tol)
     lines = []
@@ -236,42 +187,37 @@ def _partition_payload(p: stars_mod.LDependentPartition) -> dict[str, Any]:
 
 
 def _cmd_ldep(args) -> int:
-    g = _load(args.file)
-    ctx = stars_mod.analyze(g)
+    ctx = stars_mod.analyze(fileio.load_graph(args.file))
     candidates: list[stars_mod.LDependentPartition] = []
     lines: list[str] = []
     failures: list[str] = []
     if args.partition:
-        with open(args.partition, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        v1, v2, v3 = fileio.load_partition(args.partition)
         try:
-            candidates.append(
-                stars_mod.verify_ldependent(ctx, spec["v1"], spec["v2"], spec["v3"])
-            )
+            candidates.append(stars_mod.verify_ldependent(ctx, v1, v2, v3))
         except (ConditionViolatedError, NoCommonStrengthError) as exc:
             failures.append(str(exc))
     else:
         candidates.extend(ctx.proportional)
-        candidates.extend(stars_mod.certify_structural_stars(ctx)[0])
+        candidates.extend(ctx.structural[0])
         if not candidates:
             lines.append("no dependent-row structures detected")
 
-    checks = []
-    for p in candidates:
-        computed = _multiplicity(ctx.values("laplacian"), p.wtilde, args.tol) if g.n else 0
-        ok = computed >= p.l
-        checks.append({"wtilde": p.wtilde, "l": p.l, "computed": computed, "passed": ok})
-        status = "PASS" if ok else "FAIL"
+    checks = ctx.check_claims("laplacian", [(p.wtilde, p.l) for p in candidates], args.tol)
+    for p, c in zip(candidates, checks):
         lines.append(
-            f"{status} dependent rows v3={list(p.v3)} of v1={list(p.v1)}: "
-            f"eigenvalue {p.wtilde:.12g} multiplicity {computed} >= {p.l}"
+            f"{'PASS' if c.passed else 'FAIL'} dependent rows v3={list(p.v3)} of v1={list(p.v1)}: "
+            f"eigenvalue {p.wtilde:.12g} multiplicity {c.computed} >= {p.l}"
             + ("" if p.coefficients_nonnegative else " (positivity violated)")
         )
     lines.extend(f"REJECTED: {f}" for f in failures)
-    passed = not failures and all(c["passed"] for c in checks)
+    passed = not failures and all(c.passed for c in checks)
     payload = {
         "partitions": [_partition_payload(p) for p in candidates],
-        "checks": checks,
+        "checks": [
+            {"wtilde": c.eigenvalue, "l": c.predicted, "computed": c.computed, "passed": c.passed}
+            for c in checks
+        ],
         "rejected": failures,
         "passed": passed,
         "tolerances": {"relative": args.tol},
@@ -307,13 +253,13 @@ def _reduction_payload(r, adj_record, lap_record) -> dict[str, Any]:
 
 
 def _cmd_reduce(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     ctx = stars_mod.analyze(g)
-    r = reduce_all(ctx, args.policy)
+    r = reduction.reduce_all(ctx, args.policy)
     fileio.save_graph(r.reduced, args.output)
     records = (
-        verify_adjacency_reduction(ctx, r, args.tol),
-        verify_laplacian_reduction(ctx, r, args.tol),
+        reduction.verify_adjacency_reduction(ctx, r, args.tol),
+        reduction.verify_laplacian_reduction(ctx, r, args.tol),
     )
     payload = {
         "reduction": _reduction_payload(r, *records),
@@ -333,163 +279,55 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _verify_checks(g: Graph, tol: float, q: int | None) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """All named checks for the verify command, plus the report sections."""
-    checks: list[dict[str, Any]] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    ctx = stars_mod.analyze(g)
-    detected = ctx.stars
-    # structural-only classes may still certify as dependent rows
-    certified, extra_warnings = stars_mod.certify_structural_stars(ctx)
-
-    star_verification = stars_mod.verify_star_predictions(ctx, tol)
-    for c in star_verification.checks:
-        add(
-            f"{c.family}-multiplicity(w={c.eigenvalue:.12g})",
-            c.passed,
-            f"computed {c.computed} >= predicted {c.predicted}",
-        )
-
-    # dependent-row conclusions; summing l across partitions is only sound for
-    # disjoint v3 sets, and a certified class can subsume a proportional group
-    partitions = []
-    used: set[int] = set()
-    for p in certified + list(ctx.proportional):
-        if not (set(p.v3) & used):
-            partitions.append(p)
-            used.update(p.v3)
-    if partitions and g.n:
-        by_w: dict[float, int] = {}
-        for p in partitions:
-            key = next((w for w in by_w if abs(w - p.wtilde) <= 1e-9 * max(1.0, w)), p.wtilde)
-            by_w[key] = by_w.get(key, 0) + p.l
-        for w, total_l in sorted(by_w.items()):
-            computed = _multiplicity(ctx.values("laplacian"), w, tol)
-            add(
-                f"dependent-rows-multiplicity(w={w:.12g})",
-                computed >= total_l,
-                f"computed {computed} >= {total_l}",
-            )
-        if all(sv > 0 for sv in ctx.strengths):
-            computed = _multiplicity(ctx.values("normalized"), 1.0, tol)
-            total_l = sum(p.l for p in partitions)
-            add(
-                "dependent-rows-normalized-multiplicity",
-                computed >= total_l,
-                f"computed {computed} >= {total_l}",
-            )
-
-    # reduction identities under the requested q (first star) or full collapse
-    if q is not None:
-        qs = [0] * len(detected)
-        if not detected:
-            add(f"reduction-requested(q={q})", True, "no stars to reduce; identity reduction")
-        elif detected[0].weight_uniform is None:
-            add(
-                f"reduction-requested(q={q})",
-                False,
-                f"first star v1={list(detected[0].v1)} has unequal weight vectors "
-                "and cannot be reduced",
-            )
-        else:
-            qs[0] = min(q, detected[0].m - 1)
-            add(
-                f"reduction-requested(q={q})",
-                True,
-                f"reducing star v1={list(detected[0].v1)} by q={qs[0]}",
-            )
-        r = reduce_all(ctx, qs)
-    else:
-        r = reduce_all(ctx, "collapse")
-    records = (
-        verify_adjacency_reduction(ctx, r, tol),
-        verify_laplacian_reduction(ctx, r, tol),
-    )
-    for c in records[0].checks + records[1].checks:
-        add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}")
-    add("reduction-interlacing", interlacing_check(ctx, r, tol), "")
-
-    sign_section: dict[str, Any] = {}
-    if g.n >= 2 and len(ctx.components) == 1 and r.reduced.n >= 2:
-        if len(ctx.reduced(r).components) == 1:
-            report = compare_signs(ctx, r, tol)
-            if report.degenerate:
-                add("sign-agreement", True, f"inconclusive: {report.reason}")
-            else:
-                add(
-                    "sign-agreement",
-                    report.passed,
-                    f"agreement fraction {report.agreement_fraction}",
-                )
-            sign_section = {
-                "degenerate": report.degenerate,
-                "reason": report.reason,
-                "agreement_fraction": report.agreement_fraction,
-                "labels": list(report.extended_labels) if report.extended_labels else None,
-            }
-        else:
-            add("sign-agreement", True, "inconclusive: reduced graph is disconnected")
-    else:
-        add("sign-agreement", True, "inconclusive: graph too small or disconnected")
-
-    weighted = [s for s in detected if s.weight_uniform is not None]
-    classes = stars_mod.group_by_weight(weighted)
-    sections = {
-        "stars": [_star_payload(s) for s in detected],
-        "star_classes": [
-            {"weight": c.weight, "degree": c.degree, "v1_sets": [list(s.v1) for s in c.stars]}
-            for c in classes
-        ],
-        "dependent_rows": [_partition_payload(p) for p in partitions],
-        "warnings": list(star_verification.warnings) + extra_warnings,
-        "reduction": _reduction_payload(r, *records),
-        "sign_agreement": sign_section,
-    }
-    return checks, sections
-
-
 def _cmd_verify(args) -> int:
-    if args.q is not None and args.q < 1:
-        print(f"--q must be at least 1, got {args.q}", file=sys.stderr)
-        return 1
-    g = _load(args.file)
-    checks, sections = _verify_checks(g, args.tol, args.q)
+    ctx = stars_mod.analyze(fileio.load_graph(args.file))
+    result = verify_graph(ctx, args.tol, args.q)
     lines = [
-        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
-        + (f" ({c['detail']})" if c["detail"] else "")
-        for c in checks
+        f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" ({c.detail})" if c.detail else "")
+        for c in result.checks
     ]
-    lines.extend(f"warning: {w}" for w in sections["warnings"])
-    passed = all(c["passed"] for c in checks)
-    lines.append(f"{'all checks passed' if passed else 'FAILED checks present'}")
+    lines.extend(f"warning: {w}" for w in result.warnings)
+    lines.append(f"{'all checks passed' if result.passed else 'FAILED checks present'}")
+    signs = result.signs
+    weighted = [s for s in ctx.stars if s.weight_uniform is not None]
     payload = {
-        "summary": fileio.graph_summary(g),
-        "checks": checks,
-        "passed": passed,
+        "summary": fileio.graph_summary(ctx.graph),
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in result.checks],
+        "passed": result.passed,
         "conventions": _CONVENTIONS,
         "tolerances": {"relative": args.tol, "weight_equality": stars_mod.WEIGHT_TOL},
         "version": __version__,
-        **sections,
+        "stars": [_star_payload(s) for s in ctx.stars],
+        "star_classes": [
+            {"weight": c.weight, "degree": c.degree, "v1_sets": [list(s.v1) for s in c.stars]}
+            for c in stars_mod.group_by_weight(weighted)
+        ],
+        "dependent_rows": [_partition_payload(p) for p in result.dependent_rows],
+        "warnings": list(result.warnings),
+        "reduction": _reduction_payload(result.reduction, *result.records),
+        "sign_agreement": {} if signs is None else {
+            "degenerate": signs.degenerate,
+            "reason": signs.reason,
+            "agreement_fraction": signs.agreement_fraction,
+            "labels": list(signs.extended_labels) if signs.extended_labels else None,
+        },
     }
     _emit(payload, args.json, lines)
-    if not passed:
-        failed = [c["name"] for c in checks if not c["passed"]]
+    if not result.passed:
+        failed = [c.name for c in result.checks if not c.passed]
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
-    return 0 if passed else 2
+    return 0 if result.passed else 2
 
 
 def _cmd_partition(args) -> int:
-    g = _load(args.file)
+    g = fileio.load_graph(args.file)
     if args.bisect:
-        part = sign_bipartition(g)
+        part = partition.sign_bipartition(g)
     elif args.rsb:
-        part = recursive_bisection(g, max_clusters=args.max_clusters)
+        part = partition.recursive_bisection(g, max_clusters=args.max_clusters)
     else:
         k = args.kway if args.kway == "auto" else int(args.kway)
-        part = kway(g, k)
+        part = partition.kway(g, k)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(fileio.emit_dot(g, part))
@@ -508,9 +346,9 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    g = _load(args.file)
-    r = reduce_all(g, args.policy)
-    report = compare_signs(g, r, args.tol)
+    g = fileio.load_graph(args.file)
+    r = reduction.reduce_all(g, args.policy)
+    report = partition.compare_signs(g, r, args.tol)
     if report.degenerate:
         lines = [f"inconclusive: {report.reason}"]
         code = 0
@@ -552,7 +390,7 @@ _HANDLERS = {
 def run_cli(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = _merge_globals(parser.parse_args(list(argv)))
+        args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

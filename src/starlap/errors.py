@@ -46,10 +46,6 @@ class TooFewValuesError(StarlapError):
     pass
 
 
-class IterationLimitError(StarlapError):
-    pass
-
-
 class UnequalWeightVectorsError(StarlapError):
     def __init__(self, v1: tuple[int, ...], detail: str = ""):
         msg = f"star vertices {list(v1)} do not share identical weight vectors"
@@ -114,7 +110,7 @@ class BadKError(StarlapError):
 
 
 class ParseError(StarlapError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    def __init__(self, line_number: int | None, reason: str):
+        super().__init__(reason if line_number is None else f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason

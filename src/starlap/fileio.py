@@ -83,6 +83,20 @@ def save_graph(g: Graph, path: str) -> None:
         fh.write(write_graph_file(g))
 
 
+def load_partition(path: str) -> tuple[list[int], list[int], list[int]]:
+    """The v1, v2 and v3 vertex lists of a JSON partition file.
+
+    The file must hold an object whose "v1", "v2" and "v3" are lists of
+    integers; anything else raises ParseError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    lists = [spec.get(key) if isinstance(spec, dict) else None for key in ("v1", "v2", "v3")]
+    if not all(isinstance(xs, list) and all(type(x) is int for x in xs) for xs in lists):
+        raise ParseError(None, f"{path}: expected an object with integer lists v1, v2, v3")
+    return lists[0], lists[1], lists[2]
+
+
 _DOT_COLORS = 12  # size of the colorscheme cycle
 
 

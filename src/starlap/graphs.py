@@ -43,20 +43,6 @@ class Graph:
         if not self.mass:
             object.__setattr__(self, "mass", (1.0,) * self.n)
 
-    @property
-    def has_unit_mass(self) -> bool:
-        return all(m == 1.0 for m in self.mass)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood of v."""
-        out = set()
-        for u, w, _ in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return frozenset(out)
-
 
 def build_graph(
     n: int,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import eigen
 from .errors import BadKError, DisconnectedError, TooFewValuesError
-from .graphs import Graph, connected_components, induced_subgraph, laplacian
+from .graphs import Graph, induced_subgraph, laplacian
 from .reduction import Reduction, lift_vector
 from .stars import GraphAnalysis, analyze
 
@@ -122,6 +122,7 @@ def recursive_bisection(
     weights.  A block that falls apart into components splits along its first
     component.  Stops at max_clusters blocks, or when every block's second
     eigenvalue exceeds lambda2_threshold, or when only singletons remain.
+    Each block's split is computed once.
     """
     if (max_clusters is None) == (lambda2_threshold is None):
         raise ValueError("give exactly one of max_clusters, lambda2_threshold")
@@ -129,36 +130,39 @@ def recursive_bisection(
         raise BadKError(max_clusters, g.n)
     _require_connected(g)
 
-    def block_key(block: list[int]) -> tuple[float, int]:
-        if len(block) <= 1:
-            return (float("inf"), block[0])
-        sub, old = induced_subgraph(g, block)
-        if len(connected_components(sub)) > 1:
-            return (0.0, min(block))
-        return (fiedler(sub).lambda2, min(block))
+    splits: dict[tuple[int, ...], tuple[float, tuple[int, ...], tuple[int, ...]]] = {}
 
-    blocks = [list(range(g.n))]
-    while True:
-        if max_clusters is not None and len(blocks) >= max_clusters:
-            break
-        keys = [block_key(b) for b in blocks]
-        order = int(np.lexsort(([k[1] for k in keys], [k[0] for k in keys]))[0])
-        lam, _ = keys[order]
+    def split(block: tuple[int, ...]) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+        """A block's second eigenvalue (0 when disconnected) and its two sides."""
+        if len(block) <= 1:
+            return float("inf"), block, ()
+        if block not in splits:
+            sub, old = induced_subgraph(g, block)
+            ctx = analyze(sub)
+            if len(ctx.components) > 1:
+                lam, first = 0.0, min(ctx.components, key=min)
+            else:
+                result = fiedler(ctx)
+                labels = _labels_from_signs(result.vector)[0]
+                lam, first = result.lambda2, {i for i, lbl in enumerate(labels) if lbl == 0}
+            splits[block] = (
+                lam,
+                tuple(old[i] for i in range(sub.n) if i in first),
+                tuple(old[i] for i in range(sub.n) if i not in first),
+            )
+        return splits[block]
+
+    blocks = [tuple(range(g.n))]
+    while max_clusters is None or len(blocks) < max_clusters:
+        keys = [(split(b)[0], b[0]) for b in blocks]
+        order = keys.index(min(keys))
+        lam = keys[order][0]
         if lam == float("inf"):
             break
         if lambda2_threshold is not None and lam > lambda2_threshold:
             break
         block = blocks.pop(order)
-        sub, old = induced_subgraph(g, block)
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            first = sorted(comps, key=min)[0]
-            side0 = [old[i] for i in first]
-            side1 = [old[i] for i in range(sub.n) if i not in first]
-        else:
-            part = sign_bipartition(sub)
-            side0 = [old[i] for i, lbl in enumerate(part.labels) if lbl == 0]
-            side1 = [old[i] for i, lbl in enumerate(part.labels) if lbl == 1]
+        _, side0, side1 = split(block)
         if not side0 or not side1:
             # sign vector failed to split; cannot refine this block further
             blocks.append(block)

@@ -195,18 +195,9 @@ def reduce_all(
     return _reduce(ctx.graph, assignments)
 
 
-def build_k_matrix(r: Reduction) -> np.ndarray:
-    """The orthonormal lifting matrix of a reduction (also stored on it)."""
-    return r.k_matrix
-
-
-def mass_matrix(r: Reduction) -> np.ndarray:
-    return np.diag(r.reduced.mass)
-
-
 def mass_adjacency(r: Reduction) -> np.ndarray:
     """M B: mass-scaled reduced adjacency (nonsymmetric in general)."""
-    return np.diag(r.reduced.mass) @ adjacency(r.reduced)
+    return np.asarray(r.reduced.mass)[:, None] * adjacency(r.reduced)
 
 
 def mass_degree(r: Reduction) -> np.ndarray:
@@ -225,7 +216,8 @@ def sym_mass_laplacian(r: Reduction) -> np.ndarray:
 
 def mass_laplacian(r: Reduction) -> np.ndarray:
     """Nonsymmetric mass-weighted Laplacian: mass_degree - M B."""
-    return mass_degree(r) - mass_adjacency(r)
+    mb = mass_adjacency(r)
+    return np.diag(mb.sum(axis=0)) - mb
 
 
 LiftSource = Literal["tilde_l", "lmb_right"]

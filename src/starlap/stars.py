@@ -27,6 +27,7 @@ import numpy as np
 from . import eigen
 from .errors import (
     ConditionViolatedError,
+    IndexOutOfRangeError,
     InfeasibleSpecError,
     NoCommonStrengthError,
     UnequalWeightVectorsError,
@@ -130,15 +131,24 @@ class StarVerification:
     passed: bool
 
 
+@dataclass(frozen=True)
+class DependentRowsVerification:
+    """Disjoint dependent-row partitions and the multiplicity checks they imply."""
+
+    partitions: tuple[LDependentPartition, ...]
+    checks: tuple[PredictionCheck, ...]
+
+
 class GraphAnalysis:
     """Lazily filled, per-graph record of the work that several checks share.
 
     The adjacency matrix and the strengths (both read-only), the connected
-    components, the detected stars and the proportional-row groups are
-    computed once, on first use.  Each matrix family is solved at most once
-    through ``eigen.sym_eigen``; after the solve only its eigenvalues are
-    kept, plus the second eigenvector of the Laplacian and of the mass
-    Laplacian, which the sign comparison reads.  Full eigenvectors reach only
+    components, the detected stars, the proportional-row groups and the
+    certification of the structural-only stars are computed once, on first
+    use.  Each matrix family is solved at most once through
+    ``eigen.sym_eigen``; after the solve only its eigenvalues are kept, plus
+    the second eigenvector of the Laplacian and of the mass Laplacian, which
+    the sign comparison reads.  Full eigenvectors reach only
     the caller of :meth:`spectrum`, so a family whose vectors are needed must
     be asked for with :meth:`spectrum` before anything asks for its values.
 
@@ -181,6 +191,10 @@ class GraphAnalysis:
     def proportional(self) -> tuple[LDependentPartition, ...]:
         return tuple(detect_proportional_ldependent(self))
 
+    @cached_property
+    def structural(self) -> tuple[list[LDependentPartition], list[str]]:
+        return certify_structural_stars(self)
+
     def matrix(self, family: str) -> np.ndarray:
         """One family's matrix, built from the cached A and strengths.
 
@@ -196,12 +210,13 @@ class GraphAnalysis:
             return np.diag(s) + a
         if family == "normalized":
             return normalized_laplacian_from(a, s)
-        root = np.sqrt(np.asarray(self.graph.mass))
+        mass = np.asarray(self.graph.mass)
+        root = np.sqrt(mass)
         sym = a * np.outer(root, root)
         if family == "mass-adjacency":
             return sym
         if family == "mass-laplacian":
-            return np.diag((np.diag(self.graph.mass) @ a).sum(axis=0)) - sym
+            return np.diag((mass[:, None] * a).sum(axis=0)) - sym
         raise ValueError(f"unknown matrix family {family!r}")
 
     def spectrum(self, family: str, matrix: np.ndarray | None = None) -> eigen.Spectrum:
@@ -221,6 +236,23 @@ class GraphAnalysis:
         if family not in self._values:
             self.spectrum(family)
         return self._values[family]
+
+    def check_claims(
+        self, family: str, claims: Sequence[tuple[float, int]], tol_rel: float
+    ) -> list[PredictionCheck]:
+        """Each (value, bound) claim against the multiplicity at value in one family.
+
+        Multiplicities are read off the family's spectrum grouped at tol_rel;
+        with no claims nothing is solved.
+        """
+        if not claims:
+            return []
+        table = eigen.group_multiplicities(self.values(family), tol_rel)
+        checks = []
+        for value, bound in claims:
+            computed = eigen.multiplicity_at(table, value, tol_rel)
+            checks.append(PredictionCheck(family, value, bound, computed, computed >= bound))
+        return checks
 
     def second_vector(self, family: str) -> np.ndarray:
         """Sign-normalized eigenvector of the second-smallest eigenvalue."""
@@ -371,26 +403,8 @@ def verify_star_predictions(
         for s in ctx.stars
         if s.weight_uniform is None
     ]
-    checks: list[PredictionCheck] = []
-
-    def run(family: str, preds: Sequence[tuple[float, int]]):
-        if not preds:
-            return
-        table = eigen.group_multiplicities(ctx.values(family), tol_rel)
-        for value, bound in preds:
-            computed = eigen.multiplicity_at(table, value, tol_rel)
-            checks.append(
-                PredictionCheck(
-                    family=family,
-                    eigenvalue=value,
-                    predicted=bound,
-                    computed=computed,
-                    passed=computed >= bound,
-                )
-            )
-
-    run("laplacian", report.laplacian_predictions)
-    run("signless", report.signless_predictions)
+    checks = ctx.check_claims("laplacian", report.laplacian_predictions, tol_rel)
+    checks += ctx.check_claims("signless", report.signless_predictions, tol_rel)
     if report.normalized_prediction is not None:
         isolated = np.flatnonzero(ctx.strengths <= 0.0).tolist()
         if isolated:
@@ -399,7 +413,7 @@ def verify_star_predictions(
                 "have no normalized row"
             )
         else:
-            run("normalized", [report.normalized_prediction])
+            checks += ctx.check_claims("normalized", [report.normalized_prediction], tol_rel)
     return StarVerification(
         checks=tuple(checks),
         warnings=tuple(warn),
@@ -420,13 +434,17 @@ def verify_ldependent(
     v2, each v3 row reproducible as a least-squares combination of the v1
     rows (residual at most tol_rel * common strength), and finally that all
     of v1 and v3 share one strength.  Coefficient positivity is recorded,
-    not enforced.
+    not enforced.  A vertex outside 0..n-1 raises IndexOutOfRangeError.
     """
-    v1_t, v2_t, v3_t = tuple(sorted(v1)), tuple(sorted(v2)), tuple(sorted(v3))
-    sets = (set(v1_t), set(v2_t), set(v3_t))
-    if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-        raise ConditionViolatedError(0, -1, "v1, v2, v3 must be disjoint")
     ctx = analyze(g)
+    v1_t, v2_t, v3_t = tuple(sorted(v1)), tuple(sorted(v2)), tuple(sorted(v3))
+    listed = v1_t + v2_t + v3_t
+    for v in listed:
+        if not 0 <= v < ctx.graph.n:
+            raise IndexOutOfRangeError(v, ctx.graph.n)
+    # a repeated v3 vertex would count twice in l
+    if len(set(listed)) != len(listed):
+        raise ConditionViolatedError(0, -1, "v1, v2, v3 must be disjoint, each vertex listed once")
     a, s = ctx.adjacency, ctx.strengths
 
     # condition 1: every v1 vertex attaches into v2 and vice versa
@@ -438,7 +456,8 @@ def verify_ldependent(
             raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
 
     # condition 2: v1 and v3 have neighbors only inside v2
-    outside = [x for x in range(ctx.graph.n) if x not in sets[1]]
+    v2_set = set(v2_t)
+    outside = [x for x in range(ctx.graph.n) if x not in v2_set]
     for i in list(v1_t) + list(v3_t):
         for x in outside:
             if a[i, x] > 0:
@@ -597,6 +616,35 @@ def certify_structural_stars(
                 f"dependent-row structure ({exc})"
             )
     return certified, rejected
+
+
+def verify_dependent_rows(
+    g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL
+) -> DependentRowsVerification:
+    """Laplacian and normalized multiplicities implied by disjoint dependent rows.
+
+    The certified structural classes, then the proportional groups, are kept
+    while their v3 sets stay disjoint (only then do the l add up).  Their l
+    are summed per common strength (equal within WEIGHT_TOL) for L, and in
+    total at 1 for the normalized Laplacian unless a vertex is isolated.
+    """
+    ctx = analyze(g)
+    partitions: list[LDependentPartition] = []
+    used: set[int] = set()
+    for p in ctx.structural[0] + list(ctx.proportional):
+        if not (set(p.v3) & used):
+            partitions.append(p)
+            used.update(p.v3)
+    by_w: dict[float, int] = {}
+    for p in partitions:
+        key = next((w for w in by_w if abs(w - p.wtilde) <= WEIGHT_TOL * max(1.0, w)), p.wtilde)
+        by_w[key] = by_w.get(key, 0) + p.l
+    checks = ctx.check_claims("laplacian", sorted(by_w.items()), tol_rel)
+    if partitions and all(sv > 0 for sv in ctx.strengths):
+        checks += ctx.check_claims(
+            "normalized", [(1.0, sum(p.l for p in partitions))], tol_rel
+        )
+    return DependentRowsVerification(partitions=tuple(partitions), checks=tuple(checks))
 
 
 def plant_star_graph(

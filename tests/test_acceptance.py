@@ -28,7 +28,6 @@ from starlap import (
     recursive_bisection,
     reduce_all,
     reduce_star,
-    run_cli,
     save_graph,
     sign_bipartition,
     signless_laplacian,
@@ -39,6 +38,7 @@ from starlap import (
     verify_laplacian_reduction,
     verify_ldependent,
 )
+from starlap.cli import run_cli
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

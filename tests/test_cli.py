@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from starlap import run_cli, save_graph
+from starlap import save_graph
+from starlap.cli import run_cli
 from starlap.fileio import parse_graph_file
 
 
@@ -46,6 +47,19 @@ class TestInfoAndSpectrum:
         code, _, _ = run(capsys, "spectrum")
         assert code == 1
 
+    def test_seed_is_an_unknown_option(self, capsys, fixture_files):
+        assert run(capsys, "--seed", "3", "info", fixture_files["f1"])[0] == 1
+        assert run(capsys, "info", fixture_files["f1"], "--seed", "3")[0] == 1
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_tol_before_or_after_the_subcommand(self, capsys, fixture_files, before):
+        tail = ["stars", fixture_files["f1"], "--json"]
+        argv = ["--tol", "1e-6", *tail] if before else [*tail, "--tol", "1e-6"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["tolerances"]["relative"] == 1e-6
+        code, out, _ = run(capsys, *tail)
+        assert json.loads(out)["tolerances"]["relative"] == 1e-8
+
 
 class TestStars:
     def test_path_reports_none(self, capsys, fixture_files):
@@ -74,6 +88,25 @@ class TestLdep:
         part.write_text(json.dumps({"v1": [0], "v2": [2, 3, 4], "v3": [5]}))
         code, out, _ = run(capsys, "ldep", fixture_files["f3"], "--partition", str(part))
         assert code == 2 and "REJECTED" in out
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ({"v1": [-6, 1], "v2": [2, 3, 4], "v3": [5]}, "IndexOutOfRangeError"),
+            ({"v1": [0, 1], "v2": [2, 3, 4], "v3": [99]}, "IndexOutOfRangeError"),
+            ({"v1": [0, 1], "v2": [2, 3, 4]}, "ParseError"),
+            ([[0, 1], [2, 3, 4], [5]], "ParseError"),
+            ({"v1": ["0", "1"], "v2": [2, 3, 4], "v3": [5]}, "ParseError"),
+            ({"v1": [0, 1], "v2": [2, 3, 4], "v3": [True]}, "ParseError"),
+        ],
+        ids=["negative", "past-n", "missing-key", "top-level-list", "string-entries", "bool-entry"],
+    )
+    def test_invalid_partition_file(self, capsys, tmp_path, fixture_files, spec, error):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "ldep", fixture_files["f3"], "--partition", str(part))
+        assert code == 1 and out == ""
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
 class TestReduce:
@@ -119,7 +152,7 @@ class TestVerify:
 
     def test_bad_q(self, capsys, fixture_files):
         code, _, err = run(capsys, "verify", fixture_files["f1"], "--q", "0")
-        assert code == 1 and err
+        assert code == 1 and err == "error: q must be at least 1, got 0\n"
 
     def test_overlapping_certificates_not_double_counted(self, capsys, tmp_path):
         # rows (1,2), (1,2), (2,1), (1.5,1.5) at strength 3: the duplicate-row

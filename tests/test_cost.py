@@ -1,10 +1,20 @@
-"""How much work `verify` and `ldep` do: eigensolves, scans and checks per call."""
+"""How much work `verify`, `ldep` and `partition --rsb` do: eigensolves, scans and checks per call."""
 
 import hashlib
 
 import pytest
 
-from starlap import build_graph, cli, eigen, plant_ldependent_graph, plant_star_graph, save_graph, stars
+from starlap import (
+    build_graph,
+    cli,
+    eigen,
+    plant_ldependent_graph,
+    partition,
+    plant_star_graph,
+    reduction,
+    save_graph,
+    stars,
+)
 
 
 @pytest.fixture
@@ -29,8 +39,8 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(eigen, "sym_eigen", solve)
     counter(stars, "detect_proportional_ldependent", "proportional")
-    counter(cli, "verify_adjacency_reduction", "adjacency_checks")
-    counter(cli, "verify_laplacian_reduction", "laplacian_checks")
+    counter(reduction, "verify_adjacency_reduction", "adjacency_checks")
+    counter(reduction, "verify_laplacian_reduction", "laplacian_checks")
     return calls
 
 
@@ -62,3 +72,12 @@ def test_ldep_solves_the_laplacian_once_for_all_candidates(tmp_path, counted, ca
     assert _run(tmp_path, g, "ldep", capsys) == 0
     assert len(counted["solves"]) == 1
     assert counted["proportional"] == 1
+
+
+def test_rsb_solves_each_block_once(counted):
+    g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
+    clusters = 6
+    assert partition.recursive_bisection(g, max_clusters=clusters).n_clusters == clusters
+    # the loop stops before it looks at the last split's two blocks
+    assert 0 < len(counted["solves"]) <= 1 + 2 * (clusters - 2)
+    assert len(set(counted["solves"])) == len(counted["solves"])

@@ -1,8 +1,7 @@
 """The CLI's --json outputs on the golden inputs, byte for byte.
 
-tests/golden holds input graphs and the stdout and exit code of `stars`,
-`ldep`, `verify`, `reduce` and `compare` on each, written by
-scripts/write_golden.py.
+tests/golden holds input graphs and the stdout and exit code of each CLI call
+in scripts/write_golden.py's COMMANDS on each, written by that script.
 """
 
 import importlib.util
@@ -10,6 +9,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from starlap import load_graph, verify_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -40,3 +41,12 @@ def test_cli_reproduces_golden_output(key, tmp_path):
     code, stdout = writer.run_command(command, str(GOLDEN / f"{name}.graph"), str(tmp_path))
     assert stdout == (GOLDEN / f"{key}.json").read_text(encoding="utf-8")
     assert code == INDEX[key]
+
+
+def test_verify_graph_matches_the_verify_golden_output():
+    expected = json.loads((GOLDEN / "stars120.verify.json").read_text(encoding="utf-8"))
+    result = verify_graph(load_graph(str(GOLDEN / "stars120.graph")), 1e-8)
+    assert [(c.name, c.passed) for c in result.checks] == [
+        (c["name"], c["passed"]) for c in expected["checks"]
+    ]
+    assert result.passed == expected["passed"]

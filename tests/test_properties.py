@@ -110,7 +110,10 @@ def test_detection_relabeling_invariance(g, rnd):
 @settings(max_examples=30, deadline=None)
 def test_detected_v1_maximal_and_disjoint(g):
     found = detect_stars(g)
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     seen = set()
     for s in found:
         assert not (set(s.v1) & seen)

@@ -19,6 +19,7 @@ from starlap import (
 )
 from starlap.errors import (
     ConditionViolatedError,
+    IndexOutOfRangeError,
     InfeasibleSpecError,
     NoCommonStrengthError,
     UnequalWeightVectorsError,
@@ -183,6 +184,20 @@ class TestVerifyLDependent:
     def test_empty_v3_is_vacuous(self, f3):
         part = verify_ldependent(f3, v1=[0, 1], v2=[2, 3, 4], v3=[])
         assert part.l == 0 and part.coefficients == {}
+
+    @pytest.mark.parametrize("v1, v3", [([0, 1], [5, 5]), ([0, 0, 1], [5]), ([0, 1], [1, 5])])
+    def test_repeated_or_shared_vertex(self, f3, v1, v3):
+        with pytest.raises(ConditionViolatedError) as err:
+            verify_ldependent(f3, v1=v1, v2=[2, 3, 4], v3=v3)
+        assert err.value.condition == 0
+
+    @pytest.mark.parametrize(
+        "v1, v3, bad", [([-6, 1], [5], -6), ([0, 1], [99], 99), ([0, 6], [5], 6)]
+    )
+    def test_vertex_out_of_range(self, f3, v1, v3, bad):
+        with pytest.raises(IndexOutOfRangeError) as err:
+            verify_ldependent(f3, v1=v1, v2=[2, 3, 4], v3=v3)
+        assert err.value.index == bad and err.value.n == 6
 
 
 class TestProportionalDetection:
