@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the four reference graphs as .graph files for CLI experiments.
+"""Write the five reference graphs, the test suite's fixtures, as .graph files.
 
 Usage:
     python scripts/write_fixtures.py [--out DIR]

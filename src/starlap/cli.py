@@ -101,25 +101,27 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    values = stars_mod.analyze(fileio.load_graph(args.file)).values(args.matrix)
+    ctx = stars_mod.analyze(fileio.load_graph(args.file))
+    payload: dict[str, Any] = {"matrix": args.matrix, "version": __version__}
+    if args.matrix == "normalized" and ctx.isolated:
+        warning = (
+            f"normalized-Laplacian spectrum undefined: isolated vertices {ctx.isolated} "
+            "have no normalized row"
+        )
+        payload.update(values=[], groups=[], warnings=[warning])
+        _emit(payload, args.json, [f"warning: {warning}"])
+        return 0
+    values = ctx.values(args.matrix)
     table = eigen.group_multiplicities(values, args.tol)
-    groups = [
+    payload["values"] = [float(v) for v in values]
+    payload["groups"] = [
         {"value": grp.value, "multiplicity": grp.multiplicity} for grp in table.groups
     ]
     lines = [f"{v:.12g}" for v in values]
     lines.append(
         "groups: " + ", ".join(f"{grp.value:.12g} (x{grp.multiplicity})" for grp in table.groups)
     )
-    _emit(
-        {
-            "matrix": args.matrix,
-            "values": [float(v) for v in values],
-            "groups": groups,
-            "version": __version__,
-        },
-        args.json,
-        lines,
-    )
+    _emit(payload, args.json, lines)
     return 0
 
 
@@ -291,7 +293,7 @@ def _cmd_verify(args) -> int:
     signs = result.signs
     weighted = [s for s in ctx.stars if s.weight_uniform is not None]
     payload = {
-        "summary": fileio.graph_summary(ctx.graph),
+        "summary": fileio.graph_summary(ctx),
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in result.checks],
         "passed": result.passed,
         "conventions": _CONVENTIONS,

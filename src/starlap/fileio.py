@@ -15,6 +15,7 @@ from typing import Any
 from .errors import ParseError, StarlapError
 from .graphs import Graph, build_graph
 from .partition import Partition
+from .stars import GraphAnalysis, analyze
 
 
 def _fmt(x: float) -> str:
@@ -121,15 +122,15 @@ def to_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def graph_summary(g: Graph) -> dict[str, Any]:
-    from .graphs import connected_components, strengths
-
-    s = strengths(g)
+def graph_summary(g: Graph | GraphAnalysis) -> dict[str, Any]:
+    """Sizes, weight, components, strength range and masses; an analysis's caches are read."""
+    ctx = analyze(g)
+    g, s = ctx.graph, ctx.strengths
     return {
         "vertices": g.n,
         "edges": len(g.edges),
         "total_weight": float(sum(w for _, _, w in g.edges)),
-        "components": len(connected_components(g)),
+        "components": len(ctx.components),
         "min_strength": float(s.min()) if g.n else 0.0,
         "max_strength": float(s.max()) if g.n else 0.0,
         "non_unit_masses": {str(v): m for v, m in enumerate(g.mass) if m != 1.0},

@@ -142,15 +142,13 @@ class DependentRowsVerification:
 class GraphAnalysis:
     """Lazily filled, per-graph record of the work that several checks share.
 
-    The adjacency matrix and the strengths (both read-only), the connected
-    components, the detected stars, the proportional-row groups and the
-    certification of the structural-only stars are computed once, on first
-    use.  Each matrix family is solved at most once through
-    ``eigen.sym_eigen``; after the solve only its eigenvalues are kept, plus
-    the second eigenvector of the Laplacian and of the mass Laplacian, which
-    the sign comparison reads.  Full eigenvectors reach only
-    the caller of :meth:`spectrum`, so a family whose vectors are needed must
-    be asked for with :meth:`spectrum` before anything asks for its values.
+    The adjacency matrix and the strengths (both read-only), the isolated
+    vertices, the connected components, the detected stars, the
+    proportional-row groups and the certification of the structural-only
+    stars are computed once, on first use.  Each matrix family is solved at
+    most once through ``eigen.sym_eigen``; after the solve only its
+    eigenvalues are kept, plus the second eigenvector of the Laplacian and
+    of the mass Laplacian, which the sign comparison reads.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
     (the normalized Laplacian), and with the vertex masses M,
@@ -178,6 +176,11 @@ class GraphAnalysis:
         s = strengths(self.graph)
         s.setflags(write=False)
         return s
+
+    @cached_property
+    def isolated(self) -> list[int]:
+        """The vertices of zero strength, which have no normalized row."""
+        return np.flatnonzero(self.strengths <= 0.0).tolist()
 
     @cached_property
     def components(self) -> list[frozenset[int]]:
@@ -219,22 +222,16 @@ class GraphAnalysis:
             return np.diag((mass[:, None] * a).sum(axis=0)) - sym
         raise ValueError(f"unknown matrix family {family!r}")
 
-    def spectrum(self, family: str, matrix: np.ndarray | None = None) -> eigen.Spectrum:
-        """Solve one family now and return its full spectrum.
+    def values(self, family: str, matrix: np.ndarray | None = None) -> np.ndarray:
+        """Ascending eigenvalues of one family, solved on first use.
 
         `matrix` is the family's matrix when the caller has already built it.
-        Only the eigenvalues (and a kept second eigenvector) outlive the call.
         """
-        spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix)
-        self._values[family] = spec.values
-        if family in self._KEEP_SECOND_VECTOR and spec.n >= 2:
-            self._second[family] = spec.vectors[:, 1].copy()
-        return spec
-
-    def values(self, family: str) -> np.ndarray:
-        """Ascending eigenvalues of one family, solved on first use."""
         if family not in self._values:
-            self.spectrum(family)
+            spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix)
+            self._values[family] = spec.values
+            if family in self._KEEP_SECOND_VECTOR and spec.n >= 2:
+                self._second[family] = spec.vectors[:, 1].copy()
         return self._values[family]
 
     def check_claims(
@@ -256,8 +253,7 @@ class GraphAnalysis:
 
     def second_vector(self, family: str) -> np.ndarray:
         """Sign-normalized eigenvector of the second-smallest eigenvalue."""
-        if family not in self._second:
-            self.spectrum(family)
+        self.values(family)
         return self._second[family]
 
     def reduced(self, r: Reduction) -> GraphAnalysis:
@@ -406,10 +402,9 @@ def verify_star_predictions(
     checks = ctx.check_claims("laplacian", report.laplacian_predictions, tol_rel)
     checks += ctx.check_claims("signless", report.signless_predictions, tol_rel)
     if report.normalized_prediction is not None:
-        isolated = np.flatnonzero(ctx.strengths <= 0.0).tolist()
-        if isolated:
+        if ctx.isolated:
             warn.append(
-                f"normalized-Laplacian prediction skipped: isolated vertices {isolated} "
+                f"normalized-Laplacian prediction skipped: isolated vertices {ctx.isolated} "
                 "have no normalized row"
             )
         else:
@@ -640,7 +635,7 @@ def verify_dependent_rows(
         key = next((w for w in by_w if abs(w - p.wtilde) <= WEIGHT_TOL * max(1.0, w)), p.wtilde)
         by_w[key] = by_w.get(key, 0) + p.l
     checks = ctx.check_claims("laplacian", sorted(by_w.items()), tol_rel)
-    if partitions and all(sv > 0 for sv in ctx.strengths):
+    if partitions and not ctx.isolated:
         checks += ctx.check_claims(
             "normalized", [(1.0, sum(p.l for p in partitions))], tol_rel
         )

@@ -1,50 +1,33 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from starlap import build_graph
 
-# Recurring fixtures:
-#   f1: unit-weight complete bipartite K_{3,2} (two dual star classes)
-#   f2: double star, two pendant pairs hanging off a central edge
-#   f3: six vertices where row 5 is the average of rows 0 and 1, all of
-#       {0, 1, 5} at strength 6
-#   f4: unit path on four vertices
-#   two_triangles: two unit triangles joined by a light bridge
+# The recurring fixtures f1, f2, f3, f4 and two_triangles are the graphs of
+# FIXTURES in scripts/write_fixtures.py, where each is described.
 
 
-@pytest.fixture
-def f1():
-    return build_graph(5, [(i, j, 1.0) for i in (0, 1, 2) for j in (3, 4)])
-
-
-@pytest.fixture
-def f2():
-    return build_graph(6, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0), (1, 5, 1.0)])
-
-
-@pytest.fixture
-def f3():
-    return build_graph(
-        6,
-        [
-            (0, 2, 1.0), (0, 3, 2.0), (0, 4, 3.0),
-            (1, 2, 2.0), (1, 3, 2.0), (1, 4, 2.0),
-            (2, 5, 1.5), (3, 5, 2.0), (4, 5, 2.5),
-        ],
+def _load_fixture_specs():
+    spec = importlib.util.spec_from_file_location(
+        "write_fixtures", Path(__file__).resolve().parents[1] / "scripts" / "write_fixtures.py"
     )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FIXTURES
 
 
-@pytest.fixture
-def f4():
-    return build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+FIXTURES = _load_fixture_specs()
 
 
-@pytest.fixture
-def two_triangles():
-    return build_graph(
-        6,
-        [
-            (0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
-            (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
-            (2, 3, 1e-3),
-        ],
-    )
+def _graph_fixture(name):
+    @pytest.fixture(name=name)
+    def graph():
+        n, edges = FIXTURES[name]
+        return build_graph(n, edges)
+
+    return graph
+
+
+f1, f2, f3, f4, two_triangles = map(_graph_fixture, ("f1", "f2", "f3", "f4", "two_triangles"))

@@ -248,3 +248,19 @@ class TestIsolatedVertex:
         payload = json.loads(out)
         assert any("isolated vertices [30]" in w for w in payload["warnings"])
         assert not any(c.get("family") == "normalized" for c in payload["checks"])
+
+    def test_normalized_spectrum_of_isolated_vertex_is_undefined(self, capsys, tmp_path):
+        path = tmp_path / "pendant.graph"
+        path.write_text("n 3\n0 1 1\n", encoding="utf-8")
+        warning = (
+            "normalized-Laplacian spectrum undefined: isolated vertices [2] have no normalized row"
+        )
+        code, out, _ = run(capsys, "spectrum", str(path), "--matrix", "normalized")
+        assert (code, out) == (0, f"warning: {warning}\n")
+        code, out, _ = run(capsys, "spectrum", str(path), "--matrix", "normalized", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["values"], payload["groups"]) == ([], [])
+        assert payload["warnings"] == [warning]
+        code, out, _ = run(capsys, "spectrum", str(path), "--matrix", "laplacian", "--json")
+        assert code == 0 and "warnings" not in json.loads(out)

@@ -103,6 +103,20 @@ class TestJson:
         assert first == second
         assert json.loads(first)["summary"]["vertices"] == 5
 
+    def test_summary_reads_the_analysis_cache(self, f2, monkeypatch):
+        from starlap import stars
+
+        ctx = stars.analyze(f2)
+        expected = graph_summary(f2)
+        ctx.strengths, ctx.components  # filled once
+
+        def recomputed(_):
+            raise AssertionError("graph_summary recomputed a cached value")
+
+        monkeypatch.setattr(stars, "strengths", recomputed)
+        monkeypatch.setattr(stars, "connected_components", recomputed)
+        assert graph_summary(ctx) == expected
+
     def test_sorted_keys(self):
         text = to_json({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')

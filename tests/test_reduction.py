@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from starlap import (
     interlacing_check,
     laplacian,
     lift_vector,
+    load_graph,
     mass_adjacency,
     mass_degree,
     mass_laplacian,
@@ -230,8 +234,6 @@ class TestVerification:
         assert interlacing_check(f4, r)
 
     def test_detects_wrong_mass(self, f1):
-        import dataclasses
-
         r = reduce_star(f1, first_star(f1), 1)
         tampered = dataclasses.replace(
             r, reduced=build_graph(4, r.reduced.edges, mass=[2.0, 2.0, 1.0, 1.0])
@@ -256,9 +258,71 @@ def _scaled(g, factor):
     return build_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
 
 
+LIFTS = ("adjacency-lift-residual", "laplacian-lift-residual")
+
+
+def _sym_mass_adjacency(r):
+    root = np.sqrt(np.asarray(r.reduced.mass))
+    return adjacency(r.reduced) * np.outer(root, root)
+
+
+def _per_vector_lift_residuals(g, r):
+    """The per-eigenvector lift residuals that the intertwining check replaced.
+
+    Each eigenvector v of S = M^(1/2) B M^(1/2) (of L~) with eigenvalue t is
+    lifted to K v; its residual is |X K v - t K v| / radius with X = A (L)
+    and radius the spectral radius of X, at least 1.  The largest residual
+    per side is returned under the side's check name.
+    """
+    out = {}
+    for name, x, reduced in (
+        (LIFTS[0], adjacency(g), _sym_mass_adjacency(r)),
+        (LIFTS[1], laplacian(g), sym_mass_laplacian(r)),
+    ):
+        radius = max(1.0, float(np.abs(np.linalg.eigvalsh(x)).max()))
+        spec = sym_eigen(reduced)
+        worst = 0.0
+        for i in range(r.reduced.n):
+            lifted = r.k_matrix @ spec.vectors[:, i]
+            worst = max(worst, np.linalg.norm(x @ lifted - spec.values[i] * lifted) / radius)
+        out[name] = worst
+    return out
+
+
+def _lift_checks(g, r):
+    records = (verify_adjacency_reduction(g, r), verify_laplacian_reduction(g, r))
+    return {c.name: c for record in records for c in record.checks if c.name in LIFTS}
+
+
+def _planted_or_golden(name):
+    if name == "stars120":
+        return load_graph(str(Path(__file__).parent / "golden" / "stars120.graph"))
+    return plant_star_graph(seed=int(name), n=16, star_specs=[(3, 2, 2.0)])
+
+
+class TestIntertwiningLiftCheck:
+    @pytest.mark.parametrize("name", [str(seed) for seed in range(10)] + ["stars120"])
+    def test_bounds_the_per_vector_residuals(self, name):
+        # the seeds are the planted reductions of TestRandomizedReductions
+        g = _planted_or_golden(name)
+        r = reduce_all(g, "collapse")
+        reference = _per_vector_lift_residuals(g, r)
+        for check_name, check in _lift_checks(g, r).items():
+            assert check.passed == (reference[check_name] <= check.tol)
+            assert reference[check_name] <= check.residual + 1e-12
+
+    def test_random_orthonormal_k_fails(self, f2):
+        r = reduce_all(f2, "collapse")
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(r.k_matrix.shape))
+        checks = _lift_checks(f2, dataclasses.replace(r, k_matrix=q))
+        assert sorted(checks) == sorted(LIFTS)
+        assert not any(c.passed for c in checks.values())
+
+
 class TestNonFiniteAndScale:
     def test_overflowing_strengths_fail_the_lift_residuals(self):
-        # strengths overflow to inf, so every lifted residual is NaN
+        # strengths and A K overflow to inf, so both intertwining defects are
+        # NaN or inf
         g = _scaled(plant_star_graph(3, 30, [(3, 2, 2.0)], background_p=0.3), 2.5e307)
         r = reduce_all(g)
         with np.errstate(all="ignore"):
