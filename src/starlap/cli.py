@@ -26,6 +26,15 @@ _CONVENTIONS = {
 }
 
 
+def _kway_count(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (an integer or 'auto')") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted before and after the subcommand; the subparser
     # copies default to SUPPRESS, so they leave a pre-subcommand value in place
@@ -74,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--bisect", action="store_true")
     mode.add_argument("--rsb", action="store_true")
-    mode.add_argument("--kway", metavar="K", help="integer or 'auto'")
+    mode.add_argument("--kway", metavar="K", type=_kway_count, help="integer or 'auto'")
     p.add_argument("--max-clusters", type=int, default=2)
     p.add_argument("--dot", help="write DOT with cluster colors here")
 
@@ -328,8 +337,7 @@ def _cmd_partition(args) -> int:
     elif args.rsb:
         part = partition.recursive_bisection(g, max_clusters=args.max_clusters)
     else:
-        k = args.kway if args.kway == "auto" else int(args.kway)
-        part = partition.kway(g, k)
+        part = partition.kway(g, args.kway)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(fileio.emit_dot(g, part))

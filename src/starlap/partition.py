@@ -178,12 +178,23 @@ def recursive_bisection(
 
 
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
+    # one buffer for rows - rows[i] and its square; sqrt(sum(x*x)) is what
+    # np.linalg.norm(x, axis=1) computes for real x, so the seeds match it
+    diff = np.empty_like(rows)
+    step = np.empty(rows.shape[0])
+
+    def distances_to(i: int) -> np.ndarray:
+        np.subtract(rows, rows[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=step)
+        return np.sqrt(step, out=step)
+
     seeds = [0]
-    dist = np.linalg.norm(rows - rows[0], axis=1)
+    dist = distances_to(0).copy()
     while len(seeds) < k:
         nxt = int(np.argmax(dist))
         seeds.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(rows - rows[nxt], axis=1))
+        np.minimum(dist, distances_to(nxt), out=dist)
     return seeds
 
 
@@ -192,7 +203,13 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
 
     Lloyd iterations with farthest-first seeding from vertex 0's row; squared
     Euclidean distances on unnormalized embedding rows.  k="auto" places the
-    cluster count at the largest gap in the Laplacian spectrum.
+    cluster count at the largest gap anywhere in the Laplacian spectrum, so it
+    can choose k close to n (k=n-1 when the gap below the largest eigenvalue
+    is the widest).
+
+    Memory is O(n*k) beyond the n*n eigensolve: the n*k distance matrix is
+    filled one centroid column at a time.  Time is O(n*k^2) per Lloyd
+    iteration.
     """
     _require_connected(g)
     spectrum = eigen.sym_eigen(laplacian(g))
@@ -204,11 +221,13 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
         k_val = int(k)
         if not (2 <= k_val <= g.n):
             raise BadKError(k_val, g.n)
-    rows = spectrum.vectors[:, :k_val]
-    centroids = rows[_farthest_first_seeds(rows, k_val)].copy()
+    rows = np.ascontiguousarray(spectrum.vectors[:, :k_val])
+    centroids = rows[_farthest_first_seeds(rows, k_val)]
     labels = np.full(g.n, -1)
+    dists = np.empty((g.n, k_val))
     for _ in range(max_iter):
-        dists = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for c in range(k_val):
+            dists[:, c] = ((rows - centroids[c]) ** 2).sum(axis=1)
         new_labels = dists.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break

@@ -197,6 +197,12 @@ class TestPartitionCommand:
         assert code == 0
         assert "graph G {" in dot.read_text()
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_kway_value_is_checked_before_the_file_is_read(self, capsys, value):
+        code, _, err = run(capsys, "partition", "missing.graph", "--kway", value)
+        assert code == 1 and err.startswith("usage: starlap partition")
+        assert err.endswith(f"argument --kway: invalid value '{value}' (an integer or 'auto')\n")
+
     def test_disconnected_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "disc.graph"
         path.write_text("n 4\n0 1 1\n2 3 1\n")

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from starlap import (
     build_graph,
     compare_signs,
     detect_stars,
+    eigen,
     fiedler,
     kway,
     laplacian,
+    load_graph,
     plant_star_graph,
     recursive_bisection,
     reduce_all,
@@ -16,6 +21,9 @@ from starlap import (
     sign_bipartition,
 )
 from starlap.errors import BadKError, DisconnectedError
+from starlap.partition import Partition, _relabel_by_smallest_member
+
+STARS120 = Path(__file__).resolve().parent / "golden" / "stars120.graph"
 
 
 def labels_as_sets(partition):
@@ -213,3 +221,68 @@ def test_kway_recovers_planted_blocks():
         for lbl, t in zip(part.labels, truth):
             assert mapping.setdefault(lbl, t) == t, f"seed {seed}: split block"
         assert len(mapping) == n_blocks
+
+
+def _kway_reference(g, k, max_iter=100):
+    """kway as first written: the whole n*k*k difference tensor per Lloyd step."""
+    spectrum = eigen.sym_eigen(laplacian(g))
+    if k == "auto":
+        k_val = eigen.spectral_gap_index(spectrum.values)
+        if k_val < 2:
+            return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
+    else:
+        k_val = k
+    rows = spectrum.vectors[:, :k_val]
+    seeds = [0]
+    dist = np.linalg.norm(rows - rows[0], axis=1)
+    while len(seeds) < k_val:
+        nxt = int(np.argmax(dist))
+        seeds.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(rows - rows[nxt], axis=1))
+    centroids = rows[seeds].copy()
+    labels = np.full(g.n, -1)
+    for _ in range(max_iter):
+        dists = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k_val):
+            members = rows[labels == c]
+            if members.size:
+                centroids[c] = members.mean(axis=0)
+    blocks = {}
+    for v, lbl in enumerate(labels):
+        blocks.setdefault(int(lbl), []).append(v)
+    return _relabel_by_smallest_member(
+        list(blocks.values()), g.n, f"kway(k={k_val}, requested={k})"
+    )
+
+
+def _reference_cases():
+    for seed in range(50):
+        n_blocks = 2 + seed % 2
+        yield pytest.param(planted_blocks(seed, n_blocks)[0], n_blocks, id=f"blocks{seed}")
+    yield pytest.param(load_graph(str(STARS120)), "auto", id="stars120")
+    stars = plant_star_graph(5, 60, [(4, 3, 2.0), (3, 2, 1.0), (5, 2, 1.5)], background_p=0.1)
+    for k in (2, 5, "auto"):
+        yield pytest.param(stars, k, id=f"stars60-k{k}")
+
+
+@pytest.mark.parametrize("g, k", list(_reference_cases()))
+def test_kway_matches_the_full_tensor_reference(g, k):
+    assert kway(g, k) == _kway_reference(g, k)
+
+
+def test_kway_memory_is_order_n_k():
+    # stars120 has its largest Laplacian gap at the top, so "auto" takes
+    # k=119; the n*k*k tensor alone would be 13.6 MB there
+    g = load_graph(str(STARS120))
+    tracemalloc.start()
+    try:
+        part = kway(g, "auto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.provenance == "kway(k=119, requested=auto)"
+    assert peak < 2 * 2**20
