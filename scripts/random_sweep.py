@@ -36,7 +36,8 @@ from starlap import (
 
 
 def mult(matrix, value, tol=1e-8):
-    return multiplicity_at(group_multiplicities(sym_eigen(matrix).values, tol), value, tol)
+    values = sym_eigen(matrix, vectors=False).values
+    return multiplicity_at(group_multiplicities(values, tol), value, tol)
 
 
 def sweep_star(seed, rng, max_extra):

@@ -19,11 +19,12 @@ class Spectrum:
 
     Column i of `vectors` pairs with `values[i]`.  Columns are sign-normalized
     so the first entry of magnitude above 1e-12 is positive, which makes
-    downstream sign comparisons deterministic.
+    downstream sign comparisons deterministic.  `vectors` is None when only
+    the eigenvalues were asked for.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     n: int
 
 
@@ -45,20 +46,26 @@ class MultiplicityTable:
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        significant = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if significant.size and col[significant[0]] < 0:
-            out[:, c] = -col
-    return out
+    """A copy with each column negated whose first entry above SIGN_EPS is negative.
+
+    Columns with no such entry are kept as they are.
+    """
+    if not vectors.size:
+        return vectors.copy()
+    significant = np.abs(vectors) > SIGN_EPS
+    first = significant.argmax(axis=0)
+    leading = vectors[first, np.arange(vectors.shape[1])]
+    flip = significant.any(axis=0) & (leading < 0)
+    return vectors * np.where(flip, -1.0, 1.0)
 
 
-def sym_eigen(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix (ascending order).
+def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Eigendecomposition of a symmetric matrix (ascending order).
 
-    Rejects inputs whose asymmetry exceeds 1e-12 relative to the largest
-    entry.  Output is deterministic for bit-identical input.
+    With vectors=False only the eigenvalues are computed (np.linalg.eigvalsh)
+    and the result's `vectors` is None.  Rejects inputs whose asymmetry
+    exceeds 1e-12 relative to the largest entry.  Output is deterministic for
+    bit-identical input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -66,11 +73,15 @@ def sym_eigen(a: np.ndarray) -> Spectrum:
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
-    values, vectors = np.linalg.eigh(a)
-    vectors = _normalize_signs(vectors)
+    if not vectors:
+        values = np.linalg.eigvalsh(a)
+        values.setflags(write=False)
+        return Spectrum(values=values, vectors=None, n=a.shape[0])
+    values, columns = np.linalg.eigh(a)
+    columns = _normalize_signs(columns)
     values.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(values=values, vectors=vectors, n=a.shape[0])
+    columns.setflags(write=False)
+    return Spectrum(values=values, vectors=columns, n=a.shape[0])
 
 
 def group_multiplicities(
@@ -85,21 +96,19 @@ def group_multiplicities(
     if vals.size == 0:
         return MultiplicityTable(groups=())
     threshold = tol_rel * max(1.0, float(np.abs(vals).max()))
-    groups = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > threshold:
-            chunk = vals[start:i]
-            groups.append(
-                EigenvalueGroup(
-                    value=float(chunk.mean()),
-                    multiplicity=i - start,
-                    start=start,
-                    stop=i,
-                )
+    bounds = [0, *(np.flatnonzero(np.diff(vals) > threshold) + 1).tolist(), vals.size]
+    # a singleton's mean is its value, bit for bit
+    return MultiplicityTable(
+        groups=tuple(
+            EigenvalueGroup(
+                value=float(vals[start] if stop - start == 1 else vals[start:stop].mean()),
+                multiplicity=stop - start,
+                start=start,
+                stop=stop,
             )
-            start = i
-    return MultiplicityTable(groups=tuple(groups))
+            for start, stop in zip(bounds, bounds[1:])
+        )
+    )
 
 
 def multiplicity_at(

@@ -270,15 +270,19 @@ def _match_after_removal(
     one; a removal farther than tol from its request is a failure.  Returns
     the deviation, which is above tol on failure, and a note.
     """
-    vals = list(original_vals)
+    vals = np.asarray(original_vals, dtype=float)
+    live = np.ones(vals.size, dtype=bool)
     for target in removals:
-        idx = int(np.argmin([abs(v - target) for v in vals]))
-        if abs(vals[idx] - target) > tol:
-            return abs(vals[idx] - target), f"no eigenvalue near {target:.6g} to remove"
-        vals.pop(idx)
-    if len(vals) != len(reduced_vals):
+        remaining = np.flatnonzero(live)
+        distance = np.abs(vals[remaining] - target)
+        nearest = int(np.argmin(distance))
+        if distance[nearest] > tol:
+            return float(distance[nearest]), f"no eigenvalue near {target:.6g} to remove"
+        live[remaining[nearest]] = False
+    rest = vals[live]
+    if rest.size != len(reduced_vals):
         return float("inf"), "size mismatch after removal"
-    deviation = float(np.abs(np.sort(vals) - np.sort(reduced_vals)).max()) if vals else 0.0
+    deviation = float(np.abs(np.sort(rest) - np.sort(reduced_vals)).max()) if rest.size else 0.0
     return deviation, ""
 
 

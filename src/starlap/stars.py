@@ -17,7 +17,6 @@ Two structures are handled:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -146,9 +145,12 @@ class GraphAnalysis:
     vertices, the connected components, the detected stars, the
     proportional-row groups and the certification of the structural-only
     stars are computed once, on first use.  Each matrix family is solved at
-    most once through ``eigen.sym_eigen``; after the solve only its
-    eigenvalues are kept, plus the second eigenvector of the Laplacian and
-    of the mass Laplacian, which the sign comparison reads.
+    most once through ``eigen.sym_eigen``, for its eigenvalues only, except
+    the Laplacian and the mass Laplacian, whose second eigenvector the sign
+    comparison reads; only that vector is kept.  The analysis of a reduction
+    that removed nothing reads the spectrum of a mass family whose matrix
+    equals the original's plain one (M^(1/2) A M^(1/2) and A, the mass
+    Laplacian and L, with unit masses) from the original's analysis.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
     (the normalized Laplacian), and with the vertex masses M,
@@ -158,9 +160,12 @@ class GraphAnalysis:
     """
 
     _KEEP_SECOND_VECTOR = ("laplacian", "mass-laplacian")
+    _UNREDUCED_FAMILY = {"mass-adjacency": "adjacency", "mass-laplacian": "laplacian"}
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, unreduced: GraphAnalysis | None = None):
+        """`unreduced` is the analysis of the same graph before a reduction that removed nothing."""
         self.graph = graph
+        self._unreduced = unreduced
         self._values: dict[str, np.ndarray] = {}
         self._second: dict[str, np.ndarray] = {}
         self._reduced: GraphAnalysis | None = None
@@ -227,10 +232,21 @@ class GraphAnalysis:
 
         `matrix` is the family's matrix when the caller has already built it.
         """
-        if family not in self._values:
-            spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix)
+        if family in self._values:
+            return self._values[family]
+        if matrix is None:
+            matrix = self.matrix(family)
+        source, plain = self._unreduced, self._UNREDUCED_FAMILY.get(family)
+        plain_matrix = source.matrix(plain) if source is not None and plain else None
+        if plain_matrix is not None and np.array_equal(matrix, plain_matrix):
+            self._values[family] = source.values(plain, plain_matrix)
+            if plain in source._second:
+                self._second[family] = source._second[plain]
+        else:
+            keep = family in self._KEEP_SECOND_VECTOR
+            spec = eigen.sym_eigen(matrix, vectors=keep)
             self._values[family] = spec.values
-            if family in self._KEEP_SECOND_VECTOR and spec.n >= 2:
+            if keep and spec.n >= 2:
                 self._second[family] = spec.vectors[:, 1].copy()
         return self._values[family]
 
@@ -259,7 +275,7 @@ class GraphAnalysis:
     def reduced(self, r: Reduction) -> GraphAnalysis:
         """Analysis of a reduction's reduced graph, kept for the latest reduction."""
         if self._reduced is None or self._reduced.graph is not r.reduced:
-            self._reduced = GraphAnalysis(r.reduced)
+            self._reduced = GraphAnalysis(r.reduced, self if r.q_total == 0 else None)
         return self._reduced
 
 
@@ -275,19 +291,13 @@ def _class_rows(g: Graph | GraphAnalysis, v1: Sequence[int], v2: Sequence[int]) 
 def _uniform_weight(rows: np.ndarray) -> float | None:
     """Common strength if all rows agree entrywise within tolerance, else None.
 
-    Emits a warning when rows agree only within tolerance but not exactly,
-    since near-equal user weights are then treated as equal.
+    Rows that agree only within tolerance count as equal;
+    verify_star_predictions reports such stars.
     """
     tol = WEIGHT_TOL * max(1.0, float(rows.max()) if rows.size else 0.0)
     spread = float(np.abs(rows - rows[0]).max()) if rows.size else 0.0
     if spread > tol:
         return None
-    if spread > 0.0:
-        warnings.warn(
-            "star weight vectors differ by less than the equality tolerance; "
-            "treating them as equal",
-            stacklevel=3,
-        )
     return float(rows[0].sum())
 
 
@@ -388,17 +398,25 @@ def verify_star_predictions(
 ) -> StarVerification:
     """Check every star-based prediction against computed multiplicities.
 
-    With no predictions the result is a vacuous pass; structural-only stars
-    are reported as warnings.  The normalized-Laplacian claim is skipped,
-    with a warning, when the graph has an isolated vertex.
+    With no predictions the result is a vacuous pass; structural-only stars,
+    and stars whose weight vectors are equal only within tolerance, are
+    reported as warnings.  The normalized-Laplacian claim is skipped, with a
+    warning, when the graph has an isolated vertex.
     """
     ctx = analyze(g)
     report = predict_multiplicities(ctx)
-    warn = [
-        f"star class v1={list(s.v1)} has unequal weight vectors; no prediction emitted"
-        for s in ctx.stars
-        if s.weight_uniform is None
-    ]
+    warn = []
+    for s in ctx.stars:
+        rows = _class_rows(ctx, s.v1, s.v2)
+        if s.weight_uniform is None:
+            warn.append(
+                f"star class v1={list(s.v1)} has unequal weight vectors; no prediction emitted"
+            )
+        elif (rows != rows[0]).any():
+            warn.append(
+                f"star class v1={list(s.v1)} has weight vectors that differ by less than "
+                "the equality tolerance; treating them as equal"
+            )
     checks = ctx.check_claims("laplacian", report.laplacian_predictions, tol_rel)
     checks += ctx.check_claims("signless", report.signless_predictions, tol_rel)
     if report.normalized_prediction is not None:

@@ -270,3 +270,33 @@ class TestIsolatedVertex:
         assert payload["warnings"] == [warning]
         code, out, _ = run(capsys, "spectrum", str(path), "--matrix", "laplacian", "--json")
         assert code == 0 and "warnings" not in json.loads(out)
+
+
+class TestNearEqualStarWeights:
+    @pytest.fixture
+    def near_equal_file(self, tmp_path):
+        # only vertices 0 and 1 share a neighbourhood, {2, 3}; their weights
+        # toward vertex 3 differ by 1e-12, relative 1e-12 < 1e-9
+        path = tmp_path / "near.graph"
+        path.write_text(
+            "n 6\n0 2 1.0\n0 3 1.5\n1 2 1.0\n1 3 1.500000000001\n2 4 1.0\n4 5 1.0\n3 5 2.0\n",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["stars", "verify"])
+    def test_notice_reaches_the_json_warnings(self, capsys, near_equal_file, command):
+        code, out, err = run(capsys, command, near_equal_file, "--json")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert payload["warnings"] == [
+            "star class v1=[0, 1] has weight vectors that differ by less than the "
+            "equality tolerance; treating them as equal"
+        ]
+        assert payload["passed"]
+
+    def test_exactly_equal_weights_give_no_notice(self, capsys, tmp_path):
+        path = tmp_path / "equal.graph"
+        path.write_text("n 4\n0 2 1.0\n1 2 1.0\n2 3 1.0\n", encoding="utf-8")
+        code, out, _ = run(capsys, "stars", str(path), "--json")
+        assert code == 0 and json.loads(out)["warnings"] == []

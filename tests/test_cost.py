@@ -1,7 +1,9 @@
 """How much work `verify`, `ldep` and `partition --rsb` do: eigensolves, scans and checks per call."""
 
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starlap import (
@@ -15,6 +17,9 @@ from starlap import (
     save_graph,
     stars,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -33,9 +38,9 @@ def counted(monkeypatch):
 
     real_solve = eigen.sym_eigen
 
-    def solve(a):
+    def solve(a, **kwargs):
         calls["solves"].append(hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
-        return real_solve(a)
+        return real_solve(a, **kwargs)
 
     monkeypatch.setattr(eigen, "sym_eigen", solve)
     counter(stars, "detect_proportional_ldependent", "proportional")
@@ -59,6 +64,29 @@ def test_verify_solves_each_matrix_once(tmp_path, counted, capsys):
     assert len(set(counted["solves"])) == len(counted["solves"])
     assert counted["proportional"] == 1
     assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
+
+
+def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, monkeypatch):
+    real_eigh = np.linalg.eigh
+    full = []
+
+    def eigh(a, *args, **kwargs):
+        full.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert cli.run_cli(["verify", str(GOLDEN / "stars120.graph"), "--json"]) == 0
+    capsys.readouterr()
+    assert len(full) <= 2
+    assert len(counted["solves"]) <= 6
+
+
+def test_verify_reads_an_identity_reduction_off_the_original(counted, capsys):
+    # ldep44's only star has unequal weight vectors, so the reduction removes nothing
+    assert cli.run_cli(["verify", str(GOLDEN / "ldep44.graph"), "--json"]) == 0
+    capsys.readouterr()
+    assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
+    assert len(counted["solves"]) <= 3
 
 
 def test_ldep_solves_the_laplacian_once_for_all_candidates(tmp_path, counted, capsys):

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starlap import (
     group_multiplicities,
@@ -8,7 +12,10 @@ from starlap import (
     spectral_gap_index,
     sym_eigen,
 )
+from starlap.eigen import SIGN_EPS, EigenvalueGroup, MultiplicityTable, _normalize_signs
 from starlap.errors import NotSymmetricError, TooFewValuesError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def rank_multiplicity(matrix, value):
@@ -144,3 +151,141 @@ def test_gap_index_fixture(f1):
 def test_gap_index_too_few():
     with pytest.raises(TooFewValuesError):
         spectral_gap_index([1.0])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 12))
+    entries = draw(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+    upper = np.triu(np.array(entries).reshape(n, n))
+    return upper + np.triu(upper, 1).T
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_values_only_solve_matches_full_solve(a):
+    values_only = sym_eigen(a, vectors=False)
+    full = np.linalg.eigh(a)[0]
+    assert values_only.vectors is None and values_only.n == a.shape[0]
+    radius = float(np.abs(full).max())
+    assert np.abs(values_only.values - full).max() <= 1e-12 * radius
+
+
+def test_values_only_solve_keeps_the_checks():
+    with pytest.raises(NotSymmetricError):
+        sym_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]), vectors=False)
+    with pytest.raises(NotSymmetricError):
+        sym_eigen(np.zeros((2, 3)), vectors=False)
+    assert not sym_eigen(np.eye(3), vectors=False).values.flags.writeable
+
+
+def _normalize_signs_reference(vectors):
+    """The per-column loop that _normalize_signs replaced."""
+    out = vectors.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        significant = np.nonzero(np.abs(col) > SIGN_EPS)[0]
+        if significant.size and col[significant[0]] < 0:
+            out[:, c] = -col
+    return out
+
+
+def _sign_cases():
+    rng = np.random.default_rng(5)
+    yield "random", rng.standard_normal((7, 7))
+    yield "eigenvectors", np.linalg.eigh(_path_laplacian(9))[1]
+    cols = np.zeros((4, 8))
+    cols[:, 1] = [SIGN_EPS, -1.0, 2.0, 0.0]           # entry at SIGN_EPS is not significant
+    cols[:, 2] = [-SIGN_EPS, 1.0, -2.0, 0.0]
+    cols[:, 3] = [np.nextafter(SIGN_EPS, 1.0), -1.0, 0.0, 0.0]
+    cols[:, 4] = [-np.nextafter(SIGN_EPS, 1.0), 1.0, 0.0, 0.0]
+    cols[:, 5] = [0.0, -0.0, -3.0, 1.0]                # negative leading entry after zeros
+    cols[:, 6] = [-SIGN_EPS, SIGN_EPS, -0.5 * SIGN_EPS, 0.0]  # nothing significant
+    cols[:, 7] = [-2.0, 0.0, 1.0, -0.0]
+    yield "edge-columns", cols                         # column 0 is all zeros
+    yield "empty", np.zeros((0, 0))
+    yield "no-columns", np.zeros((3, 0))
+
+
+def _path_laplacian(n):
+    a = np.diag(np.ones(n - 1), 1)
+    a = a + a.T
+    return np.diag(a.sum(axis=1)) - a
+
+
+@pytest.mark.parametrize("name, vectors", list(_sign_cases()))
+def test_vectorised_sign_normalization_equals_the_loop(name, vectors):
+    out = _normalize_signs(vectors)
+    expected = _normalize_signs_reference(vectors)
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
+    assert out is not vectors
+
+
+def _group_reference(values, tol_rel=1e-8):
+    """The per-value loop that group_multiplicities replaced."""
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
+        return MultiplicityTable(groups=())
+    threshold = tol_rel * max(1.0, float(np.abs(vals).max()))
+    groups = []
+    start = 0
+    for i in range(1, vals.size + 1):
+        if i == vals.size or vals[i] - vals[i - 1] > threshold:
+            chunk = vals[start:i]
+            groups.append(
+                EigenvalueGroup(
+                    value=float(chunk.mean()), multiplicity=i - start, start=start, stop=i
+                )
+            )
+            start = i
+    return MultiplicityTable(groups=tuple(groups))
+
+
+def _bits(table):
+    return [(g.value.hex(), g.multiplicity, g.start, g.stop) for g in table.groups]
+
+
+def _grouping_cases():
+    rng = np.random.default_rng(17)
+    for i in range(20):
+        vals = np.sort(rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(1, 60)))
+        yield f"random-{i}", vals, 1e-8
+        yield f"random-coarse-{i}", vals, 0.05
+    ties = np.sort(rng.integers(0, 5, size=40).astype(float) / 3.0)
+    yield "exact-ties", ties, 1e-8
+    # with max |value| 1 and tol_rel 0.25 the threshold is exactly 0.25
+    yield "at-threshold", np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.25
+    yield "above-threshold", np.array([0.0, np.nextafter(0.25, 1.0), 0.5, 0.75, 1.0]), 0.25
+    yield "single", np.array([3.0]), 1e-8
+    yield "non-finite", np.array([0.0, 1.0, np.nan, 2.0, np.inf]), 1e-8
+
+
+def test_gap_at_the_threshold_joins_and_above_it_splits():
+    at = group_multiplicities([0.0, 0.25, 0.5, 0.75, 1.0], 0.25)
+    above = group_multiplicities([0.0, np.nextafter(0.25, 1.0), 0.5, 0.75, 1.0], 0.25)
+    assert [g.multiplicity for g in at.groups] == [5]
+    assert [g.multiplicity for g in above.groups] == [1, 4]
+
+
+def _golden_spectra():
+    for path in sorted(GOLDEN.glob("*.spectrum-*.json")):
+        values = json.loads(path.read_text(encoding="utf-8"))["values"]
+        if values:
+            yield path.stem, np.array(values), 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, values, tol_rel", list(_grouping_cases()) + list(_golden_spectra())
+)
+def test_vectorised_grouping_equals_the_loop(name, values, tol_rel):
+    with np.errstate(invalid="ignore"):
+        assert _bits(group_multiplicities(values, tol_rel)) == _bits(
+            _group_reference(values, tol_rel)
+        )

@@ -1,7 +1,6 @@
 """Property-based invariants over random graphs and matrices."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
@@ -242,7 +241,6 @@ def twin_graphs(draw):
     return build_graph(n, edges)
 
 
-@pytest.mark.filterwarnings("ignore:star weight vectors differ")
 @given(twin_graphs())
 @settings(max_examples=150, deadline=None)
 def test_bucketed_proportional_detector_matches_quadratic_scan(g):

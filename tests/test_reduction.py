@@ -348,3 +348,65 @@ class TestNonFiniteAndScale:
             g = plant_star_graph(seed, 60, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.2)
             g = _scaled(g, 10.0**k)
             assert interlacing_check(g, reduce_all(g)), seed
+
+
+def _match_after_removal_reference(original_vals, reduced_vals, removals, tol):
+    """The list scan that _match_after_removal replaced."""
+    vals = list(original_vals)
+    for target in removals:
+        idx = int(np.argmin([abs(v - target) for v in vals]))
+        if abs(vals[idx] - target) > tol:
+            return abs(vals[idx] - target), f"no eigenvalue near {target:.6g} to remove"
+        vals.pop(idx)
+    if len(vals) != len(reduced_vals):
+        return float("inf"), "size mismatch after removal"
+    deviation = float(np.abs(np.sort(vals) - np.sort(reduced_vals)).max()) if vals else 0.0
+    return deviation, ""
+
+
+def _spectrum_matches(g, r):
+    """The (original, reduced, removals, tol) inputs of both spectrum checks."""
+    a_vals = np.linalg.eigvalsh(adjacency(g))
+    l_vals = np.linalg.eigvalsh(laplacian(g))
+    weights = [info.star.weight_uniform for info in r.star_info for _ in range(info.q)]
+    return [
+        (a_vals, np.linalg.eigvalsh(_sym_mass_adjacency(r)), [0.0] * r.q_total,
+         1e-8 * max(1.0, np.abs(a_vals).max())),
+        (l_vals, np.linalg.eigvalsh(sym_mass_laplacian(r)), weights,
+         1e-8 * max(1.0, np.abs(l_vals).max())),
+    ]
+
+
+def _same_match(args):
+    from starlap.reduction import _match_after_removal
+
+    dev, note = _match_after_removal(*args)
+    ref_dev, ref_note = _match_after_removal_reference(*args)
+    assert (repr(float(dev)), note) == (repr(float(ref_dev)), ref_note)
+
+
+class TestMatchAfterRemoval:
+    @pytest.mark.parametrize("name", [str(seed) for seed in range(10)] + ["stars120"])
+    def test_equals_the_list_scan_on_planted_reductions(self, name):
+        g = _planted_or_golden(name)
+        r = reduce_all(g, "collapse")
+        for original, reduced, removals, tol in _spectrum_matches(g, r):
+            _same_match((original, reduced, removals, tol))
+            # a removal that finds nothing, and one removal too many
+            _same_match((original, reduced, removals + [1e6], tol))
+            _same_match((original, reduced, removals[:-1], tol))
+
+    @pytest.mark.parametrize(
+        "original, reduced, removals, tol",
+        [
+            ([0.5, 1.5, 1.5, 3.0], [1.5, 3.0], [1.0, 1.5], 0.6),  # equidistant tie
+            ([2.0, 2.0, 2.0], [2.0], [2.0, 2.0], 1e-9),          # exact ties
+            ([0.0, 1.0, 2.0], [0.0, 2.0], [1.0], 0.0),           # zero tolerance
+            ([0.0, np.nan, 1.0], [0.0], [1.0, 5.0], 0.5),        # NaN picked first
+            ([0.0, np.inf, 1.0], [0.0, 1.0], [3.0], np.inf),     # infinite tolerance
+            ([], [], [], 1e-9),
+        ],
+    )
+    def test_equals_the_list_scan_on_edge_cases(self, original, reduced, removals, tol):
+        with np.errstate(invalid="ignore"):
+            _same_match((np.array(original), np.array(reduced), removals, tol))

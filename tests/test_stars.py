@@ -12,6 +12,7 @@ from starlap import (
     plant_ldependent_graph,
     plant_star_graph,
     predict_multiplicities,
+    reduce_all,
     star_weight,
     strengths,
     verify_ldependent,
@@ -24,6 +25,7 @@ from starlap.errors import (
     NoCommonStrengthError,
     UnequalWeightVectorsError,
 )
+from starlap.stars import analyze
 
 
 def perturb_edge(g, target, new_weight):
@@ -302,3 +304,29 @@ def test_detection_is_relabeling_invariant(f2):
     relabeled = build_graph(f2.n, [(perm[u], perm[v], w) for u, v, w in f2.edges])
     original = {tuple(sorted(perm[v] for v in s.v1)) for s in detect_stars(f2)}
     assert {s.v1 for s in detect_stars(relabeled)} == original
+
+
+class TestIdentityReductionReuse:
+    def test_unit_masses_read_the_original_spectra(self):
+        # the only star has unequal weight vectors, so nothing is removed
+        ctx = analyze(plant_ldependent_graph(3, (4, 30, 10), 6.0))
+        r = reduce_all(ctx)
+        assert r.q_total == 0
+        red = ctx.reduced(r)
+        assert red.values("mass-adjacency") is ctx.values("adjacency")
+        assert red.values("mass-laplacian") is ctx.values("laplacian")
+        assert red.second_vector("mass-laplacian") is ctx.second_vector("laplacian")
+
+    def test_masses_are_solved_on_their_own(self):
+        # a collapsed graph keeps no twins, so reducing it again removes
+        # nothing, but its masses make M^(1/2) A M^(1/2) differ from A
+        massed = reduce_all(plant_star_graph(2, 30, [(4, 3, 2.0)], background_p=0.3)).reduced
+        ctx = analyze(massed)
+        r = reduce_all(ctx)
+        assert r.q_total == 0 and max(massed.mass) > 1.0
+        red = ctx.reduced(r)
+        root = np.sqrt(np.asarray(massed.mass))
+        expected = np.linalg.eigvalsh(adjacency(massed) * np.outer(root, root))
+        assert np.array_equal(red.values("mass-adjacency"), expected)
+        assert not np.allclose(red.values("mass-adjacency"), ctx.values("adjacency"))
+        assert np.allclose(red.values("mass-laplacian"), np.linalg.eigvalsh(red.matrix("mass-laplacian")))
