@@ -356,9 +356,9 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    g = fileio.load_graph(args.file)
-    r = reduction.reduce_all(g, args.policy)
-    report = partition.compare_signs(g, r, args.tol)
+    ctx = stars_mod.analyze(fileio.load_graph(args.file))
+    r = reduction.reduce_all(ctx, args.policy)
+    report = partition.compare_signs(ctx, r, args.tol)
     if report.degenerate:
         lines = [f"inconclusive: {report.reason}"]
         code = 0

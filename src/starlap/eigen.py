@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,23 +65,28 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
 
     With vectors=False only the eigenvalues are computed (np.linalg.eigvalsh)
     and the result's `vectors` is None.  Rejects inputs whose asymmetry
-    exceeds 1e-12 relative to the largest entry.  Output is deterministic for
+    exceeds 1e-12 relative to the largest entry.  A matrix with a NaN or
+    infinite entry is not passed to LAPACK: its values (and vectors) are all
+    NaN, so every check that reads them fails.  Output is deterministic for
     bit-identical input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    peak = float(np.abs(a).max()) if a.size else 0.0   # NaN when any entry is
+    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, peak):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
-    if not vectors:
-        values = np.linalg.eigvalsh(a)
-        values.setflags(write=False)
-        return Spectrum(values=values, vectors=None, n=a.shape[0])
-    values, columns = np.linalg.eigh(a)
-    columns = _normalize_signs(columns)
+    if not math.isfinite(peak):
+        values = np.full(a.shape[0], np.nan)
+        columns = np.full(a.shape, np.nan) if vectors else None
+    elif vectors:
+        values, columns = np.linalg.eigh(a)
+        columns = _normalize_signs(columns)
+    else:
+        values, columns = np.linalg.eigvalsh(a), None
     values.setflags(write=False)
-    columns.setflags(write=False)
+    if columns is not None:
+        columns.setflags(write=False)
     return Spectrum(values=values, vectors=columns, n=a.shape[0])
 
 

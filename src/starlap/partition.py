@@ -66,12 +66,13 @@ def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> Fiedle
     _require_connected(ctx)
     if ctx.graph.n < 2:
         raise TooFewValuesError("second eigenpair needs at least 2 vertices")
+    vector = ctx.second_vector(family)   # first, so one solve gives both
     values = ctx.values(family)
     table = eigen.group_multiplicities(values, tol_rel)
     group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
     return FiedlerResult(
         lambda2=float(values[1]),
-        vector=ctx.second_vector(family),
+        vector=vector,
         degenerate=group.multiplicity > 1,
     )
 

@@ -8,6 +8,11 @@ orthonormal columns satisfying K^T A K = M^(1/2) B M^(1/2) and A K =
 K M^(1/2) B M^(1/2): identity rows on untouched vertices and, on each star
 block, an orthonormal frame whose columns all sum to sqrt(m / (m - q)).
 
+K is held implicitly, as the vertex map and one m x p frame per reduced
+star (O(n + sum m p) numbers), and every check and lift works through the
+star blocks in O(n^2) time; `Reduction.k_matrix` builds the dense matrix
+only for a caller that asks for it.
+
 The reduced degree matrix is fixed as the column sums of M B, which makes the
 mass-weighted Laplacian identities hold exactly and conserves total weighted
 strength.
@@ -16,8 +21,9 @@ strength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -33,24 +39,75 @@ from .stars import GraphAnalysis, MkStar, analyze
 
 @dataclass(frozen=True)
 class ReducedStarInfo:
+    """One reduced star and its block of K.
+
+    `frame` is the m x p block of K on this star: row a belongs to the a-th
+    vertex of sorted(star.v1), column b to the reduced vertex of kept_v1[b].
+    """
+
     star: MkStar
     q: int
     kept_v1: tuple[int, ...]     # original indices of surviving star vertices
+    frame: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Reduction:
-    """A reduced graph together with the map back to the original."""
+    """A reduced graph together with the map back to the original.
+
+    K is the identity from each untouched vertex to its reduced index plus
+    one frame per entry of `star_info`; `k_matrix` builds it densely on
+    each access.
+    """
 
     original: Graph
     reduced: Graph
     vertex_map: tuple[int | None, ...]   # original index -> reduced index or None
     star_info: tuple[ReducedStarInfo, ...]
-    k_matrix: np.ndarray
 
     @property
     def q_total(self) -> int:
         return self.original.n - self.reduced.n
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]:
+        """(original rows, reduced columns, frame) of each block of K.
+
+        The first block, with frame None, is the identity on the untouched
+        vertices; every other block is one reduced star's frame.
+        """
+        in_star = {v for info in self.star_info for v in info.star.v1}
+        untouched = [
+            v for v, new in enumerate(self.vertex_map) if new is not None and v not in in_star
+        ]
+        blocks = [
+            (
+                np.array(untouched, dtype=np.intp),
+                np.array([self.vertex_map[v] for v in untouched], dtype=np.intp),
+                None,
+            )
+        ]
+        for info in self.star_info:
+            blocks.append(
+                (
+                    np.array(sorted(info.star.v1), dtype=np.intp),
+                    np.array([self.vertex_map[v] for v in info.kept_v1], dtype=np.intp),
+                    info.frame,
+                )
+            )
+        return tuple(blocks)
+
+    @property
+    def k_matrix(self) -> np.ndarray:
+        """The dense, read-only n x (n - q) K, built anew on each access."""
+        k = np.zeros((self.original.n, self.reduced.n))
+        for rows, cols, frame in self._blocks:
+            if frame is None:
+                k[rows, cols] = 1.0
+            else:
+                k[np.ix_(rows, cols)] = frame
+        k.setflags(write=False)
+        return k
 
 
 @dataclass(frozen=True)
@@ -131,27 +188,15 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
         factor = star.m / (star.m - q)
         for v in kept_v1:
             mass[new_of_old[v]] *= factor
-        infos.append(ReducedStarInfo(star=star, q=q, kept_v1=kept_v1))
+        frame = star_frame(star.m, len(kept_v1))
+        frame.setflags(write=False)
+        infos.append(ReducedStarInfo(star=star, q=q, kept_v1=kept_v1, frame=frame))
     reduced = build_graph(len(kept), edges, mass=mass)
-
-    k = np.zeros((g.n, len(kept)))
-    in_star_v1 = {v for star, _ in assignments for v in star.v1}
-    for v in kept:
-        if v not in in_star_v1:
-            k[v, new_of_old[v]] = 1.0
-    for info in infos:
-        v1_sorted = sorted(info.star.v1)
-        frame = star_frame(info.star.m, len(info.kept_v1))
-        for a, orig in enumerate(v1_sorted):
-            for b, kept_orig in enumerate(info.kept_v1):
-                k[orig, new_of_old[kept_orig]] = frame[a, b]
-    k.setflags(write=False)
     return Reduction(
         original=g,
         reduced=reduced,
         vertex_map=vertex_map,
         star_info=tuple(infos),
-        k_matrix=k,
     )
 
 
@@ -220,6 +265,66 @@ def mass_laplacian(r: Reduction) -> np.ndarray:
     return np.diag(mb.sum(axis=0)) - mb
 
 
+def _k_times(r: Reduction, m: np.ndarray) -> np.ndarray:
+    """K m for an array m of n - q rows, one block of K at a time."""
+    out = np.zeros((r.original.n,) + m.shape[1:])
+    for rows, cols, frame in r._blocks:
+        out[rows] = m[cols] if frame is None else frame @ m[cols]
+    return out
+
+
+def _kt_times(r: Reduction, y: np.ndarray) -> np.ndarray:
+    """K^T y for an array y of n rows, one block of K at a time."""
+    out = np.zeros((r.reduced.n,) + y.shape[1:])
+    for rows, cols, frame in r._blocks:
+        out[cols] = y[rows] if frame is None else frame.T @ y[rows]
+    return out
+
+
+Columns = Callable[[np.ndarray], np.ndarray]
+
+
+def _over_column_blocks(
+    r: Reduction, x: Columns, f: Callable[[np.ndarray, np.ndarray], float]
+) -> list[float]:
+    """f(c, X K[:, c]) for each block c of K's columns, read off X's columns.
+
+    `x(idx)` returns X[:, idx].  No block reads more than an eighth of K's
+    width of X's columns at once, and each block is freed before the next is
+    read, so the blocks and their products stay below the size of a dense K.
+    """
+    step = max(1, r.reduced.n // 8)
+    results = []
+    for rows, cols, frame in r._blocks:
+        if frame is None:
+            for start in range(0, rows.size, step):
+                results.append(f(cols[start:start + step], x(rows[start:start + step])))
+            continue
+        xk = x(rows[:step]) @ frame[:step]
+        for start in range(step, rows.size, step):
+            xk += x(rows[start:start + step]) @ frame[start:start + step]
+        results.append(f(cols, xk))
+    return results
+
+
+def _columns(x: np.ndarray) -> Columns:
+    """Columns of a dense X, gathered C-ordered so that block arithmetic needs no buffer."""
+    return lambda idx: np.take(x, idx, axis=1)
+
+
+def _laplacian_columns(ctx: GraphAnalysis) -> Columns:
+    """Columns of L = diag(strengths) - A, read off the cached A and strengths."""
+    a, s = ctx.adjacency, ctx.strengths
+
+    def columns(idx: np.ndarray) -> np.ndarray:
+        out = np.take(a, idx, axis=1)
+        np.negative(out, out=out)
+        out[idx, np.arange(idx.size)] += s[idx]
+        return out
+
+    return columns
+
+
 LiftSource = Literal["tilde_l", "lmb_right"]
 
 
@@ -240,18 +345,34 @@ def lift_vector(r: Reduction, v: np.ndarray, source: LiftSource = "tilde_l") -> 
         v = v / np.sqrt(np.asarray(r.reduced.mass))
     elif source != "tilde_l":
         raise ValueError(f"unknown lift source {source!r}")
-    return r.k_matrix @ v
+    return _k_times(r, v)
 
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _largest(values: list[float]) -> float:
+    """The largest value, NaN if any is NaN, 0 for none."""
+    return float(np.max(values)) if values else 0.0
+
+
 def _structural_checks(r: Reduction, a: np.ndarray, s: np.ndarray) -> list[Check]:
-    k = r.k_matrix
-    scale = max(1.0, _maxabs(a))
-    ortho = _maxabs(k.T @ k - np.eye(r.reduced.n))
-    congr = _maxabs(k.T @ a @ k - s)
+    """K^T K = I from the frames, and K^T A K = S one block of K's columns at a time.
+
+    The identity block and the disjoint row supports of the blocks make
+    K^T K - I zero outside the frames' F^T F - I.
+    """
+    # the largest |entry| of A, without an n x n |A|
+    scale = max(1.0, float(np.maximum(a.max(), -a.min())) if a.size else 0.0)
+    ortho = _largest(
+        [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
+    )
+
+    def congruence(cols: np.ndarray, ak: np.ndarray) -> float:
+        return _maxabs(_kt_times(r, ak) - s[:, cols])
+
+    congr = _largest(_over_column_blocks(r, _columns(a), congruence))
     return [
         Check("k-orthonormality", ortho, 1e-10),
         Check("adjacency-congruence", congr, 1e-9 * scale),
@@ -286,17 +407,21 @@ def _match_after_removal(
     return deviation, ""
 
 
-def _lift_residual(r: Reduction, x: np.ndarray, reduced: np.ndarray) -> float:
+def _lift_residual(r: Reduction, x: Columns, reduced: np.ndarray) -> float:
     """Frobenius norm of X K - K R, the intertwining defect of K.
 
     For every unit eigenvector v of R with eigenvalue t, the lifted pair
     (t, K v) has X K v - t K v = (X K - K R) v, so this norm bounds the
-    eigen-equation residual of every lifted eigenvector at once.  NaN and
-    inf propagate.
+    eigen-equation residual of every lifted eigenvector at once.  `x(idx)`
+    returns X[:, idx]; the squared norm is summed one block of K's columns
+    at a time.  NaN and inf propagate.
     """
-    defect = x @ r.k_matrix
-    defect -= r.k_matrix @ reduced
-    return float(np.linalg.norm(defect))
+
+    def squares(cols: np.ndarray, defect: np.ndarray) -> float:
+        defect -= _k_times(r, reduced[:, cols])
+        return float(np.vdot(defect, defect))
+
+    return math.sqrt(sum(_over_column_blocks(r, x, squares)))
 
 
 def verify_adjacency_reduction(
@@ -313,7 +438,7 @@ def verify_adjacency_reduction(
     a = ctx.adjacency
     s = red.matrix("mass-adjacency")
     checks = _structural_checks(r, a, s)
-    lift = _lift_residual(r, a, s)
+    lift = _lift_residual(r, _columns(a), s)
     values_s = red.values("mass-adjacency", s)
     del s  # lowers peak memory: only the eigenvalues are used below
     values_a = ctx.values("adjacency")
@@ -326,13 +451,19 @@ def verify_adjacency_reduction(
     return VerificationRecord(checks=tuple(checks))
 
 
-def _similarity_deviation(r: Reduction, tilde: np.ndarray) -> float:
-    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde."""
-    if not r.reduced.n:
+def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
+    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde, from the reduced graph's cached B."""
+    if not red.graph.n:
         return 0.0
-    root = np.sqrt(np.asarray(r.reduced.mass))
-    similar = mass_laplacian(r) * np.outer(1.0 / root, root)
-    return float(np.abs(similar - tilde).max())
+    mass = np.asarray(red.graph.mass)
+    root = np.sqrt(mass)
+    mb = mass[:, None] * red.adjacency
+    similar = np.diag(mb.sum(axis=0))
+    similar -= mb
+    del mb  # lowers peak memory
+    similar *= np.outer(1.0 / root, root)
+    similar -= tilde
+    return _maxabs(similar)
 
 
 def verify_laplacian_reduction(
@@ -348,8 +479,8 @@ def verify_laplacian_reduction(
     ctx = analyze(g)
     red = ctx.reduced(r)
     tilde = red.matrix("mass-laplacian")
-    sim = _similarity_deviation(r, tilde)
-    lift = _lift_residual(r, ctx.matrix("laplacian"), tilde)
+    sim = _similarity_deviation(red, tilde)
+    lift = _lift_residual(r, _laplacian_columns(ctx), tilde)
     values_t = red.values("mass-laplacian", tilde)
     del tilde  # lowers peak memory: only the eigenvalues are used below
     values_l = ctx.values("laplacian")

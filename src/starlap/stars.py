@@ -144,10 +144,11 @@ class GraphAnalysis:
     The adjacency matrix and the strengths (both read-only), the isolated
     vertices, the connected components, the detected stars, the
     proportional-row groups and the certification of the structural-only
-    stars are computed once, on first use.  Each matrix family is solved at
-    most once through ``eigen.sym_eigen``, for its eigenvalues only, except
-    the Laplacian and the mass Laplacian, whose second eigenvector the sign
-    comparison reads; only that vector is kept.  The analysis of a reduction
+    stars are computed once, on first use.  A family is solved through
+    ``eigen.sym_eigen`` for its eigenvalues only, unless its second
+    eigenvector is asked for first (the sign comparison reads that of the
+    Laplacian and the mass Laplacian); then values and vectors come from one
+    solve and only that vector is kept.  The analysis of a reduction
     that removed nothing reads the spectrum of a mass family whose matrix
     equals the original's plain one (M^(1/2) A M^(1/2) and A, the mass
     Laplacian and L, with unit masses) from the original's analysis.
@@ -159,7 +160,6 @@ class GraphAnalysis:
     operators when the graph came out of a reduction.
     """
 
-    _KEEP_SECOND_VECTOR = ("laplacian", "mass-laplacian")
     _UNREDUCED_FAMILY = {"mass-adjacency": "adjacency", "mass-laplacian": "laplacian"}
 
     def __init__(self, graph: Graph, unreduced: GraphAnalysis | None = None):
@@ -228,27 +228,39 @@ class GraphAnalysis:
         raise ValueError(f"unknown matrix family {family!r}")
 
     def values(self, family: str, matrix: np.ndarray | None = None) -> np.ndarray:
-        """Ascending eigenvalues of one family, solved on first use.
+        """Ascending eigenvalues of one family, solved values-only on first use.
 
         `matrix` is the family's matrix when the caller has already built it.
         """
-        if family in self._values:
-            return self._values[family]
+        if family not in self._values:
+            self._solve(family, matrix, vectors=False)
+        return self._values[family]
+
+    def second_vector(self, family: str) -> np.ndarray:
+        """Sign-normalized eigenvector of the second-smallest eigenvalue.
+
+        Solved together with the values on first use.  A caller that needs
+        both asks for the vector first; after values() it costs a second
+        solve, and the values read first are kept.
+        """
+        if family not in self._second:
+            self._solve(family, None, vectors=True)
+        return self._second[family]
+
+    def _solve(self, family: str, matrix: np.ndarray | None, vectors: bool) -> None:
         if matrix is None:
             matrix = self.matrix(family)
         source, plain = self._unreduced, self._UNREDUCED_FAMILY.get(family)
         plain_matrix = source.matrix(plain) if source is not None and plain else None
         if plain_matrix is not None and np.array_equal(matrix, plain_matrix):
-            self._values[family] = source.values(plain, plain_matrix)
-            if plain in source._second:
-                self._second[family] = source._second[plain]
-        else:
-            keep = family in self._KEEP_SECOND_VECTOR
-            spec = eigen.sym_eigen(matrix, vectors=keep)
-            self._values[family] = spec.values
-            if keep and spec.n >= 2:
-                self._second[family] = spec.vectors[:, 1].copy()
-        return self._values[family]
+            if vectors:
+                self._second[family] = source.second_vector(plain)
+            self._values.setdefault(family, source.values(plain, plain_matrix))
+            return
+        spec = eigen.sym_eigen(matrix, vectors=vectors)
+        self._values.setdefault(family, spec.values)
+        if vectors:
+            self._second[family] = spec.vectors[:, 1].copy()
 
     def check_claims(
         self, family: str, claims: Sequence[tuple[float, int]], tol_rel: float
@@ -266,11 +278,6 @@ class GraphAnalysis:
             computed = eigen.multiplicity_at(table, value, tol_rel)
             checks.append(PredictionCheck(family, value, bound, computed, computed >= bound))
         return checks
-
-    def second_vector(self, family: str) -> np.ndarray:
-        """Sign-normalized eigenvector of the second-smallest eigenvalue."""
-        self.values(family)
-        return self._second[family]
 
     def reduced(self, r: Reduction) -> GraphAnalysis:
         """Analysis of a reduction's reduced graph, kept for the latest reduction."""

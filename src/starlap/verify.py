@@ -54,6 +54,11 @@ def verify_graph(
         raise ValueError(f"q must be at least 1, got {q}")
     ctx = stars.analyze(g)
     checks: list[NamedCheck] = []
+    # the sign comparison reads the second eigenvectors of L and L~; asking
+    # for them before any eigenvalue solves each matrix once, with vectors
+    connected = ctx.graph.n >= 2 and len(ctx.components) == 1
+    if connected:
+        ctx.second_vector("laplacian")
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(NamedCheck(name, bool(passed), detail))
@@ -88,6 +93,10 @@ def verify_graph(
             qs[0] = min(q, detected[0].m - 1)
             add(name, True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
     r = reduction.reduce_all(ctx, qs)
+    red = ctx.reduced(r)
+    comparable = connected and r.reduced.n >= 2 and len(red.components) == 1
+    if comparable:
+        red.second_vector("mass-laplacian")
     records = (
         reduction.verify_adjacency_reduction(ctx, r, tol),
         reduction.verify_laplacian_reduction(ctx, r, tol),
@@ -97,9 +106,9 @@ def verify_graph(
     add("reduction-interlacing", reduction.interlacing_check(ctx, r, tol))
 
     signs = None
-    if ctx.graph.n < 2 or len(ctx.components) != 1 or r.reduced.n < 2:
+    if not connected or r.reduced.n < 2:
         add("sign-agreement", True, "inconclusive: graph too small or disconnected")
-    elif len(ctx.reduced(r).components) != 1:
+    elif not comparable:
         add("sign-agreement", True, "inconclusive: reduced graph is disconnected")
     else:
         signs = partition.compare_signs(ctx, r, tol)

@@ -300,3 +300,31 @@ class TestNearEqualStarWeights:
         path.write_text("n 4\n0 2 1.0\n1 2 1.0\n2 3 1.0\n", encoding="utf-8")
         code, out, _ = run(capsys, "stars", str(path), "--json")
         assert code == 0 and json.loads(out)["warnings"] == []
+
+
+class TestOverflowingStrengths:
+    """Weights scaled by 2.5e307 overflow the strengths to inf: a valid input whose checks fail."""
+
+    @pytest.fixture
+    def overflow_file(self, tmp_path):
+        from starlap import build_graph, plant_star_graph
+
+        g = plant_star_graph(3, 30, [(3, 2, 2.0)], background_p=0.3)
+        path = tmp_path / "overflow.graph"
+        save_graph(build_graph(g.n, [(u, v, w * 2.5e307) for u, v, w in g.edges]), str(path))
+        return str(path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["stars", "verify"])
+    def test_checks_fail_with_exit_2(self, capsys, overflow_file, command):
+        code, out, _ = run(capsys, command, overflow_file, "--json")
+        assert code == 2
+        assert not json.loads(out)["passed"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("matrix", ["signless", "laplacian"])
+    def test_spectrum_is_all_nan_with_exit_0(self, capsys, overflow_file, matrix):
+        code, out, _ = run(capsys, "spectrum", overflow_file, "--matrix", matrix, "--json")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert len(values) == 30 and all(v != v for v in values)

@@ -1,4 +1,4 @@
-"""How much work `verify`, `ldep` and `partition --rsb` do: eigensolves, scans and checks per call."""
+"""How much work the CLI commands do: eigensolves, matrix builds, scans and checks per call."""
 
 import hashlib
 from pathlib import Path
@@ -10,6 +10,7 @@ from starlap import (
     build_graph,
     cli,
     eigen,
+    graphs,
     plant_ldependent_graph,
     partition,
     plant_star_graph,
@@ -66,7 +67,7 @@ def test_verify_solves_each_matrix_once(tmp_path, counted, capsys):
     assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
 
 
-def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, monkeypatch):
+def _count_eigh(monkeypatch):
     real_eigh = np.linalg.eigh
     full = []
 
@@ -75,6 +76,11 @@ def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, mon
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return full
+
+
+def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, monkeypatch):
+    full = _count_eigh(monkeypatch)
     assert cli.run_cli(["verify", str(GOLDEN / "stars120.graph"), "--json"]) == 0
     capsys.readouterr()
     assert len(full) <= 2
@@ -109,3 +115,29 @@ def test_rsb_solves_each_block_once(counted):
     # the loop stops before it looks at the last split's two blocks
     assert 0 < len(counted["solves"]) <= 1 + 2 * (clusters - 2)
     assert len(set(counted["solves"])) == len(counted["solves"])
+
+
+def test_reduce_computes_no_eigenvector(tmp_path, counted, capsys, monkeypatch):
+    full = _count_eigh(monkeypatch)
+    out = str(tmp_path / "reduced.graph")
+    assert cli.run_cli(["reduce", str(GOLDEN / "stars120.graph"), "-o", out, "--json"]) == 0
+    capsys.readouterr()
+    assert full == []
+    assert 0 < len(counted["solves"]) <= 4
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_each_graph_adjacency_is_built_once(capsys, monkeypatch, command):
+    builds = {}
+    real_adjacency = graphs.adjacency
+
+    def adjacency(g):
+        builds[id(g)] = builds.get(id(g), 0) + 1
+        return real_adjacency(g)
+
+    for module in (graphs, stars, reduction):
+        monkeypatch.setattr(module, "adjacency", adjacency)
+    assert cli.run_cli([command, str(GOLDEN / "stars120.graph"), "--json"]) == 0
+    capsys.readouterr()
+    # the graph and its reduction
+    assert sorted(builds.values()) == [1, 1]

@@ -185,6 +185,25 @@ def test_values_only_solve_keeps_the_checks():
     assert not sym_eigen(np.eye(3), vectors=False).values.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_non_finite_matrix_gives_a_nan_spectrum_without_lapack(monkeypatch, bad, vectors):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    a = np.array([[2.0, -1.0, 0.0], [-1.0, bad, -1.0], [0.0, -1.0, 1.0]])
+    with np.errstate(invalid="ignore"):   # inf - inf in the symmetry scan
+        spec = sym_eigen(a, vectors=vectors)
+    assert spec.n == 3 and np.isnan(spec.values).all()
+    assert not spec.values.flags.writeable
+    if vectors:
+        assert spec.vectors.shape == (3, 3) and np.isnan(spec.vectors).all()
+    else:
+        assert spec.vectors is None
+
+
 def _normalize_signs_reference(vectors):
     """The per-column loop that _normalize_signs replaced."""
     out = vectors.copy()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from starlap import (
     verify_adjacency_reduction,
     verify_laplacian_reduction,
 )
+from starlap.stars import analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
 
@@ -312,11 +314,120 @@ class TestIntertwiningLiftCheck:
             assert reference[check_name] <= check.residual + 1e-12
 
     def test_random_orthonormal_k_fails(self, f2):
+        # K with a random orthonormal frame in place of each star's frame
         r = reduce_all(f2, "collapse")
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(r.k_matrix.shape))
-        checks = _lift_checks(f2, dataclasses.replace(r, k_matrix=q))
+        rng = np.random.default_rng(0)
+        frames = [np.linalg.qr(rng.standard_normal(info.frame.shape))[0] for info in r.star_info]
+        tampered = _with_frames(r, frames)
+        checks = _lift_checks(f2, tampered)
         assert sorted(checks) == sorted(LIFTS)
         assert not any(c.passed for c in checks.values())
+        # every block of K's columns counts, the star blocks too
+        reference, _ = _dense_residuals(f2, tampered, frames)
+        for name, check in checks.items():
+            assert check.residual == pytest.approx(reference[name], rel=1e-12)
+
+    def test_non_orthonormal_frame_fails_k_orthonormality(self, f2):
+        r = reduce_all(f2, "collapse")
+        tampered = _with_frames(r, [2.0 * info.frame for info in r.star_info])
+        checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered).checks}
+        assert checks["k-orthonormality"].residual == pytest.approx(3.0)
+        assert not checks["k-orthonormality"].passed
+
+
+def _with_frames(r, frames):
+    """The reduction with each reduced star's frame replaced."""
+    infos = tuple(dataclasses.replace(info, frame=f) for info, f in zip(r.star_info, frames))
+    return dataclasses.replace(r, star_info=infos)
+
+
+def _dense_k_reference(r, frames=None):
+    """K filled entry by entry into a dense array, as reductions used to store it.
+
+    `frames`, one per reduced star, replace the star frames.
+    """
+    k = np.zeros((r.original.n, r.reduced.n))
+    in_star_v1 = {v for info in r.star_info for v in info.star.v1}
+    for v, new in enumerate(r.vertex_map):
+        if new is not None and v not in in_star_v1:
+            k[v, new] = 1.0
+    for i, info in enumerate(r.star_info):
+        frame = star_frame(info.star.m, len(info.kept_v1)) if frames is None else frames[i]
+        for a, orig in enumerate(sorted(info.star.v1)):
+            for b, kept_orig in enumerate(info.kept_v1):
+                k[orig, r.vertex_map[kept_orig]] = frame[a, b]
+    return k
+
+
+def _dense_residuals(g, r, frames=None):
+    """The residuals of the structural and lift checks computed through the dense K.
+
+    Returns them by check name, with the spectral radius of A (at least 1).
+    """
+    k = _dense_k_reference(r, frames)
+    a, lap = adjacency(g), laplacian(g)
+    s, tilde = _sym_mass_adjacency(r), sym_mass_laplacian(r)
+    radius_a = max(1.0, float(np.abs(np.linalg.eigvalsh(a)).max()))
+    radius_l = max(1.0, float(np.abs(np.linalg.eigvalsh(lap)).max()))
+    residuals = {
+        "k-orthonormality": float(np.abs(k.T @ k - np.eye(r.reduced.n)).max()),
+        "adjacency-congruence": float(np.abs(k.T @ a @ k - s).max()),
+        LIFTS[0]: float(np.linalg.norm(a @ k - k @ s)) / radius_a,
+        LIFTS[1]: float(np.linalg.norm(lap @ k - k @ tilde)) / radius_l,
+    }
+    return residuals, radius_a
+
+
+def _star_heavy_graph():
+    # four 92-vertex stars leave n - q = 36 of 400 vertices, so a dense K
+    # (400 x 36) outweighs every matrix of the reduced graph
+    specs = [(92, 3, 1.0 + 0.5 * i) for i in range(4)]
+    return plant_star_graph(8, 400, specs, background_p=0.1)
+
+
+class TestImplicitK:
+    @pytest.mark.parametrize("name", [str(seed) for seed in range(10)] + ["stars120"])
+    def test_k_matrix_is_the_dense_k_bit_for_bit(self, name):
+        r = reduce_all(_planted_or_golden(name), "collapse")
+        k = r.k_matrix
+        assert k.tobytes() == _dense_k_reference(r).tobytes()
+        assert not k.flags.writeable
+
+    @pytest.mark.parametrize("name", [str(seed) for seed in range(10)] + ["stars120"])
+    def test_checks_agree_with_the_dense_k(self, name):
+        g = _planted_or_golden(name)
+        r = reduce_all(g, "collapse")
+        reference, radius = _dense_residuals(g, r)
+        records = (verify_adjacency_reduction(g, r), verify_laplacian_reduction(g, r))
+        checks = {c.name: c for record in records for c in record.checks if c.name in reference}
+        assert sorted(checks) == sorted(reference)
+        for check_name, check in checks.items():
+            # the lift residuals are already divided by their radius
+            bound = 1e-12 if check_name in LIFTS else 1e-12 * radius
+            assert abs(check.residual - reference[check_name]) <= bound, check_name
+            assert check.passed == (reference[check_name] <= check.tol), check_name
+
+    def test_lift_vector_through_the_frames(self):
+        r = reduce_all(_planted_or_golden("stars120"), "collapse")
+        v = np.random.default_rng(1).standard_normal(r.reduced.n)
+        assert np.abs(lift_vector(r, v) - _dense_k_reference(r) @ v).max() <= 1e-14
+
+    def test_checks_hold_less_than_a_dense_k(self):
+        g = _star_heavy_graph()
+        ctx = analyze(g)
+        # the graph's own A, strengths, stars and spectra come first
+        ctx.values("adjacency"), ctx.values("laplacian"), ctx.stars
+        tracemalloc.start()
+        try:
+            r = reduce_all(ctx)
+            assert verify_adjacency_reduction(ctx, r).passed
+            assert verify_laplacian_reduction(ctx, r).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_k = g.n * r.reduced.n * 8
+        assert r.reduced.n == 36
+        assert peak < dense_k, (peak, dense_k)
 
 
 class TestNonFiniteAndScale:
