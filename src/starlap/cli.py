@@ -2,8 +2,10 @@
 
 Subcommands: info, spectrum, stars, ldep, reduce, verify, partition, compare.
 Exit codes: 0 success / all checks passed, 1 usage or input errors, 2 a
-verification or sign-agreement failure.  Diagnostics go to stderr; ``--json``
-switches machine-readable output on (stable, byte-identical across runs).
+verification or sign-agreement failure, a reduction whose checks fail, or a
+partition or comparison whose second Laplacian eigenpair is not finite.
+Diagnostics go to stderr; ``--json`` switches machine-readable output on
+(stable, byte-identical across runs).
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__, eigen, fileio, partition, reduction, stars as stars_mod
-from .errors import ConditionViolatedError, NoCommonStrengthError, StarlapError
+from .errors import (
+    ConditionViolatedError,
+    NoCommonStrengthError,
+    NonFiniteSpectrumError,
+    StarlapError,
+)
 from .verify import verify_graph
 
 _CONVENTIONS = {
@@ -287,6 +294,10 @@ def _cmd_reduce(args) -> int:
         f"({len(r.star_info)} stars, policy {args.policy}); wrote {args.output}"
     ]
     _emit(payload, args.json, lines)
+    if not payload["reduction"]["passed"]:
+        failed = [c["name"] for c in payload["reduction"]["checks"] if not c["passed"]]
+        print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -405,6 +416,9 @@ def run_cli(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
+    except NonFiniteSpectrumError as exc:   # a valid graph whose spectrum overflows
+        print(fileio.wrap_error(exc), file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, StarlapError, ValueError) as exc:
         print(fileio.wrap_error(exc), file=sys.stderr)
         return 1

@@ -74,7 +74,12 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     peak = float(np.abs(a).max()) if a.size else 0.0   # NaN when any entry is
-    if a.size and float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, peak):
+    # a matrix symmetric bit for bit (every one starlap builds) skips the scan
+    if (
+        a.size
+        and not np.array_equal(a, a.T)
+        and float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, peak)
+    ):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
     if not math.isfinite(peak):
         values = np.full(a.shape[0], np.nan)

@@ -102,6 +102,15 @@ class DisconnectedError(StarlapError):
         self.n_components = n_components
 
 
+class NonFiniteSpectrumError(StarlapError):
+    """An eigenvalue or eigenvector a partition reads is NaN or infinite.
+
+    A valid graph whose weights overflow the strengths gets an all-NaN
+    spectrum; its partitions and sign comparisons fail instead of reading
+    signs off NaN.
+    """
+
+
 class BadKError(StarlapError):
     def __init__(self, k: int, n: int):
         super().__init__(f"cluster count k={k} outside valid range 2..{n}")

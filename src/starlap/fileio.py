@@ -10,10 +10,12 @@ decimal digits.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from .errors import ParseError, StarlapError
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, build_graph_from_columns
 from .partition import Partition
 from .stars import GraphAnalysis, analyze
 
@@ -23,25 +25,83 @@ def _fmt(x: float) -> str:
 
 
 def parse_graph_file(text: str) -> Graph:
-    """Parse the text graph format; masses default to 1."""
-    n: int | None = None
+    """Parse the text graph format; masses default to 1.
+
+    The fields of all lines are converted in bulk, by Python's own int() and
+    float().  When the bulk pass meets a line it cannot take, the lines are
+    checked one by one and the first bad line's ParseError is raised.
+    """
+    lines = text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    del lines
+    # every line break is whitespace, so each line's fields are a run of these
+    fields = np.array(text.split(), dtype=object)
+    starts = np.cumsum(counts) - counts
+    content = np.flatnonzero(counts)   # 0-based indices of lines with fields
+    if "#" in text:
+        content = content[np.array([not f.startswith("#") for f in fields[starts[content]]], bool)]
+    if not content.size:
+        raise ParseError(1, "missing header line 'n <count>'")
+    header = int(content[0])
+    n = _parse_header(text, header + 1, fields[starts[header] : starts[header] + counts[header]])
+    body = content[1:]
+    bulk = _bulk_body(fields, counts[body], starts[body], n)
+    del fields   # the graph's edge tuples take its place
+    if bulk is None:
+        return _parse_body_by_line(text, (body + 1).tolist(), n)
+    u, v, w, masses = bulk
+    return build_graph_from_columns(n, u, v, w, mass=[masses.get(x, 1.0) for x in range(n)])
+
+
+def _bulk_body(
+    fields: np.ndarray, counts: np.ndarray, heads: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, float]] | None:
+    """Edge columns and masses of the body lines, or None when a line is bad.
+
+    `counts` and `heads` give each body line's number of fields and the
+    index of its first field in `fields`.
+    """
+    if (counts != 3).any():
+        return None
+    is_mass = fields[heads] == "m"
+    edge_heads, mass_heads = heads[~is_mass], heads[is_mass]
+    try:
+        u = np.fromiter(map(int, fields[edge_heads]), np.int64, edge_heads.size)
+        v = np.fromiter(map(int, fields[edge_heads + 1]), np.int64, edge_heads.size)
+        w = np.fromiter(map(float, fields[edge_heads + 2]), float, edge_heads.size)
+        masses = dict(zip(map(int, fields[mass_heads + 1]), map(float, fields[mass_heads + 2])))
+    except (ValueError, OverflowError):   # a field int() or float() rejects, or an id beyond int64
+        return None
+    if not all(0 <= x < n for x in masses):
+        return None
+    return u, v, w, masses
+
+
+def _parse_header(text: str, lineno: int, fields: Sequence[str]) -> int:
+    if fields[0] != "n" or len(fields) != 2:
+        line = text.splitlines()[lineno - 1].strip()
+        raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise ParseError(lineno, f"vertex count is not an integer: {fields[1]!r}")
+    if n < 0:
+        raise ParseError(lineno, f"vertex count must be nonnegative, got {n}")
+    return n
+
+
+def _parse_body_by_line(text: str, linenos: list[int], n: int) -> Graph:
+    """The graph of the body lines at `linenos`, read one line at a time.
+
+    Raises the ParseError of the first bad line.  When no line is bad, the
+    bulk pass stopped at an id beyond int64, which build_graph rejects.
+    """
+    lines = text.splitlines()
     edges: list[tuple[int, int, float]] = []
     masses: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno in linenos:
+        line = lines[lineno - 1].strip()
         fields = line.split()
-        if n is None:
-            if fields[0] != "n" or len(fields) != 2:
-                raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(lineno, f"vertex count is not an integer: {fields[1]!r}")
-            if n < 0:
-                raise ParseError(lineno, f"vertex count must be nonnegative, got {n}")
-            continue
         if fields[0] == "m":
             if len(fields) != 3:
                 raise ParseError(lineno, f"expected 'm <vertex> <mass>', got {line!r}")
@@ -56,14 +116,10 @@ def parse_graph_file(text: str) -> Graph:
         if len(fields) != 3:
             raise ParseError(lineno, f"expected 'u v w' edge line, got {line!r}")
         try:
-            u, v, w = int(fields[0]), int(fields[1]), float(fields[2])
+            edges.append((int(fields[0]), int(fields[1]), float(fields[2])))
         except ValueError:
             raise ParseError(lineno, f"bad edge line: {line!r}")
-        edges.append((u, v, w))
-    if n is None:
-        raise ParseError(1, "missing header line 'n <count>'")
-    mass_vec = [masses.get(v, 1.0) for v in range(n)]
-    return build_graph(n, edges, mass=mass_vec)
+    return build_graph(n, edges, mass=[masses.get(v, 1.0) for v in range(n)])
 
 
 def write_graph_file(g: Graph) -> str:
@@ -129,7 +185,7 @@ def graph_summary(g: Graph | GraphAnalysis) -> dict[str, Any]:
     return {
         "vertices": g.n,
         "edges": len(g.edges),
-        "total_weight": float(sum(w for _, _, w in g.edges)),
+        "total_weight": float(sum(g.w.tolist())),
         "components": len(ctx.components),
         "min_strength": float(s.min()) if g.n else 0.0,
         "max_strength": float(s.max()) if g.n else 0.0,

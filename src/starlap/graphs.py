@@ -5,11 +5,17 @@ indices, with a strictly positive per-vertex mass vector (all ones unless the
 graph came out of a reduction).  All matrix constructions are dense numpy
 arrays; the intended scale is n up to a couple of thousand vertices, where
 exact dense eigensolves are cheap.
+
+Next to the public ``edges`` tuple, a graph holds the same edges as three
+read-only numpy columns in the same order: ``u`` and ``v`` (intp, u < v) and
+``w`` (float64).  The columns take no part in equality or hashing.  Parsing,
+validation, the matrix builds, strengths, components and subgraphs read and
+write the columns with array code, and each gives the result, or raises the
+error, that the per-edge loop over ``edges`` it replaced gave, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,22 +32,38 @@ from .errors import (
 Edge = tuple[int, int, float]
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple weighted undirected graph with vertex masses.
 
     Invariants (enforced by :func:`build_graph`): no self-loops, no duplicate
     pairs, strictly positive finite weights, edges stored with u < v and
-    sorted, mass vector of length n with strictly positive entries.
+    sorted, mass vector of length n with strictly positive entries.  The
+    columns `u`, `v` and `w` hold `edges` as arrays; a graph made directly
+    from an edge tuple derives them from it.
     """
 
     n: int
     edges: tuple[Edge, ...]
     mass: tuple[float, ...] = field(default=())
+    u: np.ndarray = field(default=None, compare=False, repr=False)
+    v: np.ndarray = field(default=None, compare=False, repr=False)
+    w: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.mass:
             object.__setattr__(self, "mass", (1.0,) * self.n)
+        if self.u is None:
+            table = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+            object.__setattr__(self, "u", table[:, 0].astype(np.intp))
+            object.__setattr__(self, "v", table[:, 1].astype(np.intp))
+            object.__setattr__(self, "w", table[:, 2].copy())
+            _read_only(self.u, self.v, self.w)
 
 
 def build_graph(
@@ -52,58 +74,159 @@ def build_graph(
     """Validate and normalize an edge list into a :class:`Graph`.
 
     Edges may be given in either endpoint order; they are stored as (u, v, w)
-    with u < v, sorted lexicographically.  Raises a specific error naming the
-    offending edge on self-loops, duplicates, non-positive weights, or
-    out-of-range indices.
+    with u < v, sorted lexicographically.  Each edge e is read as
+    (int(e[0]), int(e[1]), float(e[2])).  Raises a specific error naming the
+    first offending edge in input order on self-loops, duplicates,
+    non-positive weights, or out-of-range indices.
     """
     if n < 0:
         raise IndexOutOfRangeError(n, 0, context="vertex count")
-    normalized: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        u, v, w = int(e[0]), int(e[1]), float(e[2])
-        if u == v:
-            raise SelfLoopError(u, w)
-        if not (0 <= u < n):
-            raise IndexOutOfRangeError(u, n)
-        if not (0 <= v < n):
-            raise IndexOutOfRangeError(v, n)
-        if not (math.isfinite(w) and w > 0.0):
-            raise NonPositiveWeightError(u, v, w)
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdgeError(u, v, w)
-        seen.add((u, v))
-        normalized.append((u, v, w))
-    normalized.sort()
+    return _validated_graph(n, *_edge_columns(edges), mass)
+
+
+def build_graph_from_columns(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    mass: Sequence[float] | None = None,
+) -> Graph:
+    """:func:`build_graph` of the edges (u[i], v[i], w[i]), with the same checks and errors."""
+    if n < 0:
+        raise IndexOutOfRangeError(n, 0, context="vertex count")
+    return _validated_graph(n, *_numeric_columns(u, v, w), None, mass)
+
+
+def _numeric_columns(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of plain numbers as build_graph reads them: float ids truncated like int()."""
+    u, v = np.asarray(u), np.asarray(v)
+    if u.dtype.kind == "f":
+        u = np.trunc(u)
+    if v.dtype.kind == "f":
+        v = np.trunc(v)
+    return u, v, np.asarray(w, dtype=float)
+
+
+# a float id at least this large may be a rounded integer, so its edge is read
+# edge by edge (np.array rounds the int 2**53 + 1 to 2**53)
+_EXACT_FLOAT_IDS = 2.0**53
+
+
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
+    """The columns int(e[0]), int(e[1]), float(e[2]) of an edge list, and a pending error.
+
+    A table of plain numbers converts in bulk (NaN or infinite ids included:
+    they fail validation, which converts that edge alone and raises as int()
+    does).  Anything else converts edge by edge up to the first edge that
+    fails to convert; the columns then hold the edges before it, and its
+    exception is returned to be raised after them.
+    """
+    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    try:
+        table = np.asarray(rows)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    if (
+        table is not None
+        and table.ndim == 2
+        and table.shape[1] >= 3
+        and table.dtype.kind in "biuf"
+        and not (table.dtype.kind == "f" and (np.abs(table[:, :2]) >= _EXACT_FLOAT_IDS).any())
+    ):
+        return (*_numeric_columns(table[:, 0], table[:, 1], table[:, 2]), None)
+    converted: list[Edge] = []
+    error = None
+    for e in rows:
+        try:
+            converted.append((int(e[0]), int(e[1]), float(e[2])))
+        except Exception as exc:   # re-raised as it is, once the edges before it pass
+            error = exc
+            break
+    u = np.array([e[0] for e in converted], dtype=object)
+    v = np.array([e[1] for e in converted], dtype=object)
+    w = np.array([e[2] for e in converted], dtype=float)
+    return u, v, w, error
+
+
+def _raise_edge_error(n: int, u, v, w) -> None:
+    """Raise the error of one edge that fails validation, as the per-edge check did."""
+    u, v, w = int(u), int(v), float(w)
+    if u == v:
+        raise SelfLoopError(u, w)
+    if not (0 <= u < n):
+        raise IndexOutOfRangeError(u, n)
+    if not (0 <= v < n):
+        raise IndexOutOfRangeError(v, n)
+    raise NonPositiveWeightError(u, v, w)
+
+
+def _validated_graph(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    error: Exception | None,
+    mass: Sequence[float] | None,
+) -> Graph:
+    """The graph of converted edge columns, or the first edge's error in input order.
+
+    Edges are checked in input order: the first that is a self-loop, out of
+    range or badly weighted, or repeats an earlier pair, raises; then
+    `error`, the conversion failure of the edge after the columns, if any.
+    """
+    with np.errstate(invalid="ignore"):
+        valid = (u != v) & (u >= 0) & (u < n) & (v >= 0) & (v < n) & np.isfinite(w) & (w > 0.0)
+    stop = valid.size if valid.all() else int(np.argmin(valid))
+    lo = np.minimum(u[:stop], v[:stop]).astype(np.intp)
+    hi = np.maximum(u[:stop], v[:stop]).astype(np.intp)
+    # lo * n + hi orders the pairs as (lo, hi) does (n * n fits int64 for
+    # any n whose mass tuple fits in memory); the sort is stable, so a
+    # repeated pair's first occurrence leads its run
+    order = np.argsort(lo * n + hi, kind="stable")
+    lo, hi, weights = lo[order], hi[order], w[:stop][order]
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if repeat.any():
+        # the repeat that comes first in input order, at sorted position k + 1
+        k = int(np.argmin(np.where(repeat, order[1:], stop)))
+        raise DuplicateEdgeError(int(lo[k + 1]), int(hi[k + 1]), float(weights[k + 1]))
+    if stop < valid.size:
+        _raise_edge_error(n, u[stop], v[stop], w[stop])
+    if error is not None:
+        raise error
     if mass is None:
         mass_t = (1.0,) * n
     else:
         if len(mass) != n:
             raise IndexOutOfRangeError(len(mass), n, context="mass length")
-        mass_t = tuple(float(m) for m in mass)
-        for v, m in enumerate(mass_t):
-            if not (math.isfinite(m) and m > 0.0):
-                raise NonPositiveWeightError(v, v, m)
-    return Graph(n=n, edges=tuple(normalized), mass=mass_t)
+        mass_t = tuple(map(float, mass))
+        values = np.array(mass_t, dtype=float)
+        bad = ~(np.isfinite(values) & (values > 0.0))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise NonPositiveWeightError(first, first, mass_t[first])
+    _read_only(lo, hi, weights)
+    # one int object per vertex, shared by all the edge tuples that name it
+    ids = np.arange(n).astype(object)
+    edges = tuple(zip(ids[lo].tolist(), ids[hi].tolist(), weights.tolist()))
+    return Graph(n=n, edges=edges, mass=mass_t, u=lo, v=hi, w=weights)
 
 
 def adjacency(g: Graph) -> np.ndarray:
     """Symmetric weighted adjacency matrix with zero diagonal."""
     a = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        a[u, v] = w
-        a[v, u] = w
+    a[g.u, g.v] = g.w
+    a[g.v, g.u] = g.w
     return a
 
 
 def strengths(g: Graph) -> np.ndarray:
-    """Vector of weighted degrees (adjacency row sums)."""
+    """Vector of weighted degrees (adjacency row sums).
+
+    Each vertex sums its edges' weights in edge order, u's end before v's,
+    as np.add.at does over the interleaved endpoints.
+    """
     s = np.zeros(g.n)
-    for u, v, w in g.edges:
-        s[u] += w
-        s[v] += w
+    np.add.at(s, np.column_stack((g.u, g.v)).ravel(), np.repeat(g.w, 2))
     return s
 
 
@@ -134,9 +257,9 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 
 def normalized_laplacian_from(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Normalized Laplacian of adjacency matrix `a` with strengths `d`."""
-    for v in range(d.size):
-        if d[v] <= 0.0:
-            raise IsolatedVertexError(v)
+    isolated = np.flatnonzero(d <= 0.0)
+    if isolated.size:
+        raise IsolatedVertexError(int(isolated[0]))
     inv_sqrt = 1.0 / np.sqrt(d)
     lhat = -a * np.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(lhat, 1.0)
@@ -144,28 +267,41 @@ def normalized_laplacian_from(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        components.append(frozenset(comp))
-    return components
+    """Connected components as vertex sets, ordered by smallest member.
+
+    Each vertex points at a smaller vertex of its component; every round
+    hooks, across each edge whose ends still point at different roots, the
+    larger root under the smaller, then points every vertex at its root.  At
+    the fixed point each component's root is its smallest member.
+    """
+    root = np.arange(g.n)
+    while True:
+        ru, rv = root[g.u], root[g.v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    order = np.argsort(root, kind="stable")
+    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
+    members = order.tolist()
+    return [frozenset(members[a:b]) for a, b in zip([0, *cuts], [*cuts, g.n])] if g.n else []
+
+
+def neighbor_lists(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex's neighbors in ascending order, as (bounds, neighbors).
+
+    The neighbors of x are neighbors[bounds[x]:bounds[x + 1]].
+    """
+    src = np.concatenate((g.u, g.v))
+    dst = np.concatenate((g.v, g.u))
+    bounds = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=g.n), out=bounds[1:])
+    return bounds, dst[np.lexsort((dst, src))]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
@@ -175,11 +311,12 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     subgraph vertex i.  Masses are inherited.
     """
     old_of_new = sorted(set(vertices))
-    new_of_old = {old: new for new, old in enumerate(old_of_new)}
-    edges = [
-        (new_of_old[u], new_of_old[v], w)
-        for u, v, w in g.edges
-        if u in new_of_old and v in new_of_old
-    ]
-    sub = build_graph(len(old_of_new), edges, mass=[g.mass[o] for o in old_of_new])
+    mass = [g.mass[o] for o in old_of_new]
+    old = np.array(old_of_new, dtype=np.intp)
+    inside = old >= 0   # a negative index names a mass, never an edge end
+    new_of_old = np.full(g.n, -1, dtype=np.intp)
+    new_of_old[old[inside]] = np.flatnonzero(inside)
+    nu, nv = new_of_old[g.u], new_of_old[g.v]
+    kept = (nu >= 0) & (nv >= 0)
+    sub = build_graph_from_columns(len(old_of_new), nu[kept], nv[kept], g.w[kept], mass=mass)
     return sub, old_of_new

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import BadKError, DisconnectedError, TooFewValuesError
+from .errors import BadKError, DisconnectedError, NonFiniteSpectrumError, TooFewValuesError
 from .graphs import Graph, induced_subgraph, laplacian
 from .reduction import Reduction, lift_vector
 from .stars import GraphAnalysis, analyze
@@ -68,6 +68,7 @@ def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> Fiedle
         raise TooFewValuesError("second eigenpair needs at least 2 vertices")
     vector = ctx.second_vector(family)   # first, so one solve gives both
     values = ctx.values(family)
+    _require_finite(values[1], vector, family)
     table = eigen.group_multiplicities(values, tol_rel)
     group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
     return FiedlerResult(
@@ -77,8 +78,18 @@ def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> Fiedle
     )
 
 
+def _require_finite(lambda2: float, vector: np.ndarray, family: str) -> None:
+    if not (np.isfinite(lambda2) and np.isfinite(vector).all()):
+        raise NonFiniteSpectrumError(
+            f"the second {family} eigenpair is not finite (lambda2={lambda2:.6g})"
+        )
+
+
 def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
-    """Second-smallest Laplacian eigenpair of a connected graph."""
+    """Second-smallest Laplacian eigenpair of a connected graph.
+
+    Raises NonFiniteSpectrumError when the pair is NaN or infinite.
+    """
     return _second_eigenpair(analyze(g), "laplacian", tol_rel)
 
 
@@ -208,12 +219,16 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     can choose k close to n (k=n-1 when the gap below the largest eigenvalue
     is the widest).
 
+    A NaN or infinite second eigenpair raises NonFiniteSpectrumError.
+
     Memory is O(n*k) beyond the n*n eigensolve: the n*k distance matrix is
     filled one centroid column at a time.  Time is O(n*k^2) per Lloyd
     iteration.
     """
     _require_connected(g)
     spectrum = eigen.sym_eigen(laplacian(g))
+    if g.n >= 2:
+        _require_finite(spectrum.values[1], spectrum.vectors[:, 1], "laplacian")
     if k == "auto":
         k_val = eigen.spectral_gap_index(spectrum.values)
         if k_val < 2:

@@ -33,7 +33,7 @@ from .errors import (
     InvalidQError,
     StructuralStarOnlyError,
 )
-from .graphs import Graph, adjacency, build_graph
+from .graphs import Graph, adjacency, build_graph_from_columns
 from .stars import GraphAnalysis, MkStar, analyze
 
 
@@ -172,15 +172,12 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
     for star, q in assignments:
         removed.update(sorted(star.v1)[star.m - q:])
 
-    kept = [v for v in range(g.n) if v not in removed]
+    keep = np.ones(g.n, dtype=bool)
+    keep[list(removed)] = False
+    kept = np.flatnonzero(keep).tolist()
     new_of_old: dict[int, int] = {old: new for new, old in enumerate(kept)}
     vertex_map = tuple(new_of_old.get(v) for v in range(g.n))
 
-    edges = [
-        (new_of_old[u], new_of_old[v], w)
-        for u, v, w in g.edges
-        if u not in removed and v not in removed
-    ]
     mass = [g.mass[v] for v in kept]
     infos = []
     for star, q in assignments:
@@ -191,7 +188,14 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
         frame = star_frame(star.m, len(kept_v1))
         frame.setflags(write=False)
         infos.append(ReducedStarInfo(star=star, q=q, kept_v1=kept_v1, frame=frame))
-    reduced = build_graph(len(kept), edges, mass=mass)
+    if removed:
+        renumber = np.cumsum(keep) - 1
+        both_kept = keep[g.u] & keep[g.v]
+        reduced = build_graph_from_columns(
+            len(kept), renumber[g.u[both_kept]], renumber[g.v[both_kept]], g.w[both_kept], mass
+        )
+    else:   # the identity: the original's edges and masses, as they are
+        reduced = Graph(n=g.n, edges=g.edges, mass=g.mass, u=g.u, v=g.v, w=g.w)
     return Reduction(
         original=g,
         reduced=reduced,

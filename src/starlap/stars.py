@@ -36,6 +36,7 @@ from .graphs import (
     adjacency,
     build_graph,
     connected_components,
+    neighbor_lists,
     normalized_laplacian_from,
     strengths,
 )
@@ -315,21 +316,18 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     is ordered by the smallest vertex index in v1.
     """
     ctx = analyze(g)
-    graph = ctx.graph
-    by_neighborhood: dict[frozenset[int], list[int]] = {}
-    adj: list[set[int]] = [set() for _ in range(graph.n)]
-    for u, v, _ in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in range(graph.n):
-        by_neighborhood.setdefault(frozenset(adj[v]), []).append(v)
+    bounds, neighbors = neighbor_lists(ctx.graph)
+    by_neighborhood: dict[bytes, list[int]] = {}
+    for v, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        if stop > start:
+            by_neighborhood.setdefault(neighbors[start:stop].tobytes(), []).append(v)
     a = ctx.adjacency
     stars = []
-    for nbhd, members in by_neighborhood.items():
-        if len(members) < 2 or not nbhd:
+    for members in by_neighborhood.values():
+        if len(members) < 2:
             continue
-        v1 = tuple(sorted(members))
-        v2 = tuple(sorted(nbhd))
+        v1 = tuple(members)
+        v2 = tuple(neighbors[bounds[v1[0]] : bounds[v1[0] + 1]].tolist())
         rows = a[np.ix_(list(v1), list(v2))]
         stars.append(MkStar(v1=v1, v2=v2, weight_uniform=_uniform_weight(rows)))
     stars.sort(key=lambda s: s.v1[0])
@@ -468,20 +466,27 @@ def verify_ldependent(
     a, s = ctx.adjacency, ctx.strengths
 
     # condition 1: every v1 vertex attaches into v2 and vice versa
-    for i in v1_t:
-        if not any(a[i, j] > 0 for j in v2_t):
-            raise ConditionViolatedError(1, i, "v1 vertex has no neighbor in v2")
-    for j in v2_t:
-        if not any(a[i, j] > 0 for i in v1_t):
-            raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
+    v1_i, v2_i = np.array(v1_t, dtype=np.intp), np.array(v2_t, dtype=np.intp)
+    attached = a[np.ix_(v1_i, v2_i)] > 0
+    reaches = attached.any(axis=1)
+    if not reaches.all():
+        i = v1_t[int(np.argmin(reaches))]
+        raise ConditionViolatedError(1, i, "v1 vertex has no neighbor in v2")
+    reached = attached.any(axis=0)
+    if not reached.all():
+        j = v2_t[int(np.argmin(reached))]
+        raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
 
     # condition 2: v1 and v3 have neighbors only inside v2
-    v2_set = set(v2_t)
-    outside = [x for x in range(ctx.graph.n) if x not in v2_set]
-    for i in list(v1_t) + list(v3_t):
-        for x in outside:
-            if a[i, x] > 0:
-                raise ConditionViolatedError(2, i, f"edge to {x} leaves v2")
+    outside = np.ones(ctx.graph.n, dtype=bool)
+    outside[v2_i] = False
+    outside = np.flatnonzero(outside)
+    rows = v1_t + v3_t
+    leaving = a[np.ix_(np.array(rows, dtype=np.intp), outside)] > 0
+    if leaving.any():
+        r = int(np.argmax(leaving.any(axis=1)))
+        x = int(outside[np.argmax(leaving[r])])
+        raise ConditionViolatedError(2, rows[r], f"edge to {x} leaves v2")
 
     wtilde = float(s[v1_t[0]]) if v1_t else 0.0
 
@@ -551,15 +556,25 @@ def detect_proportional_ldependent(
         strength = s[members]
         direction = a[np.ix_(members, list(star.v2))] / strength[:, None]
         groups: list[list[int]] = []
+        # each group's representative direction and strength, in group
+        # order, filled as groups open
+        rep_direction = np.empty_like(direction)
+        rep_strength = np.empty_like(strength)
         for i in range(len(members)):
-            if groups:
-                reps = [grp[0] for grp in groups]
-                fits = (np.abs(direction[reps] - direction[i]).max(axis=1) <= tol) & (
-                    np.abs(strength[i] - strength[reps]) <= tol * np.maximum(1.0, strength[reps])
+            # a direction within tol entrywise is within tol on its first
+            # entry: the full test runs on the representatives that are
+            first = rep_direction[: len(groups), 0]
+            near = np.flatnonzero(np.abs(first - direction[i, 0]) <= tol)
+            if near.size:
+                fits = (np.abs(rep_direction[near] - direction[i]).max(axis=1) <= tol) & (
+                    np.abs(strength[i] - rep_strength[near])
+                    <= tol * np.maximum(1.0, rep_strength[near])
                 )
                 if fits.any():
-                    groups[int(np.argmax(fits))].append(i)
+                    groups[int(near[np.argmax(fits)])].append(i)
                     continue
+            rep_direction[len(groups)] = direction[i]
+            rep_strength[len(groups)] = strength[i]
             groups.append([i])
         for grp in groups:
             if len(grp) < 2:

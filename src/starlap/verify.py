@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import eigen, graphs, partition, reduction, stars
+from .errors import NonFiniteSpectrumError
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,16 @@ def verify_graph(
     elif not comparable:
         add("sign-agreement", True, "inconclusive: reduced graph is disconnected")
     else:
-        signs = partition.compare_signs(ctx, r, tol)
-        if signs.degenerate:
-            add("sign-agreement", True, f"inconclusive: {signs.reason}")
+        try:
+            signs = partition.compare_signs(ctx, r, tol)
+        except NonFiniteSpectrumError as exc:
+            add("sign-agreement", False, str(exc))
         else:
-            add("sign-agreement", signs.passed, f"agreement fraction {signs.agreement_fraction}")
+            if signs.degenerate:
+                add("sign-agreement", True, f"inconclusive: {signs.reason}")
+            else:
+                fraction = signs.agreement_fraction
+                add("sign-agreement", signs.passed, f"agreement fraction {fraction}")
 
     return GraphVerification(
         checks=tuple(checks),

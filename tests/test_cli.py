@@ -328,3 +328,43 @@ class TestOverflowingStrengths:
         assert code == 0
         values = json.loads(out)["values"]
         assert len(values) == 30 and all(v != v for v in values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reduce_fails_with_exit_2_and_still_writes(self, capsys, overflow_file, tmp_path):
+        out_path, report_path = tmp_path / "reduced.graph", tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "reduce", overflow_file, "-o", str(out_path), "--report", str(report_path),
+            "--json",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["reduction"]["passed"] is False
+        assert json.loads(report_path.read_text(encoding="utf-8")) == payload
+        assert parse_graph_file(out_path.read_text(encoding="utf-8")).n == 28
+        failed = [c["name"] for c in payload["reduction"]["checks"] if not c["passed"]]
+        assert err == f"failed checks: {', '.join(failed)}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--bisect"],
+            ["partition", "--rsb", "--max-clusters", "3"],
+            ["partition", "--kway", "2"],
+            ["partition", "--kway", "auto"],
+            ["compare"],
+        ],
+    )
+    def test_non_finite_fiedler_pair_exits_2_with_a_reason(self, capsys, overflow_file, argv):
+        code, out, err = run(capsys, argv[0], overflow_file, *argv[1:], "--json")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("NonFiniteSpectrumError: ") and "lambda2=nan" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_fails_the_sign_agreement(self, capsys, overflow_file):
+        code, out, _ = run(capsys, "verify", overflow_file, "--json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 2
+        assert not checks["sign-agreement"]["passed"]
+        assert "not finite" in checks["sign-agreement"]["detail"]

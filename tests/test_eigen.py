@@ -308,3 +308,15 @@ def test_vectorised_grouping_equals_the_loop(name, values, tol_rel):
         assert _bits(group_multiplicities(values, tol_rel)) == _bits(
             _group_reference(values, tol_rel)
         )
+
+
+def test_symmetry_scan_only_on_matrices_not_symmetric_bit_for_bit():
+    near = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])   # within 1e-12 relative
+    assert np.allclose(sym_eigen(near, vectors=False).values, [1.0, 3.0])
+    with pytest.raises(NotSymmetricError):
+        sym_eigen(np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]]))
+    # NaN on one side only: not equal to its transpose, and the scan reads NaN
+    one_sided = np.array([[2.0, np.nan], [1.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        spec = sym_eigen(one_sided)
+    assert np.isnan(spec.values).all() and np.isnan(spec.vectors).all()
