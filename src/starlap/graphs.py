@@ -8,7 +8,9 @@ exact dense eigensolves are cheap.
 
 Next to the public ``edges`` tuple, a graph holds the same edges as three
 read-only numpy columns in the same order: ``u`` and ``v`` (intp, u < v) and
-``w`` (float64).  The columns take no part in equality or hashing.  Parsing,
+``w`` (float64).  The columns take no part in equality or hashing, and a
+graph made directly, or by ``dataclasses.replace``, derives them from
+``edges``; only validation hands over columns it has built.  Parsing,
 validation, the matrix builds, strengths, components and subgraphs read and
 write the columns with array code, and each gives the result, or raises the
 error, that the per-edge loop over ``edges`` it replaced gave, bit for bit.
@@ -32,11 +34,6 @@ from .errors import (
 Edge = tuple[int, int, float]
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple weighted undirected graph with vertex masses.
@@ -44,26 +41,46 @@ class Graph:
     Invariants (enforced by :func:`build_graph`): no self-loops, no duplicate
     pairs, strictly positive finite weights, edges stored with u < v and
     sorted, mass vector of length n with strictly positive entries.  The
-    columns `u`, `v` and `w` hold `edges` as arrays; a graph made directly
-    from an edge tuple derives them from it.
+    columns `u`, `v` and `w` hold `edges` as arrays.  They cannot be passed
+    in: a graph made directly, or by `dataclasses.replace`, derives them.
     """
 
     n: int
     edges: tuple[Edge, ...]
     mass: tuple[float, ...] = field(default=())
-    u: np.ndarray = field(default=None, compare=False, repr=False)
-    v: np.ndarray = field(default=None, compare=False, repr=False)
-    w: np.ndarray = field(default=None, compare=False, repr=False)
+    u: np.ndarray = field(init=False, compare=False, repr=False)
+    v: np.ndarray = field(init=False, compare=False, repr=False)
+    w: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.mass:
             object.__setattr__(self, "mass", (1.0,) * self.n)
-        if self.u is None:
-            table = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
-            object.__setattr__(self, "u", table[:, 0].astype(np.intp))
-            object.__setattr__(self, "v", table[:, 1].astype(np.intp))
-            object.__setattr__(self, "w", table[:, 2].copy())
-            _read_only(self.u, self.v, self.w)
+        table = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        u, v = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+        _set_columns(self, u, v, table[:, 2].copy())
+
+
+def _set_columns(g: Graph, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    for name, column in (("u", u), ("v", v), ("w", w)):
+        column.setflags(write=False)
+        object.__setattr__(g, name, column)
+
+
+def _graph_with_columns(
+    n: int,
+    edges: tuple[Edge, ...],
+    mass: tuple[float, ...],
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+) -> Graph:
+    """A Graph of validated edges whose columns u, v, w are already built from them."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "mass", mass)
+    _set_columns(g, u, v, w)
+    return g
 
 
 def build_graph(
@@ -91,61 +108,37 @@ def build_graph_from_columns(
     w: np.ndarray,
     mass: Sequence[float] | None = None,
 ) -> Graph:
-    """:func:`build_graph` of the edges (u[i], v[i], w[i]), with the same checks and errors."""
+    """:func:`build_graph` of the edges (u[i], v[i], w[i]) of integer columns u, v."""
     if n < 0:
         raise IndexOutOfRangeError(n, 0, context="vertex count")
-    return _validated_graph(n, *_numeric_columns(u, v, w), None, mass)
-
-
-def _numeric_columns(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of plain numbers as build_graph reads them: float ids truncated like int()."""
-    u, v = np.asarray(u), np.asarray(v)
-    if u.dtype.kind == "f":
-        u = np.trunc(u)
-    if v.dtype.kind == "f":
-        v = np.trunc(v)
-    return u, v, np.asarray(w, dtype=float)
-
-
-# a float id at least this large may be a rounded integer, so its edge is read
-# edge by edge (np.array rounds the int 2**53 + 1 to 2**53)
-_EXACT_FLOAT_IDS = 2.0**53
+    return _validated_graph(n, np.asarray(u), np.asarray(v), np.asarray(w, dtype=float), None, mass)
 
 
 def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
     """The columns int(e[0]), int(e[1]), float(e[2]) of an edge list, and a pending error.
 
-    A table of plain numbers converts in bulk (NaN or infinite ids included:
-    they fail validation, which converts that edge alone and raises as int()
-    does).  Anything else converts edge by edge up to the first edge that
-    fails to convert; the columns then hold the edges before it, and its
-    exception is returned to be raised after them.
+    Edges convert one by one up to the first that fails to convert (or the
+    iteration itself fails); the columns then hold the edges before it, and
+    its exception is returned, to be raised once those edges pass.  No id is
+    rounded or wrapped: ids beyond int64 make the id columns Python ints.
     """
-    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
-    try:
-        table = np.asarray(rows)
-    except (ValueError, TypeError, OverflowError):
-        table = None
-    if (
-        table is not None
-        and table.ndim == 2
-        and table.shape[1] >= 3
-        and table.dtype.kind in "biuf"
-        and not (table.dtype.kind == "f" and (np.abs(table[:, :2]) >= _EXACT_FLOAT_IDS).any())
-    ):
-        return (*_numeric_columns(table[:, 0], table[:, 1], table[:, 2]), None)
-    converted: list[Edge] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
     error = None
-    for e in rows:
-        try:
-            converted.append((int(e[0]), int(e[1]), float(e[2])))
-        except Exception as exc:   # re-raised as it is, once the edges before it pass
-            error = exc
-            break
-    u = np.array([e[0] for e in converted], dtype=object)
-    v = np.array([e[1] for e in converted], dtype=object)
-    w = np.array([e[2] for e in converted], dtype=float)
-    return u, v, w, error
+    try:
+        for e in edges:
+            x, y, z = int(e[0]), int(e[1]), float(e[2])
+            us.append(x)
+            vs.append(y)
+            ws.append(z)
+    except Exception as exc:   # re-raised as it is, once the edges before it pass
+        error = exc
+    try:
+        u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    except OverflowError:   # an id beyond int64 stays an exact int for its error message
+        u, v = np.array(us, dtype=object), np.array(vs, dtype=object)
+    return u, v, np.array(ws, dtype=float), error
 
 
 def _raise_edge_error(n: int, u, v, w) -> None:
@@ -204,11 +197,10 @@ def _validated_graph(
         if bad.any():
             first = int(np.argmax(bad))
             raise NonPositiveWeightError(first, first, mass_t[first])
-    _read_only(lo, hi, weights)
     # one int object per vertex, shared by all the edge tuples that name it
     ids = np.arange(n).astype(object)
     edges = tuple(zip(ids[lo].tolist(), ids[hi].tolist(), weights.tolist()))
-    return Graph(n=n, edges=edges, mass=mass_t, u=lo, v=hi, w=weights)
+    return _graph_with_columns(n, edges, mass_t, lo, hi, weights)
 
 
 def adjacency(g: Graph) -> np.ndarray:

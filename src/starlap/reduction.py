@@ -194,8 +194,8 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
         reduced = build_graph_from_columns(
             len(kept), renumber[g.u[both_kept]], renumber[g.v[both_kept]], g.w[both_kept], mass
         )
-    else:   # the identity: the original's edges and masses, as they are
-        reduced = Graph(n=g.n, edges=g.edges, mass=g.mass, u=g.u, v=g.v, w=g.w)
+    else:   # the identity: the original graph, edges and masses as they are
+        reduced = g
     return Reduction(
         original=g,
         reduced=reduced,

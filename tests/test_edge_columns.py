@@ -5,6 +5,7 @@ as numpy columns.  The array code must give equal graphs and bit-identical
 vectors, or raise the same exception type with the same message.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -357,6 +358,8 @@ def test_build_graph_reads_any_iterable_and_arrays(n, edges):
         ([(0, 1, 1.0), (math.nan, 1, 1.0)], ValueError),
         ([(0, 1, 1.0), (math.inf, 1, 1.0)], OverflowError),
         ([(0, 2**53 + 1, 1.0)], IndexOutOfRangeError),
+        ([(0, 1, 1.0), (0, 10**20, 1.0)], IndexOutOfRangeError),          # beyond int64
+        ([(0, 1, 1.0), (10**20, 10**20, 1.0)], SelfLoopError),
     ],
 )
 def test_first_bad_edge_in_input_order(edges, error):
@@ -376,6 +379,25 @@ def test_columns_stay_out_of_equality_and_hash(f1):
     assert "u=" not in repr(f1)
     empty = Graph(n=2, edges=())
     assert empty.u.shape == empty.v.shape == empty.w.shape == (0,)
+
+
+def test_columns_are_derived_never_passed_in(f1):
+    with pytest.raises(TypeError):
+        Graph(n=f1.n, edges=f1.edges, mass=f1.mass, u=f1.u, v=f1.v, w=f1.w)
+    moved = dataclasses.replace(f1, edges=((0, 2, 1.5),))
+    assert moved.u.tolist() == [0] and moved.v.tolist() == [2] and moved.w.tolist() == [1.5]
+    assert np.flatnonzero(adjacency(moved)).tolist() == [2, 2 * f1.n]
+
+
+def test_an_iteration_error_waits_for_the_edges_before_it():
+    def edges(first_bad):
+        yield (0, 1, 1.0)
+        yield first_bad
+        raise KeyError("edge source")
+
+    for first_bad, error in [((1, 0, 2.0), DuplicateEdgeError), ((1, 2, 1.0), KeyError)]:
+        new = outcome(build_graph, 3, edges(first_bad))
+        assert new == outcome(build_graph_reference, 3, edges(first_bad)) and new[0] is error
 
 
 # --- parse_graph_file -----------------------------------------------------
