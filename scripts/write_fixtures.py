@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the five reference graphs, the test suite's fixtures, as .graph files.
+"""Write the six reference graphs, the test suite's fixtures, as .graph files.
 
 Usage:
     python scripts/write_fixtures.py [--out DIR]
@@ -33,6 +33,16 @@ FIXTURES = {
             (0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
             (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
             (2, 3, 1e-3),
+        ],
+    ),
+    # dependent rows of three supports: row 5 = (row 0 + row 1) / 2, all at
+    # strength 3, while rows 0, 1 and 5 reach {2, 3}, {3, 4} and {2, 3, 4}
+    "varied_supports": (
+        9,
+        [
+            (0, 2, 2.0), (0, 3, 1.0), (1, 3, 1.0), (1, 4, 2.0),
+            (2, 5, 1.0), (3, 5, 1.0), (4, 5, 1.0),
+            (2, 6, 0.5), (3, 7, 0.7), (4, 8, 0.9), (6, 7, 1.3), (7, 8, 1.1),
         ],
     ),
 }

@@ -212,12 +212,13 @@ def _cmd_ldep(args) -> int:
     if args.partition:
         v1, v2, v3 = fileio.load_partition(args.partition)
         try:
+            if not v1 or not v3:
+                raise ConditionViolatedError(0, -1, "v1 and v3 must each list a vertex")
             candidates.append(stars_mod.verify_ldependent(ctx, v1, v2, v3))
         except (ConditionViolatedError, NoCommonStrengthError) as exc:
             failures.append(str(exc))
     else:
-        candidates.extend(ctx.proportional)
-        candidates.extend(ctx.structural[0])
+        candidates.extend(ctx.dependent_rows)
         if not candidates:
             lines.append("no dependent-row structures detected")
 

@@ -259,16 +259,25 @@ def normalized_laplacian_from(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member.
+    """Connected components as vertex sets, ordered by smallest member."""
+    root = component_roots(g.n, g.u, g.v)
+    order = np.argsort(root, kind="stable")
+    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
+    members = order.tolist()
+    return [frozenset(members[a:b]) for a, b in zip([0, *cuts], [*cuts, g.n])] if g.n else []
+
+
+def component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest member of each vertex's component, over n vertices and edges (u[i], v[i]).
 
     Each vertex points at a smaller vertex of its component; every round
     hooks, across each edge whose ends still point at different roots, the
     larger root under the smaller, then points every vertex at its root.  At
     the fixed point each component's root is its smallest member.
     """
-    root = np.arange(g.n)
+    root = np.arange(n)
     while True:
-        ru, rv = root[g.u], root[g.v]
+        ru, rv = root[u], root[v]
         apart = ru != rv
         if not apart.any():
             break
@@ -278,10 +287,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
             if np.array_equal(up, root):
                 break
             root = up
-    order = np.argsort(root, kind="stable")
-    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
-    members = order.tolist()
-    return [frozenset(members[a:b]) for a, b in zip([0, *cuts], [*cuts, g.n])] if g.n else []
+    return root
 
 
 def neighbor_lists(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,23 @@
 """Detection and certification of spectra-shaping substructures.
 
-Two structures are handled:
+Both structures of the paper come down to one fact: when x is supported on
+vertices of one common strength w and A x = 0, then L x = Q x = w x and the
+normalized Laplacian fixes D^(1/2) x (Merris, "Laplacian graph eigenvectors",
+1998).
+
+* dependent-row partitions (v1, v2, v3): vertices in v3 whose adjacency rows
+  are linear combinations of the v1 rows, everything attached only into v2,
+  all of v1 and v3 sharing a common strength w.  Each v3 row gives one such
+  x, so w is an eigenvalue of L and Q, and 1 one of the normalized
+  Laplacian, each with multiplicity at least |v3|.
+  `GraphAnalysis.dependent_rows` finds them in every class of equal
+  strength; every multiplicity prediction is read off them.
 
 * star classes: maximal sets of at least two vertices sharing an identical
   open neighborhood (an independent set by construction).  When the members
   also carry identical weight vectors toward the shared neighborhood, the
-  class predicts a Laplacian eigenvalue equal to the common strength with
-  multiplicity at least (class size - 1), and analogous bounds for the
-  signless and normalized Laplacians.
-
-* dependent-row partitions (v1, v2, v3): vertices in v3 whose adjacency rows
-  are linear combinations of the v1 rows, everything attached only into v2,
-  all of v1 and v3 sharing a common strength.  Such a partition certifies the
-  common strength as a Laplacian eigenvalue with multiplicity at least |v3|.
+  star can be reduced; its rows are then equal, a dependent-row partition
+  with |v3| = m - 1.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .graphs import (
     Graph,
     adjacency,
     build_graph,
+    component_roots,
     connected_components,
     neighbor_lists,
     normalized_laplacian_from,
@@ -112,7 +118,6 @@ class PredictionReport:
     laplacian_predictions: tuple[tuple[float, int], ...]
     signless_predictions: tuple[tuple[float, int], ...]
     normalized_prediction: tuple[float, int] | None
-    ldependent_predictions: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -131,23 +136,14 @@ class StarVerification:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DependentRowsVerification:
-    """Disjoint dependent-row partitions and the multiplicity checks they imply."""
-
-    partitions: tuple[LDependentPartition, ...]
-    checks: tuple[PredictionCheck, ...]
-
-
 class GraphAnalysis:
     """Lazily filled, per-graph record of the work that several checks share.
 
     The adjacency matrix and the strengths (both read-only), the isolated
-    vertices, the connected components, the detected stars, the
-    proportional-row groups and the certification of the structural-only
-    stars are computed once, on first use.  A family is solved through
-    ``eigen.sym_eigen`` for its eigenvalues only, unless its second
-    eigenvector is asked for first (the sign comparison reads that of the
+    vertices, the connected components, the detected stars and the
+    dependent-row partitions are computed once, on first use.  A family is
+    solved through ``eigen.sym_eigen`` for its eigenvalues only, unless its
+    second eigenvector is asked for first (the sign comparison reads that of the
     Laplacian and the mass Laplacian); then values and vectors come from one
     solve and only that vector is kept.  The analysis of a reduction
     that removed nothing reads the spectrum of a mass family whose matrix
@@ -197,12 +193,61 @@ class GraphAnalysis:
         return tuple(detect_stars(self))
 
     @cached_property
-    def proportional(self) -> tuple[LDependentPartition, ...]:
-        return tuple(detect_proportional_ldependent(self))
+    def dependent_rows(self) -> tuple[LDependentPartition, ...]:
+        """Certified dependent-row partitions, ordered by v1.
 
-    @cached_property
-    def structural(self) -> tuple[list[LDependentPartition], list[str]]:
-        return certify_structural_stars(self)
+        The vertices of finite positive strength fall into classes of equal
+        strength (see _strength_classes), and each class into pieces G: the
+        components of its members joined by shared neighbours.  A piece with
+        an edge inside has no v2 disjoint from it and is split by star class
+        (star classes are independent sets); a piece whose strengths drift
+        further than WEIGHT_TOL * max(1, w) from its first member's w is split
+        there.  In each piece of two or more members, v1 is the greedy basis
+        of the columns of A[N(G), G] (see _independent_columns), v3 the rest
+        of G and v2 = N(G), and verify_ldependent certifies the partition.  A
+        piece it rejects, whose rows are dependent only within tolerance, is
+        left out.
+        """
+        g, a, s = self.graph, self.adjacency, self.strengths
+        cls = _strength_classes(s)
+        member = (cls >= 0) & (np.bincount(cls + 1)[cls + 1] >= 2)
+        # members joined through their (class, neighbour) pairs, numbered past n
+        src, dst = np.concatenate((g.u, g.v)), np.concatenate((g.v, g.u))
+        src, dst = src[member[src]], dst[member[src]]
+        _, pair = np.unique(cls[src] * g.n + dst, return_inverse=True)
+        root = component_roots(g.n + pair.size, src, g.n + pair)[: g.n]
+        twin = np.full(g.n, -1)
+        inner = member[g.u] & member[g.v] & (root[g.u] == root[g.v])
+        if inner.any():
+            for i, star in enumerate(self.stars):
+                twin[list(star.v1)] = i
+            split = np.isin(root, root[g.u[inner]])
+            twin[~split] = -1
+        verts = np.flatnonzero(member)
+        key = root[verts] * (g.n + 1) + twin[verts] + 1
+        order = np.argsort(key, kind="stable")
+        pieces = np.split(verts[order], np.flatnonzero(np.diff(key[order])) + 1)
+        found = []
+        while pieces:
+            piece = pieces.pop()
+            if piece.size < 2:
+                continue
+            w = float(s[piece[0]])
+            tol = WEIGHT_TOL * max(1.0, w)
+            near = np.abs(s[piece] - w) <= tol
+            if not near.all():
+                pieces += [piece[near], piece[~near]]
+                continue
+            nbrs = np.flatnonzero(a[piece].any(axis=0))
+            basis = _independent_columns(a[np.ix_(nbrs, piece)], tol)
+            if basis.all():
+                continue
+            v1, v3 = piece[basis].tolist(), piece[~basis].tolist()
+            try:
+                found.append(verify_ldependent(self, v1, nbrs.tolist(), v3))
+            except (ConditionViolatedError, NoCommonStrengthError):
+                continue
+        return tuple(sorted(found, key=lambda p: p.v1))
 
     def matrix(self, family: str) -> np.ndarray:
         """One family's matrix, built from the cached A and strengths.
@@ -309,6 +354,45 @@ def _uniform_weight(rows: np.ndarray) -> float | None:
     return float(rows[0].sum())
 
 
+def _strength_classes(s: np.ndarray) -> np.ndarray:
+    """Each vertex's class of equal strength, numbered in ascending order.
+
+    Sorted strengths more than WEIGHT_TOL * max(1, s) apart start a new
+    class; a vertex of zero or non-finite strength is in none (-1).
+    """
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.ones(s.size, dtype=bool)
+    starts[1:] = np.diff(ordered) > WEIGHT_TOL * np.maximum(1.0, ordered[1:])
+    cls = np.empty(s.size, dtype=np.intp)
+    cls[order] = np.cumsum(starts) - 1
+    cls[~((s > 0.0) & np.isfinite(s))] = -1
+    return cls
+
+
+def _independent_columns(m: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy by index: which columns of m are not combinations of earlier ones.
+
+    A column within tol entrywise of the span of the earlier ones is within
+    tol * sqrt(rows) in norm, the size of its diagonal entry in one QR
+    factorization.  A dependent column before an independent one can leave
+    the latter a small diagonal too, so while a column left out is not, to
+    within tol entrywise, a least-squares combination of those picked, the
+    first such column is picked as well.
+    """
+    picked = np.zeros(m.shape[1], dtype=bool)
+    r = np.linalg.qr(m, mode="r")
+    picked[: min(r.shape)] = np.abs(np.diagonal(r)) > tol * np.sqrt(m.shape[0])
+    while not picked.all():
+        rest = m[:, ~picked]
+        coeffs = np.linalg.lstsq(m[:, picked], rest, rcond=None)[0]
+        off = np.abs(m[:, picked] @ coeffs - rest).max(axis=0) > tol
+        if not off.any():
+            break
+        picked[np.flatnonzero(~picked)[np.argmax(off)]] = True
+    return picked
+
+
 def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     """All maximal classes of >= 2 vertices with identical open neighborhoods.
 
@@ -376,37 +460,39 @@ def _finish_class(bucket: list[MkStar]) -> StarClass:
     return StarClass(weight=weight, stars=tuple(bucket), degree=degree)
 
 
-def predict_multiplicities(
-    g: Graph | GraphAnalysis, tol_rel: float = WEIGHT_TOL
-) -> PredictionReport:
-    """Eigenvalue lower bounds from detected stars and proportional-row groups.
+def predict_multiplicities(g: Graph | GraphAnalysis) -> PredictionReport:
+    """Eigenvalue lower bounds read off the dependent-row partitions.
 
-    Structural-only star classes contribute nothing; dependent-row entries
-    come from the proportional-row detector.
+    The l of the partitions of one strength class add up, at the mean of
+    their common strengths, for L and for Q; their total is the bound at 1
+    for the normalized Laplacian.
     """
     ctx = analyze(g)
-    weighted = [s for s in ctx.stars if s.weight_uniform is not None]
-    classes = group_by_weight(weighted, tol_rel=tol_rel)
-    lap_preds = tuple((c.weight, c.degree) for c in classes)
-    total_degree = sum(c.degree for c in classes)
-    ldep = tuple((p.wtilde, p.l) for p in ctx.proportional)
+    cls = _strength_classes(ctx.strengths)
+    by_class: dict[int, list[LDependentPartition]] = {}
+    for p in ctx.dependent_rows:
+        by_class.setdefault(int(cls[p.v1[0]]), []).append(p)
+    claims = tuple(
+        (float(np.mean([p.wtilde for p in parts])), sum(p.l for p in parts))
+        for _, parts in sorted(by_class.items())
+    )
+    total = sum(bound for _, bound in claims)
     return PredictionReport(
-        laplacian_predictions=lap_preds,
-        signless_predictions=lap_preds,
-        normalized_prediction=(1.0, total_degree) if total_degree > 0 else None,
-        ldependent_predictions=ldep,
+        laplacian_predictions=claims,
+        signless_predictions=claims,
+        normalized_prediction=(1.0, total) if total > 0 else None,
     )
 
 
 def verify_star_predictions(
     g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL
 ) -> StarVerification:
-    """Check every star-based prediction against computed multiplicities.
+    """Check every dependent-row prediction against computed multiplicities.
 
-    With no predictions the result is a vacuous pass; structural-only stars,
-    and stars whose weight vectors are equal only within tolerance, are
-    reported as warnings.  The normalized-Laplacian claim is skipped, with a
-    warning, when the graph has an isolated vertex.
+    With no predictions the result is a vacuous pass.  Structural-only stars,
+    which cannot be reduced, and stars whose weight vectors are equal only
+    within tolerance are reported as warnings.  The normalized-Laplacian
+    claim is skipped, with a warning, when the graph has an isolated vertex.
     """
     ctx = analyze(g)
     report = predict_multiplicities(ctx)
@@ -415,7 +501,7 @@ def verify_star_predictions(
         rows = _class_rows(ctx, s.v1, s.v2)
         if s.weight_uniform is None:
             warn.append(
-                f"star class v1={list(s.v1)} has unequal weight vectors; no prediction emitted"
+                f"star class v1={list(s.v1)} has unequal weight vectors and cannot be reduced"
             )
         elif (rows != rows[0]).any():
             warn.append(
@@ -491,21 +577,19 @@ def verify_ldependent(
     wtilde = float(s[v1_t[0]]) if v1_t else 0.0
 
     # condition 3: each v3 row is a combination of the v1 rows on v2
-    cols = list(v2_t)
-    basis = a[np.ix_(list(v1_t), cols)]
-    coefficients: dict[int, dict[int, float]] = {}
-    nonnegative = True
-    for i in v3_t:
-        target = a[i, cols]
-        coeffs, *_ = np.linalg.lstsq(basis.T, target, rcond=None)
-        residual = float(np.abs(basis.T @ coeffs - target).max())
-        if residual > tol_rel * max(1.0, wtilde):
-            raise ConditionViolatedError(
-                3, i, f"row is not a combination of v1 rows (residual {residual:.3g})"
-            )
-        coefficients[i] = {j: float(c) for j, c in zip(v1_t, coeffs)}
-        if any(c < -COEFF_EPS for c in coeffs):
-            nonnegative = False
+    basis = a[np.ix_(v1_i, v2_i)].T
+    targets = a[np.ix_(np.array(v3_t, dtype=np.intp), v2_i)].T
+    coeffs = np.linalg.lstsq(basis, targets, rcond=None)[0]
+    residual = np.abs(basis @ coeffs - targets).max(axis=0, initial=0.0)
+    over = np.flatnonzero(residual > tol_rel * max(1.0, wtilde))
+    if over.size:
+        raise ConditionViolatedError(
+            3,
+            v3_t[over[0]],
+            f"row is not a combination of v1 rows (residual {residual[over[0]]:.3g})",
+        )
+    coefficients = {i: dict(zip(v1_t, c)) for i, c in zip(v3_t, coeffs.T.tolist())}
+    nonnegative = not (coeffs < -COEFF_EPS).any()
 
     # common strength over v1 and v3
     bad = {
@@ -525,161 +609,6 @@ def verify_ldependent(
         wtilde=wtilde,
         coefficients_nonnegative=nonnegative,
     )
-
-
-def detect_proportional_ldependent(
-    g: Graph | GraphAnalysis, tol: float = WEIGHT_TOL
-) -> list[LDependentPartition]:
-    """Dependent-row partitions found by grouping identical adjacency rows.
-
-    Heuristic: vertices are grouped by row direction (row / strength) and
-    then by strength; a group of size >= 2 yields a partition whose v1 is the
-    smallest member, v3 the rest, and v2 the neighbors of v3.  Rows that are
-    proportional but carry different strengths are not a common-strength
-    structure and produce nothing.  Multi-row combinations are out of scope
-    for this detector; they can still be certified via verify_ldependent.
-
-    Two vertices with identical rows are not adjacent (each row is zero on
-    its own diagonal), so they share an open neighborhood: only members of
-    one detect_stars class are compared, and rows with different supports
-    never group, even when the entries that differ are below the tolerance.
-    Within a class a vertex joins the first group, in vertex order, whose
-    representative's direction is within `tol` entrywise and whose strength
-    is within tol * max(1, strength); groups come out ordered by
-    representative.
-    """
-    ctx = analyze(g)
-    a, s = ctx.adjacency, ctx.strengths
-    out = []
-    for star in ctx.stars:
-        members = list(star.v1)
-        strength = s[members]
-        direction = a[np.ix_(members, list(star.v2))] / strength[:, None]
-        groups: list[list[int]] = []
-        # each group's representative direction and strength, in group
-        # order, filled as groups open
-        rep_direction = np.empty_like(direction)
-        rep_strength = np.empty_like(strength)
-        for i in range(len(members)):
-            # a direction within tol entrywise is within tol on its first
-            # entry: the full test runs on the representatives that are
-            first = rep_direction[: len(groups), 0]
-            near = np.flatnonzero(np.abs(first - direction[i, 0]) <= tol)
-            if near.size:
-                fits = (np.abs(rep_direction[near] - direction[i]).max(axis=1) <= tol) & (
-                    np.abs(strength[i] - rep_strength[near])
-                    <= tol * np.maximum(1.0, rep_strength[near])
-                )
-                if fits.any():
-                    groups[int(near[np.argmax(fits)])].append(i)
-                    continue
-            rep_direction[len(groups)] = direction[i]
-            rep_strength[len(groups)] = strength[i]
-            groups.append([i])
-        for grp in groups:
-            if len(grp) < 2:
-                continue
-            rep = members[grp[0]]
-            v3 = tuple(members[i] for i in grp[1:])
-            out.append(
-                LDependentPartition(
-                    v1=(rep,),
-                    v2=star.v2,
-                    v3=v3,
-                    coefficients={i: {rep: 1.0} for i in v3},
-                    wtilde=float(s[rep]),
-                    coefficients_nonnegative=True,
-                )
-            )
-    out.sort(key=lambda p: p.v1)
-    return out
-
-
-def dependence_split(
-    g: Graph | GraphAnalysis, vertices: Sequence[int], tol_rel: float = WEIGHT_TOL
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split equal-neighborhood vertices into independent rows and dependent rest.
-
-    Greedy by index: a vertex joins v1 while its row increases the rank of the
-    rows collected so far, otherwise it goes to v3.  Useful for turning a
-    structural star class with a common strength into a candidate partition
-    for verify_ldependent.
-    """
-    verts = sorted(vertices)
-    a = analyze(g).adjacency
-    cols = sorted(set().union(*(set(np.nonzero(a[v])[0].tolist()) for v in verts)))
-    v1: list[int] = []
-    v3: list[int] = []
-    stacked: list[np.ndarray] = []
-    rank = 0
-    for v in verts:
-        candidate = stacked + [a[v, cols]]
-        new_rank = np.linalg.matrix_rank(np.array(candidate), tol=tol_rel)
-        if new_rank > rank:
-            v1.append(v)
-            stacked = candidate
-            rank = new_rank
-        else:
-            v3.append(v)
-    return tuple(v1), tuple(v3)
-
-
-def certify_structural_stars(
-    g: Graph | GraphAnalysis,
-) -> tuple[list[LDependentPartition], list[str]]:
-    """Dependent-row partitions certified on the structural-only star classes.
-
-    Each detected class whose weight vectors differ is split with
-    dependence_split and certified with verify_ldependent.  Returns the
-    certified partitions, and for every other such class a warning saying
-    why it carries no dependent-row structure.
-    """
-    ctx = analyze(g)
-    certified: list[LDependentPartition] = []
-    rejected: list[str] = []
-    for s in ctx.stars:
-        if s.weight_uniform is not None:
-            continue
-        try:
-            v1, v3 = dependence_split(ctx, s.v1)
-            if not v3:
-                raise ConditionViolatedError(3, s.v1[0], "rows are linearly independent")
-            certified.append(verify_ldependent(ctx, v1, s.v2, v3))
-        except (ConditionViolatedError, NoCommonStrengthError) as exc:
-            rejected.append(
-                f"class v1={list(s.v1)} has unequal weight vectors and no "
-                f"dependent-row structure ({exc})"
-            )
-    return certified, rejected
-
-
-def verify_dependent_rows(
-    g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL
-) -> DependentRowsVerification:
-    """Laplacian and normalized multiplicities implied by disjoint dependent rows.
-
-    The certified structural classes, then the proportional groups, are kept
-    while their v3 sets stay disjoint (only then do the l add up).  Their l
-    are summed per common strength (equal within WEIGHT_TOL) for L, and in
-    total at 1 for the normalized Laplacian unless a vertex is isolated.
-    """
-    ctx = analyze(g)
-    partitions: list[LDependentPartition] = []
-    used: set[int] = set()
-    for p in ctx.structural[0] + list(ctx.proportional):
-        if not (set(p.v3) & used):
-            partitions.append(p)
-            used.update(p.v3)
-    by_w: dict[float, int] = {}
-    for p in partitions:
-        key = next((w for w in by_w if abs(w - p.wtilde) <= WEIGHT_TOL * max(1.0, w)), p.wtilde)
-        by_w[key] = by_w.get(key, 0) + p.l
-    checks = ctx.check_claims("laplacian", sorted(by_w.items()), tol_rel)
-    if partitions and not ctx.isolated:
-        checks += ctx.check_claims(
-            "normalized", [(1.0, sum(p.l for p in partitions))], tol_rel
-        )
-    return DependentRowsVerification(partitions=tuple(partitions), checks=tuple(checks))
 
 
 def plant_star_graph(

@@ -1,9 +1,10 @@
 """The full check suite of one graph, as the ``verify`` command reports it.
 
-In report order: the (m, k)-star multiplicity predictions, the multiplicities
-implied by disjoint dependent-row partitions, an optional request to reduce
-the first star, the reduction identities (adjacency, Laplacian, interlacing),
-and the Fiedler sign agreement between the graph and its reduction.
+In report order: the multiplicity predictions of the dependent-row
+partitions (every weight-uniform star among them), an optional request to
+reduce the first star, the reduction identities (adjacency, Laplacian,
+interlacing), and the Fiedler sign agreement between the graph and its
+reduction.
 
 Layer functions are called through their modules (``reduction.reduce_all``),
 so a rebinding of a module attribute, as a tracer or a test does, sees every
@@ -71,14 +72,6 @@ def verify_graph(
             c.passed,
             f"computed {c.computed} >= predicted {c.predicted}",
         )
-    dependent = stars.verify_dependent_rows(ctx, tol)
-    for c in dependent.checks:
-        name = (
-            f"dependent-rows-multiplicity(w={c.eigenvalue:.12g})"
-            if c.family == "laplacian"
-            else "dependent-rows-normalized-multiplicity"
-        )
-        add(name, c.passed, f"computed {c.computed} >= {c.predicted}")
 
     detected = ctx.stars
     qs: str | list[int] = "collapse"
@@ -125,8 +118,8 @@ def verify_graph(
 
     return GraphVerification(
         checks=tuple(checks),
-        warnings=star_verification.warnings + tuple(ctx.structural[1]),
-        dependent_rows=dependent.partitions,
+        warnings=star_verification.warnings,
+        dependent_rows=ctx.dependent_rows,
         reduction=r,
         records=records,
         signs=signs,

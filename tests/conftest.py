@@ -5,8 +5,9 @@ import pytest
 
 from starlap import build_graph
 
-# The recurring fixtures f1, f2, f3, f4 and two_triangles are the graphs of
-# FIXTURES in scripts/write_fixtures.py, where each is described.
+# The recurring fixtures f1, f2, f3, f4, two_triangles and varied_supports
+# are the graphs of FIXTURES in scripts/write_fixtures.py, where each is
+# described.
 
 
 def _load_fixture_specs():
@@ -30,4 +31,6 @@ def _graph_fixture(name):
     return graph
 
 
-f1, f2, f3, f4, two_triangles = map(_graph_fixture, ("f1", "f2", "f3", "f4", "two_triangles"))
+f1, f2, f3, f4, two_triangles, varied_supports = map(
+    _graph_fixture, ("f1", "f2", "f3", "f4", "two_triangles", "varied_supports")
+)

@@ -90,6 +90,25 @@ class TestLdep:
         assert code == 2 and "REJECTED" in out
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            {"v1": [], "v2": [], "v3": []},
+            {"v1": [], "v2": [2, 3, 4], "v3": [5]},
+            {"v1": [0, 1], "v2": [2, 3, 4], "v3": []},
+        ],
+        ids=["all-empty", "empty-v1", "empty-v3"],
+    )
+    def test_empty_v1_or_v3_rejected(self, capsys, tmp_path, fixture_files, spec):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "--json", "ldep", fixture_files["f3"], "--partition", str(part))
+        payload = json.loads(out)
+        assert code == 2 and payload["passed"] is False and payload["partitions"] == []
+        assert payload["rejected"] == [
+            "condition 0 violated at vertex -1: v1 and v3 must each list a vertex"
+        ]
+
+    @pytest.mark.parametrize(
         "spec, error",
         [
             ({"v1": [-6, 1], "v2": [2, 3, 4], "v3": [5]}, "IndexOutOfRangeError"),
@@ -156,8 +175,8 @@ class TestVerify:
 
     def test_overlapping_certificates_not_double_counted(self, capsys, tmp_path):
         # rows (1,2), (1,2), (2,1), (1.5,1.5) at strength 3: the duplicate-row
-        # group sits inside the dependence certificate; summing both claims
-        # would overstate the multiplicity of 3 (which is exactly 2)
+        # pair sits inside the one dependence certificate of the class; counting
+        # it on its own too would overstate the multiplicity of 3 (exactly 2)
         from starlap import build_graph
 
         g = build_graph(
@@ -173,7 +192,8 @@ class TestVerify:
         save_graph(g, str(path))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
-        assert "dependent-rows-multiplicity(w=3) (computed 2 >= 2)" in out
+        assert "laplacian-multiplicity(w=3) (computed 2 >= predicted 2)" in out
+        assert "signless-multiplicity(w=3) (computed 2 >= predicted 2)" in out
 
 
 class TestPartitionCommand:

@@ -1,5 +1,6 @@
 """How much work the CLI commands do: eigensolves, matrix builds, scans and checks per call."""
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -25,8 +26,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Records every eigensolve input's digest and every call of the costly steps."""
-    calls = {"solves": [], "proportional": 0, "adjacency_checks": 0, "laplacian_checks": 0}
+    """Records every eigensolve input's digest and every run of the costly steps."""
+    calls = {"solves": [], "dependent_rows": 0, "adjacency_checks": 0, "laplacian_checks": 0}
 
     def counter(module, name, key):
         real = getattr(module, name)
@@ -44,7 +45,15 @@ def counted(monkeypatch):
         return real_solve(a, **kwargs)
 
     monkeypatch.setattr(eigen, "sym_eigen", solve)
-    counter(stars, "detect_proportional_ldependent", "proportional")
+    detector = stars.GraphAnalysis.dependent_rows.func
+
+    def dependent_rows(self):
+        calls["dependent_rows"] += 1
+        return detector(self)
+
+    cached = functools.cached_property(dependent_rows)
+    cached.__set_name__(stars.GraphAnalysis, "dependent_rows")
+    monkeypatch.setattr(stars.GraphAnalysis, "dependent_rows", cached)
     counter(reduction, "verify_adjacency_reduction", "adjacency_checks")
     counter(reduction, "verify_laplacian_reduction", "laplacian_checks")
     return calls
@@ -63,7 +72,7 @@ def test_verify_solves_each_matrix_once(tmp_path, counted, capsys):
     assert _run(tmp_path, g, "verify", capsys) == 0
     assert len(counted["solves"]) <= 6
     assert len(set(counted["solves"])) == len(counted["solves"])
-    assert counted["proportional"] == 1
+    assert counted["dependent_rows"] == 1
     assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
 
 
@@ -88,24 +97,29 @@ def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, mon
 
 
 def test_verify_reads_an_identity_reduction_off_the_original(counted, capsys):
-    # ldep44's only star has unequal weight vectors, so the reduction removes nothing
+    # ldep44's stars have unequal weight vectors, so the reduction removes
+    # nothing: L, Q and the normalized Laplacian for the claims and A for the
+    # reduction checks, with no solve of the reduced graph's families
     assert cli.run_cli(["verify", str(GOLDEN / "ldep44.graph"), "--json"]) == 0
     capsys.readouterr()
     assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
-    assert len(counted["solves"]) <= 3
+    assert len(counted["solves"]) <= 4
+    assert counted["dependent_rows"] == 1
 
 
 def test_ldep_solves_the_laplacian_once_for_all_candidates(tmp_path, counted, capsys):
-    # a new vertex copies vertex 0's row: a proportional group besides the
-    # certified structural class
+    # a new vertex copies vertex 0's row, inside the planted class of
+    # strength 6; two more vertices hang off hub 3, a twin pair of strength 1
     planted = plant_ldependent_graph(2, (3, 12, 5), 6.0)
-    copy = [(planted.n, v, w) for u, v, w in planted.edges if u == 0]
-    g = build_graph(planted.n + 1, list(planted.edges) + copy)
-    assert len(stars.detect_proportional_ldependent(g)) == 1
-    counted["proportional"] = 0
+    n = planted.n
+    copy = [(n, v, w) for u, v, w in planted.edges if u == 0]
+    g = build_graph(n + 3, list(planted.edges) + copy + [(3, n + 1, 1.0), (3, n + 2, 1.0)])
+    parts = stars.analyze(g).dependent_rows
+    assert [(p.l, p.wtilde) for p in parts] == [(6, pytest.approx(6.0)), (1, 1.0)]
+    counted["dependent_rows"] = 0
     assert _run(tmp_path, g, "ldep", capsys) == 0
     assert len(counted["solves"]) == 1
-    assert counted["proportional"] == 1
+    assert counted["dependent_rows"] == 1
 
 
 def test_rsb_solves_each_block_once(counted):

@@ -17,7 +17,6 @@ from starlap import (
     adjacency,
     build_graph,
     connected_components,
-    detect_proportional_ldependent,
     detect_stars,
     graph_summary,
     induced_subgraph,
@@ -37,7 +36,7 @@ from starlap.errors import (
     SelfLoopError,
 )
 from starlap.graphs import Graph
-from starlap.stars import WEIGHT_TOL, LDependentPartition, MkStar, _uniform_weight, analyze
+from starlap.stars import MkStar, _uniform_weight, analyze
 
 from test_properties import graphs, twin_graphs
 
@@ -192,44 +191,6 @@ def detect_stars_reference(g):
         stars.append(MkStar(v1=v1, v2=v2, weight_uniform=_uniform_weight(rows)))
     stars.sort(key=lambda s: s.v1[0])
     return stars
-
-
-def proportional_reference(g, tol=WEIGHT_TOL):
-    """The bucketed detector gathering direction[reps] at every step."""
-    a, s = adjacency(g), strengths(g)
-    out = []
-    for star in detect_stars(g):
-        members = list(star.v1)
-        strength = s[members]
-        direction = a[np.ix_(members, list(star.v2))] / strength[:, None]
-        groups = []
-        for i in range(len(members)):
-            if groups:
-                reps = [grp[0] for grp in groups]
-                fits = (np.abs(direction[reps] - direction[i]).max(axis=1) <= tol) & (
-                    np.abs(strength[i] - strength[reps]) <= tol * np.maximum(1.0, strength[reps])
-                )
-                if fits.any():
-                    groups[int(np.argmax(fits))].append(i)
-                    continue
-            groups.append([i])
-        for grp in groups:
-            if len(grp) < 2:
-                continue
-            rep = members[grp[0]]
-            v3 = tuple(members[i] for i in grp[1:])
-            out.append(
-                LDependentPartition(
-                    v1=(rep,),
-                    v2=star.v2,
-                    v3=v3,
-                    coefficients={i: {rep: 1.0} for i in v3},
-                    wtilde=float(s[rep]),
-                    coefficients_nonnegative=True,
-                )
-            )
-    out.sort(key=lambda p: p.v1)
-    return out
 
 
 def conditions_reference(g, v1, v2, v3):
@@ -531,7 +492,6 @@ def test_reduced_graph_matches_the_loop(g):
 @settings(max_examples=300, deadline=None)
 def test_detectors_match_the_loops(g):
     assert detect_stars(g) == detect_stars_reference(g)
-    assert detect_proportional_ldependent(g) == proportional_reference(g)
 
 
 @st.composite

@@ -4,8 +4,6 @@ import pytest
 from starlap import (
     adjacency,
     build_graph,
-    dependence_split,
-    detect_proportional_ldependent,
     detect_stars,
     group_by_weight,
     laplacian,
@@ -127,7 +125,18 @@ class TestPredictions:
         report = predict_multiplicities(f4)
         assert report.laplacian_predictions == ()
         assert report.normalized_prediction is None
-        assert report.ldependent_predictions == ()
+
+    def test_dependent_rows_of_different_supports(self, f3, varied_supports):
+        # each class of dependent rows claims its strength for L and Q, and
+        # the total at 1 for the normalized Laplacian
+        for g, w in ((f3, 6.0), (varied_supports, 3.0)):
+            report = predict_multiplicities(g)
+            assert report.laplacian_predictions == report.signless_predictions == ((w, 1),)
+            assert report.normalized_prediction == (1.0, 1)
+            record = verify_star_predictions(g)
+            assert record.passed and [c.family for c in record.checks] == [
+                "laplacian", "signless", "normalized"
+            ]
 
     def test_verification_passes(self, f1, f2):
         for g in (f1, f2):
@@ -140,12 +149,15 @@ class TestPredictions:
         assert lap_check.computed == 2
 
     def test_perturbed_is_vacuous_with_warning(self, f1):
+        # the broken class claims nothing at its mean strength 7/3 (nor does
+        # anything at 3); its members 1 and 2 keep equal rows, one dependent
+        # row at strength 2
         g = perturb_edge(f1, (0, 3), 2.0)
         record = verify_star_predictions(g)
         assert record.passed
-        assert any("v1=[0, 1, 2]" in w for w in record.warnings)
-        assert not any(c.family == "laplacian" and c.eigenvalue == pytest.approx(2.33, abs=0.5)
-                       for c in record.checks)
+        assert any("v1=[0, 1, 2]" in w and "cannot be reduced" in w for w in record.warnings)
+        claims = [(c.family, c.eigenvalue, c.predicted) for c in record.checks]
+        assert claims == [("laplacian", 2.0, 1), ("signless", 2.0, 1), ("normalized", 1.0, 1)]
 
 
 class TestVerifyLDependent:
@@ -162,6 +174,12 @@ class TestVerifyLDependent:
         with pytest.raises(ConditionViolatedError) as err:
             verify_ldependent(g, v1=[0, 1], v2=[2, 3, 4], v3=[5])
         assert err.value.condition == 3
+
+    def test_first_failing_row_is_reported(self, f3):
+        # neither row 1 nor row 5 is a multiple of row 0
+        with pytest.raises(ConditionViolatedError) as err:
+            verify_ldependent(f3, v1=[0], v2=[2, 3, 4], v3=[5, 1])
+        assert (err.value.condition, err.value.vertex) == (3, 1)
 
     def test_star_is_special_case(self, f1):
         part = verify_ldependent(f1, v1=[0, 1], v2=[3, 4], v3=[2])
@@ -204,7 +222,7 @@ class TestVerifyLDependent:
 
 class TestProportionalDetection:
     def test_bipartite_groups(self, f1):
-        parts = detect_proportional_ldependent(f1)
+        parts = analyze(f1).dependent_rows
         assert len(parts) == 2
         first = parts[0]
         assert (first.v1, first.v3, first.wtilde, first.l) == ((0,), (1, 2), 2.0, 2)
@@ -218,32 +236,70 @@ class TestProportionalDetection:
         g = build_graph(
             5, [(1, 0, 1.0), (1, 2, 1.0), (3, 0, 2.0), (3, 2, 2.0), (4, 0, 0.7)]
         )
-        assert detect_proportional_ldependent(g) == []
+        assert analyze(g).dependent_rows == ()
 
-    def test_multi_term_combination_invisible(self, f3):
-        assert detect_proportional_ldependent(f3) == []
+    def test_multi_term_combination_found(self, f3):
+        (part,) = analyze(f3).dependent_rows
+        assert (part.v1, part.v2, part.v3, part.wtilde) == ((0, 1), (2, 3, 4), (5,), 6.0)
+        assert part.coefficients[5] == pytest.approx({0: 0.5, 1: 0.5})
 
-    def test_detector_output_verifies(self, f1, f2):
-        for g in (f1, f2):
-            for p in detect_proportional_ldependent(g):
+    def test_detector_output_verifies(self, f1, f2, f3, varied_supports):
+        for g in (f1, f2, f3, varied_supports):
+            for p in analyze(g).dependent_rows:
                 verified = verify_ldependent(g, p.v1, p.v2, p.v3)
                 assert verified.wtilde == pytest.approx(p.wtilde)
 
 
+class TestDependentRows:
+    def test_adjacent_members_fall_back_to_their_stars(self):
+        # 0 and 1 are twins on {2, 3}; 2 and 3 are adjacent, and 2 has the
+        # twins' strength 2 and shares neighbour 3 with them, so the class of
+        # strength 2 has no disjoint v2 and only the twin pair is kept
+        g = build_graph(4, [(0, 2, 0.5), (0, 3, 1.5), (1, 2, 0.5), (1, 3, 1.5), (2, 3, 1.0)])
+        (part,) = analyze(g).dependent_rows
+        assert (part.v1, part.v2, part.v3) == ((0,), (2, 3), (1,))
+
+    def test_dependent_column_before_an_independent_one(self):
+        # rows (2, 0), (2, 0), (1, 1) toward {3, 4}: the repeated row leaves
+        # a zero on the QR diagonal, and the third row still joins v1
+        g = build_graph(5, [(0, 3, 2.0), (1, 3, 2.0), (2, 3, 1.0), (2, 4, 1.0)])
+        (part,) = analyze(g).dependent_rows
+        assert (part.v1, part.v2, part.v3) == ((0, 2), (3, 4), (1,))
+
+    def test_drifting_class_is_split_at_its_first_member(self):
+        # strengths 1, 1, 1 + 0.9e-9 and 1 + 1.8e-9 chain into one class, but
+        # the last is too far from vertex 0 for one common strength; without
+        # it, rows 0 and 1 are equal
+        g = build_graph(
+            7,
+            [
+                (0, 5, 0.5), (0, 6, 0.5), (1, 5, 0.5), (1, 6, 0.5),
+                (2, 5, 0.3), (2, 6, 0.7 + 0.9e-9), (3, 5, 0.2), (3, 6, 0.8 + 1.8e-9),
+            ],
+        )
+        (part,) = analyze(g).dependent_rows
+        assert (part.v1, part.v2, part.v3) == ((0, 2), (5, 6), (1,))
+
+
 class TestDependenceSplit:
     def test_fixture_class(self, f3):
-        v1, v3 = dependence_split(f3, [0, 1, 5])
-        assert v1 == (0, 1) and v3 == (5,)
+        (part,) = analyze(f3).dependent_rows
+        assert part.v1 == (0, 1) and part.v3 == (5,)
 
-    def test_hub_side_is_rank_two(self, f3):
-        # rows of 2, 3, 4 toward {0, 1, 5} satisfy row4 = 2 row3 - row2
-        v1, v3 = dependence_split(f3, [2, 3, 4])
-        assert v1 == (2, 3) and v3 == (4,)
+    def test_hub_side_is_rank_two(self):
+        # rows of 2, 3, 4 toward {0, 1, 5} satisfy row4 = 2 row3 - row2, and
+        # rows of 0, 1, 5 toward {2, 3, 4} satisfy row5 = (row0 + row1) / 2;
+        # every strength is 6
+        rows = {2: (1.0, 3.0, 2.0), 3: (2.0, 2.0, 2.0), 4: (3.0, 1.0, 2.0)}
+        g = build_graph(6, [(h, x, w) for h, row in rows.items() for x, w in zip((0, 1, 5), row)])
+        parts = analyze(g).dependent_rows
+        assert [(p.v1, p.v3) for p in parts] == [((0, 1), (5,)), ((2, 3), (4,))]
+        assert parts[1].coefficients[4] == pytest.approx({2: -1.0, 3: 2.0})
+        assert not parts[1].coefficients_nonnegative
 
     def test_independent_rows(self):
         g = build_graph(4, [(0, 2, 1.0), (0, 3, 2.0), (1, 2, 2.0), (1, 3, 1.0)])
-        v1, v3 = dependence_split(g, [0, 1])
-        assert v1 == (0, 1) and v3 == ()
+        assert analyze(g).dependent_rows == ()
 
 
 class TestPlantStars:
