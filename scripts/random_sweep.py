@@ -37,7 +37,7 @@ from starlap import (
 
 def mult(matrix, value, tol=1e-8):
     values = sym_eigen(matrix, vectors=False).values
-    return multiplicity_at(group_multiplicities(values, tol), value, tol)
+    return multiplicity_at(group_multiplicities(values, tol), value)
 
 
 def sweep_star(seed, rng, max_extra):

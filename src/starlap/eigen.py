@@ -1,4 +1,12 @@
-"""Deterministic dense symmetric eigendecomposition and multiplicity grouping."""
+"""Deterministic dense symmetric eigendecomposition and multiplicity grouping.
+
+The one tolerance rule of starlap: every tolerance is relative to what it
+compares, with no absolute floor, so no verdict changes when all weights are
+scaled alike.  A weight comparison allows stars.WEIGHT_TOL times the weight
+compared (a piece or class strength, a row's largest entry, or max |A| for a
+reduction's congruence); a spectral one allows tol times the family's
+spectral_radius, its largest finite |eigenvalue|, so no NaN or inf widens it.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +48,7 @@ class EigenvalueGroup:
 @dataclass(frozen=True)
 class MultiplicityTable:
     groups: tuple[EigenvalueGroup, ...]
+    tol: float = 0.0    # the absolute gap the groups were formed at
 
     @property
     def n(self) -> int:
@@ -65,7 +74,7 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
 
     With vectors=False only the eigenvalues are computed (np.linalg.eigvalsh)
     and the result's `vectors` is None.  Rejects inputs whose asymmetry
-    exceeds 1e-12 relative to the largest entry.  A matrix with a NaN or
+    exceeds 1e-12 times the largest |entry|.  A matrix with a NaN or
     infinite entry is not passed to LAPACK: its values (and vectors) are all
     NaN, so every check that reads them fails.  Output is deterministic for
     bit-identical input.
@@ -78,7 +87,7 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     if (
         a.size
         and not np.array_equal(a, a.T)
-        and float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, peak)
+        and float(np.abs(a - a.T).max()) > 1e-12 * peak
     ):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
     if not math.isfinite(peak):
@@ -95,18 +104,24 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     return Spectrum(values=values, vectors=columns, n=a.shape[0])
 
 
+def spectral_radius(values: Sequence[float] | np.ndarray) -> float:
+    """The largest finite |value|, 0 when there is none."""
+    vals = np.abs(np.asarray(values, dtype=float))
+    return float(vals[np.isfinite(vals)].max(initial=0.0))
+
+
 def group_multiplicities(
     values: Sequence[float] | np.ndarray, tol_rel: float = DEFAULT_TOL
 ) -> MultiplicityTable:
     """Single-linkage grouping of ascending values into near-equal clusters.
 
     Two consecutive values join the same group when their gap is at most
-    tol_rel * max(1, max |value|).
+    tol_rel * spectral_radius(values), the table's `tol`.
     """
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         return MultiplicityTable(groups=())
-    threshold = tol_rel * max(1.0, float(np.abs(vals).max()))
+    threshold = tol_rel * spectral_radius(vals)
     bounds = [0, *(np.flatnonzero(np.diff(vals) > threshold) + 1).tolist(), vals.size]
     # a singleton's mean is its value, bit for bit
     return MultiplicityTable(
@@ -118,22 +133,20 @@ def group_multiplicities(
                 stop=stop,
             )
             for start, stop in zip(bounds, bounds[1:])
-        )
+        ),
+        tol=threshold,
     )
 
 
-def multiplicity_at(
-    table: MultiplicityTable, value: float, tol_rel: float = DEFAULT_TOL
-) -> int:
+def multiplicity_at(table: MultiplicityTable, value: float) -> int:
     """Multiplicity of the group whose representative is nearest `value`.
 
-    Returns 0 when no representative lies within tol_rel * max(1, |value|).
+    Returns 0 when no representative lies within the table's tol.
     """
-    tol = tol_rel * max(1.0, abs(value))
     best = None
     for g in table.groups:
         d = abs(g.value - value)
-        if d <= tol and (best is None or d < best[0]):
+        if d <= table.tol and (best is None or d < best[0]):
             best = (d, g.multiplicity)
     return best[1] if best is not None else 0
 

@@ -304,7 +304,8 @@ def compare_signs(
             degenerate=True,
             reason=f"second eigenvalue of the {which} graph is not simple",
         )
-    if abs(orig.lambda2 - red.lambda2) > tol_rel * max(1.0, abs(orig.lambda2)):
+    radius = eigen.spectral_radius(ctx.values("laplacian"))
+    if abs(orig.lambda2 - red.lambda2) > tol_rel * radius:
         return SignAgreementReport(
             pairs=(),
             global_flip=False,

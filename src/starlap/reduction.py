@@ -34,7 +34,7 @@ from .errors import (
     StructuralStarOnlyError,
 )
 from .graphs import Graph, adjacency, build_graph_from_columns
-from .stars import GraphAnalysis, MkStar, analyze
+from .stars import WEIGHT_TOL, GraphAnalysis, MkStar, analyze
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def _structural_checks(r: Reduction, a: np.ndarray, s: np.ndarray) -> list[Check
     K^T K - I zero outside the frames' F^T F - I.
     """
     # the largest |entry| of A, without an n x n |A|
-    scale = max(1.0, float(np.maximum(a.max(), -a.min())) if a.size else 0.0)
+    scale = float(max(a.max(), -a.min())) if a.size else 0.0
     ortho = _largest(
         [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
     )
@@ -379,7 +379,7 @@ def _structural_checks(r: Reduction, a: np.ndarray, s: np.ndarray) -> list[Check
     congr = _largest(_over_column_blocks(r, _columns(a), congruence))
     return [
         Check("k-orthonormality", ortho, 1e-10),
-        Check("adjacency-congruence", congr, 1e-9 * scale),
+        Check("adjacency-congruence", congr, WEIGHT_TOL * scale),
     ]
 
 
@@ -446,12 +446,12 @@ def verify_adjacency_reduction(
     values_s = red.values("mass-adjacency", s)
     del s  # lowers peak memory: only the eigenvalues are used below
     values_a = ctx.values("adjacency")
-    radius = max(1.0, float(np.abs(values_a).max()) if ctx.graph.n else 0.0)
+    radius = eigen.spectral_radius(values_a)
     tol = tol_rel * radius
 
     dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
     checks.append(Check("adjacency-spectrum", dev, tol, note))
-    checks.append(Check("adjacency-lift-residual", lift / radius, tol_rel))
+    checks.append(Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel))
     return VerificationRecord(checks=tuple(checks))
 
 
@@ -488,7 +488,7 @@ def verify_laplacian_reduction(
     values_t = red.values("mass-laplacian", tilde)
     del tilde  # lowers peak memory: only the eigenvalues are used below
     values_l = ctx.values("laplacian")
-    radius = max(1.0, float(np.abs(values_l).max()) if ctx.graph.n else 0.0)
+    radius = eigen.spectral_radius(values_l)
     tol = tol_rel * radius
 
     removals: list[float] = []
@@ -498,7 +498,7 @@ def verify_laplacian_reduction(
     checks = (
         Check("laplacian-spectrum", dev, tol, note),
         Check("mass-laplacian-similarity", sim, tol),
-        Check("laplacian-lift-residual", lift / radius, tol_rel),
+        Check("laplacian-lift-residual", lift / radius if radius else lift, tol_rel),
     )
     return VerificationRecord(checks=checks)
 
@@ -518,7 +518,7 @@ def interlacing_check(
     beta = np.sort(ctx.reduced(r).values("mass-adjacency"))[::-1]
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         return False
-    tol = tol * float(np.abs(alpha).max()) if alpha.size else 0.0
+    tol = tol * eigen.spectral_radius(alpha)
     n_a, n_b = alpha.size, beta.size
     for i in range(n_b):
         if alpha[i] < beta[i] - tol:

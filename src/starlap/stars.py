@@ -201,7 +201,7 @@ class GraphAnalysis:
         components of its members joined by shared neighbours.  A piece with
         an edge inside has no v2 disjoint from it and is split by star class
         (star classes are independent sets); a piece whose strengths drift
-        further than WEIGHT_TOL * max(1, w) from its first member's w is split
+        further than WEIGHT_TOL * w from its first member's w is split
         there.  In each piece of two or more members, v1 is the greedy basis
         of the columns of A[N(G), G] (see _independent_columns), v3 the rest
         of G and v2 = N(G), and verify_ldependent certifies the partition.  A
@@ -233,7 +233,7 @@ class GraphAnalysis:
             if piece.size < 2:
                 continue
             w = float(s[piece[0]])
-            tol = WEIGHT_TOL * max(1.0, w)
+            tol = WEIGHT_TOL * w
             near = np.abs(s[piece] - w) <= tol
             if not near.all():
                 pieces += [piece[near], piece[~near]]
@@ -321,7 +321,7 @@ class GraphAnalysis:
         table = eigen.group_multiplicities(self.values(family), tol_rel)
         checks = []
         for value, bound in claims:
-            computed = eigen.multiplicity_at(table, value, tol_rel)
+            computed = eigen.multiplicity_at(table, value)
             checks.append(PredictionCheck(family, value, bound, computed, computed >= bound))
         return checks
 
@@ -344,12 +344,10 @@ def _class_rows(g: Graph | GraphAnalysis, v1: Sequence[int], v2: Sequence[int]) 
 def _uniform_weight(rows: np.ndarray) -> float | None:
     """Common strength if all rows agree entrywise within tolerance, else None.
 
-    Rows that agree only within tolerance count as equal;
-    verify_star_predictions reports such stars.
+    Entries within WEIGHT_TOL times the largest entry count as equal;
+    verify_star_predictions reports stars whose rows are equal only so.
     """
-    tol = WEIGHT_TOL * max(1.0, float(rows.max()) if rows.size else 0.0)
-    spread = float(np.abs(rows - rows[0]).max()) if rows.size else 0.0
-    if spread > tol:
+    if rows.size and np.abs(rows - rows[0]).max() > WEIGHT_TOL * rows.max():
         return None
     return float(rows[0].sum())
 
@@ -357,13 +355,13 @@ def _uniform_weight(rows: np.ndarray) -> float | None:
 def _strength_classes(s: np.ndarray) -> np.ndarray:
     """Each vertex's class of equal strength, numbered in ascending order.
 
-    Sorted strengths more than WEIGHT_TOL * max(1, s) apart start a new
-    class; a vertex of zero or non-finite strength is in none (-1).
+    Sorted strengths more than WEIGHT_TOL * s apart, s the larger, start a
+    new class; a vertex of zero or non-finite strength is in none (-1).
     """
     order = np.argsort(s, kind="stable")
     ordered = s[order]
     starts = np.ones(s.size, dtype=bool)
-    starts[1:] = np.diff(ordered) > WEIGHT_TOL * np.maximum(1.0, ordered[1:])
+    starts[1:] = np.diff(ordered) > WEIGHT_TOL * ordered[1:]
     cls = np.empty(s.size, dtype=np.intp)
     cls[order] = np.cumsum(starts) - 1
     cls[~((s > 0.0) & np.isfinite(s))] = -1
@@ -430,34 +428,25 @@ def star_weight(g: Graph | GraphAnalysis, s: MkStar) -> float:
     return w
 
 
-def group_by_weight(stars: Sequence[MkStar], tol_rel: float = WEIGHT_TOL) -> list[StarClass]:
+def group_by_weight(stars: Sequence[MkStar]) -> list[StarClass]:
     """Group weight-carrying stars into classes of equal weight.
 
-    Weights within tol_rel * max(1, w) of each other fall in one class; the
-    class degree is the sum of (m - 1) over its members.
+    The weights fall into classes as strengths do (see _strength_classes);
+    the non-finite weights form a class of their own.  The class degree is
+    the sum of (m - 1) over its members.
     """
     for s in stars:
         if s.weight_uniform is None:
             raise UnequalWeightVectorsError(s.v1, detail="cannot group a structural-only star")
     ordered = sorted(stars, key=lambda s: (s.weight_uniform, s.v1))
-    classes: list[StarClass] = []
-    bucket: list[MkStar] = []
-    for s in ordered:
-        if bucket and s.weight_uniform - bucket[-1].weight_uniform > tol_rel * max(
-            1.0, s.weight_uniform
-        ):
-            classes.append(_finish_class(bucket))
-            bucket = []
-        bucket.append(s)
-    if bucket:
-        classes.append(_finish_class(bucket))
+    cls = _strength_classes(np.array([s.weight_uniform for s in ordered], dtype=float)).tolist()
+    classes = []
+    for c in dict.fromkeys(cls):
+        members = tuple(s for s, k in zip(ordered, cls) if k == c)
+        weight = float(np.mean([s.weight_uniform for s in members]))
+        degree = sum(s.m - 1 for s in members)
+        classes.append(StarClass(weight=weight, stars=members, degree=degree))
     return classes
-
-
-def _finish_class(bucket: list[MkStar]) -> StarClass:
-    weight = float(np.mean([s.weight_uniform for s in bucket]))
-    degree = sum(s.m - 1 for s in bucket)
-    return StarClass(weight=weight, stars=tuple(bucket), degree=degree)
 
 
 def predict_multiplicities(g: Graph | GraphAnalysis) -> PredictionReport:
@@ -526,18 +515,15 @@ def verify_star_predictions(
 
 
 def verify_ldependent(
-    g: Graph | GraphAnalysis,
-    v1: Sequence[int],
-    v2: Sequence[int],
-    v3: Sequence[int],
-    tol_rel: float = WEIGHT_TOL,
+    g: Graph | GraphAnalysis, v1: Sequence[int], v2: Sequence[int], v3: Sequence[int]
 ) -> LDependentPartition:
     """Certify a candidate (v1, v2, v3) partition and solve its coefficients.
 
     Checks, in order: v1/v2 mutual attachment, v1 and v3 attached only into
     v2, each v3 row reproducible as a least-squares combination of the v1
-    rows (residual at most tol_rel * common strength), and finally that all
-    of v1 and v3 share one strength.  Coefficient positivity is recorded,
+    rows (residual at most WEIGHT_TOL * w, w the first v1 vertex's
+    strength), and finally that all of v1 and v3 share that strength, to
+    within the same tolerance.  Coefficient positivity is recorded,
     not enforced.  A vertex outside 0..n-1 raises IndexOutOfRangeError.
     """
     ctx = analyze(g)
@@ -581,7 +567,8 @@ def verify_ldependent(
     targets = a[np.ix_(np.array(v3_t, dtype=np.intp), v2_i)].T
     coeffs = np.linalg.lstsq(basis, targets, rcond=None)[0]
     residual = np.abs(basis @ coeffs - targets).max(axis=0, initial=0.0)
-    over = np.flatnonzero(residual > tol_rel * max(1.0, wtilde))
+    tol = WEIGHT_TOL * wtilde
+    over = np.flatnonzero(~(residual <= tol))   # a NaN residual fails too
     if over.size:
         raise ConditionViolatedError(
             3,
@@ -591,12 +578,8 @@ def verify_ldependent(
     coefficients = {i: dict(zip(v1_t, c)) for i, c in zip(v3_t, coeffs.T.tolist())}
     nonnegative = not (coeffs < -COEFF_EPS).any()
 
-    # common strength over v1 and v3
-    bad = {
-        int(i): float(s[i])
-        for i in list(v1_t) + list(v3_t)
-        if abs(s[i] - wtilde) > tol_rel * max(1.0, wtilde)
-    }
+    # common strength over v1 and v3; an overflowed (inf) one compares as NaN and fails
+    bad = {int(i): float(s[i]) for i in rows if not abs(s[i] - wtilde) <= tol}
     if bad:
         bad[int(v1_t[0])] = wtilde
         raise NoCommonStrengthError(bad)

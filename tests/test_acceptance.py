@@ -4,8 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +314,15 @@ def test_criterion_9_cli_contract(tmp_path, capsys, f1, f2, f3, f4):
 
     with capsys.disabled():
         report("A9", not failures, f"exit codes and byte-stable JSON, failures={failures}")
+
+
+def test_random_sweep_script_runs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "random_sweep", Path(__file__).resolve().parents[1] / "scripts" / "random_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["random_sweep.py", "--graphs", "5"])
+    sweep.main()   # raises SystemExit(2) when any claim fails
+    out = capsys.readouterr().out
+    assert out.startswith("5 graphs") and "FAIL" not in out

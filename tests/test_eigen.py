@@ -122,16 +122,35 @@ def test_group_empty():
     assert group_multiplicities([], 1e-8).groups == ()
 
 
+def test_non_finite_values_do_not_widen_the_threshold():
+    # the threshold is 1e-8 times the largest finite |value|, 2; a NaN one
+    # would compare false everywhere and merge all five values
+    with np.errstate(invalid="ignore"):
+        table = group_multiplicities([0.0, 1.0, np.nan, 2.0, np.inf], 1e-8)
+    assert table.tol == 2e-8
+    groups = [(g.value, g.multiplicity) for g in table.groups]
+    assert groups[0] == (0.0, 1) and groups[2] == (np.inf, 1)
+    assert np.isnan(groups[1][0]) and groups[1][1] == 3
+
+
 def test_multiplicity_at_fixture(f1):
     table = group_multiplicities(sym_eigen(laplacian(f1)).values, 1e-8)
-    assert multiplicity_at(table, 2.0, 1e-8) == 2
-    assert multiplicity_at(table, 7.0, 1e-8) == 0
+    assert multiplicity_at(table, 2.0) == 2
+    assert multiplicity_at(table, 7.0) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_grouping_and_lookup_scale_with_the_values(scale):
+    table = group_multiplicities(np.array([0.0, 2.0, 2.0, 3.0, 5.0]) * scale, 1e-8)
+    assert [g.multiplicity for g in table.groups] == [1, 2, 1, 1]
+    looked_up = [multiplicity_at(table, v * scale) for v in (0.0, 2.0, 2.5, 2.0 + 1e-6)]
+    assert looked_up == [1, 2, 0, 0]
 
 
 def test_multiplicity_at_dependent_fixture(f3):
     lap = laplacian(f3)
     table = group_multiplicities(sym_eigen(lap).values, 1e-8)
-    computed = multiplicity_at(table, 6.0, 1e-8)
+    computed = multiplicity_at(table, 6.0)
     assert computed >= 1
     assert computed == rank_multiplicity(lap, 6.0)
 
@@ -252,7 +271,7 @@ def _group_reference(values, tol_rel=1e-8):
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         return MultiplicityTable(groups=())
-    threshold = tol_rel * max(1.0, float(np.abs(vals).max()))
+    threshold = tol_rel * float(np.abs(vals[np.isfinite(vals)]).max(initial=0.0))
     groups = []
     start = 0
     for i in range(1, vals.size + 1):

@@ -170,6 +170,16 @@ class TestCompareSigns:
         assert labels[2] == labels[0] and labels[4] == labels[1]
         assert labels[0] != labels[1]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_removed_second_eigenvalue_inconclusive(self, scale):
+        # the twins 0 and 1 on hub 2 carry the simple lambda2 = scale (next:
+        # 1.6 scale), and the collapse removes it
+        edges = [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 10.0), (2, 4, 10.0), (3, 4, 10.0)]
+        g = build_graph(5, [(u, v, w * scale) for u, v, w in edges])
+        report = compare_signs(g, reduce_all(g, "collapse"))
+        assert report.degenerate
+        assert "removed the original second eigenvalue" in report.reason
+
     def test_degenerate_original_inconclusive(self, f1):
         report = compare_signs(f1, reduce_star(f1, detect_stars(f1)[0], 1))
         assert report.degenerate

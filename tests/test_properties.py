@@ -1,6 +1,9 @@
 """Property-based invariants over random graphs and matrices."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
@@ -15,12 +18,14 @@ from starlap import (
     multiplicity_at,
     normalized_laplacian,
     parse_graph_file,
+    plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
     signless_laplacian,
     strengths,
     sym_eigen,
     verify_adjacency_reduction,
+    verify_graph,
     verify_laplacian_reduction,
     verify_ldependent,
     write_graph_file,
@@ -78,7 +83,7 @@ def test_normalized_is_similarity(g):
 def test_zero_multiplicity_counts_components(g):
     spec = sym_eigen(laplacian(g))
     table = group_multiplicities(spec.values, 1e-8)
-    assert multiplicity_at(table, 0.0, 1e-8) == len(connected_components(g))
+    assert multiplicity_at(table, 0.0) == len(connected_components(g))
 
 
 @given(graphs())
@@ -151,7 +156,7 @@ def test_planted_star_invariants(seed):
     g = plant_star_graph(seed=seed, n=n, star_specs=specs)
     lap_table = group_multiplicities(sym_eigen(laplacian(g)).values, 1e-8)
     for m, k, w in specs:
-        assert multiplicity_at(lap_table, w, 1e-8) >= m - 1
+        assert multiplicity_at(lap_table, w) >= m - 1
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -339,3 +344,43 @@ def test_dependent_rows_cover_the_replaced_detectors_on_twin_graphs(g):
 @settings(max_examples=100, deadline=None)
 def test_dependent_rows_cover_the_replaced_detectors_on_random_graphs(g):
     assert_dependent_rows_cover_the_replaced_detectors(g)
+
+
+def _scaled(g, factor):
+    return build_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
+
+
+def _verdicts(g):
+    """The verify check names, without their (w=...) values, with their verdicts."""
+    result = verify_graph(g, 1e-8)
+    checks = [(re.sub(r"\(w=[^)]*\)", "", c.name), c.passed) for c in result.checks]
+    return checks, [(p.v1, p.v2, p.v3) for p in result.dependent_rows]
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [("stars", s) for s in range(10)] + [("ldep", s) for s in range(5)]
+)
+def test_verdicts_do_not_change_when_every_weight_is_scaled(kind, seed):
+    if kind == "stars":
+        g = plant_star_graph(seed, 40, [(3, 2, 2.0), (4, 3, 1.5)], 0.3)
+    else:
+        g = plant_ldependent_graph(seed, (4, 12, 5), 6.0)
+    expected = _verdicts(g)
+    assert any(name.startswith("laplacian-multiplicity") for name, _ in expected[0])
+    for k in range(-9, 10):
+        assert _verdicts(_scaled(g, 10.0**k)) == expected, f"weights x 1e{k}"
+
+
+def test_overflowing_triangle_has_no_partition_and_fails_verify():
+    # every strength is 2e308, which overflows to inf
+    g = build_graph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert analyze(g).dependent_rows == ()
+        assert not verify_graph(g).passed
+
+
+def test_edgeless_graph_passes_verify_with_zero_lift_residuals():
+    result = verify_graph(build_graph(3, []))
+    assert result.passed
+    lifts = [c.residual for rec in result.records for c in rec.checks if "lift" in c.name]
+    assert lifts == [0.0, 0.0]

@@ -453,6 +453,17 @@ class TestNonFiniteAndScale:
         assert not Check("c", float("inf"), float("inf")).passed
         assert Check("c", 0.5, 1.0).passed
 
+    @pytest.mark.parametrize("k", [-9, 9])
+    def test_check_tolerances_scale_with_the_weights(self, k):
+        g = plant_star_graph(0, 30, [(4, 3, 2.0)], background_p=0.3)
+        scaled = _scaled(g, 10.0**k)
+        relative = {"k-orthonormality", "adjacency-lift-residual", "laplacian-lift-residual"}
+        for verify in (verify_adjacency_reduction, verify_laplacian_reduction):
+            plain = verify(g, reduce_all(g)).checks
+            for c, s in zip(plain, verify(scaled, reduce_all(scaled)).checks):
+                expected = c.tol if c.name in relative else c.tol * 10.0**k
+                assert s.tol == pytest.approx(expected, rel=1e-12), c.name
+
     @pytest.mark.parametrize("k", [-9, 0, 6, 9])
     def test_interlacing_is_scale_covariant(self, k):
         for seed in range(20):
