@@ -46,7 +46,7 @@ def parse_graph_file(text: str) -> Graph:
     n = _parse_header(text, header + 1, fields[starts[header] : starts[header] + counts[header]])
     body = content[1:]
     bulk = _bulk_body(fields, counts[body], starts[body], n)
-    del fields   # the graph's edge tuples take its place
+    del fields   # freed before the graph is built, which lowers the peak
     if bulk is None:
         return _parse_body_by_line(text, (body + 1).tolist(), n)
     u, v, w, masses = bulk
@@ -125,7 +125,7 @@ def _parse_body_by_line(text: str, linenos: list[int], n: int) -> Graph:
 def write_graph_file(g: Graph) -> str:
     """Canonical text form: header, edges sorted by (u, v), non-unit masses."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {_fmt(w)}" for u, v, w in g.edges)
+    lines.extend(f"{u} {v} {_fmt(w)}" for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
     lines.extend(f"m {v} {_fmt(m)}" for v, m in enumerate(g.mass) if m != 1.0)
     return "\n".join(lines) + "\n"
 
@@ -162,13 +162,11 @@ def emit_dot(g: Graph, p: Partition | None = None) -> str:
     lines = ["graph G {"]
     if p is not None:
         lines.append('  node [style=filled, colorscheme=set312];')
-        for v in range(g.n):
-            lines.append(f"  {v} [fillcolor={p.labels[v] % _DOT_COLORS + 1}];")
+        lines.extend(f"  {v} [fillcolor={p.labels[v] % _DOT_COLORS + 1}];" for v in range(g.n))
     else:
-        for v in range(g.n):
-            lines.append(f"  {v};")
-    for u, v, w in g.edges:
-        lines.append(f'  {u} -- {v} [label="{_fmt(w)}"];')
+        lines.extend(f"  {v};" for v in range(g.n))
+    edges = zip(g.u.tolist(), g.v.tolist(), g.w.tolist())
+    lines.extend(f'  {u} -- {v} [label="{_fmt(w)}"];' for u, v, w in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -184,7 +182,7 @@ def graph_summary(g: Graph | GraphAnalysis) -> dict[str, Any]:
     g, s = ctx.graph, ctx.strengths
     return {
         "vertices": g.n,
-        "edges": len(g.edges),
+        "edges": len(g.w),
         "total_weight": float(sum(g.w.tolist())),
         "components": len(ctx.components),
         "min_strength": float(s.min()) if g.n else 0.0,

@@ -6,19 +6,20 @@ graph came out of a reduction).  All matrix constructions are dense numpy
 arrays; the intended scale is n up to a couple of thousand vertices, where
 exact dense eigensolves are cheap.
 
-Next to the public ``edges`` tuple, a graph holds the same edges as three
-read-only numpy columns in the same order: ``u`` and ``v`` (intp, u < v) and
-``w`` (float64).  The columns take no part in equality or hashing, and a
-graph made directly, or by ``dataclasses.replace``, derives them from
-``edges``; only validation hands over columns it has built.  Parsing,
-validation, the matrix builds, strengths, components and subgraphs read and
-write the columns with array code, and each gives the result, or raises the
-error, that the per-edge loop over ``edges`` it replaced gave, bit for bit.
+A graph keeps its edges once, as three read-only numpy columns: ``u`` and
+``v`` (intp, u < v) and ``w`` (float64), sorted by (u, v).  Equality and
+hashing read n, the columns' bytes and the mass.  The ``edges`` tuple of
+(int, int, float) triples is a view derived from the columns, built at most
+once per graph, for callers that want Python tuples.  Parsing, validation,
+the matrix builds, strengths, components and subgraphs read and write the
+columns with array code, and each gives the result, or raises the error,
+that the per-edge loop it replaced gave, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,53 +35,37 @@ from .errors import (
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple weighted undirected graph with vertex masses.
 
     Invariants (enforced by :func:`build_graph`): no self-loops, no duplicate
     pairs, strictly positive finite weights, edges stored with u < v and
     sorted, mass vector of length n with strictly positive entries.  The
-    columns `u`, `v` and `w` hold `edges` as arrays.  They cannot be passed
-    in: a graph made directly, or by `dataclasses.replace`, derives them.
+    edge (u[i], v[i], w[i]) is the i-th; the columns are read-only.
     """
 
     n: int
-    edges: tuple[Edge, ...]
-    mass: tuple[float, ...] = field(default=())
-    u: np.ndarray = field(init=False, compare=False, repr=False)
-    v: np.ndarray = field(init=False, compare=False, repr=False)
-    w: np.ndarray = field(init=False, compare=False, repr=False)
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    mass: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.mass:
-            object.__setattr__(self, "mass", (1.0,) * self.n)
-        table = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
-        u, v = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
-        _set_columns(self, u, v, table[:, 2].copy())
+    def _key(self) -> tuple:
+        return (self.n, self.u.tobytes(), self.v.tobytes(), self.w.tobytes(), self.mass)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
-def _set_columns(g: Graph, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    for name, column in (("u", u), ("v", v), ("w", w)):
-        column.setflags(write=False)
-        object.__setattr__(g, name, column)
+    def __hash__(self):
+        return hash(self._key())
 
-
-def _graph_with_columns(
-    n: int,
-    edges: tuple[Edge, ...],
-    mass: tuple[float, ...],
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> Graph:
-    """A Graph of validated edges whose columns u, v, w are already built from them."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "mass", mass)
-    _set_columns(g, u, v, w)
-    return g
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (u, v, w) tuples of Python int, int and float, in column order."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
 
 def build_graph(
@@ -197,10 +182,9 @@ def _validated_graph(
         if bad.any():
             first = int(np.argmax(bad))
             raise NonPositiveWeightError(first, first, mass_t[first])
-    # one int object per vertex, shared by all the edge tuples that name it
-    ids = np.arange(n).astype(object)
-    edges = tuple(zip(ids[lo].tolist(), ids[hi].tolist(), weights.tolist()))
-    return _graph_with_columns(n, edges, mass_t, lo, hi, weights)
+    for column in (lo, hi, weights):
+        column.setflags(write=False)
+    return Graph(n, lo, hi, weights, mass_t)
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -218,7 +202,8 @@ def strengths(g: Graph) -> np.ndarray:
     as np.add.at does over the interleaved endpoints.
     """
     s = np.zeros(g.n)
-    np.add.at(s, np.column_stack((g.u, g.v)).ravel(), np.repeat(g.w, 2))
+    with np.errstate(over="ignore"):   # an overflowed strength is inf, and reported as such
+        np.add.at(s, np.column_stack((g.u, g.v)).ravel(), np.repeat(g.w, 2))
     return s
 
 
@@ -306,14 +291,16 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     """Subgraph induced by `vertices` (original weights), plus the old-index map.
 
     Returns (subgraph, old_of_new) where old_of_new[i] is the original index of
-    subgraph vertex i.  Masses are inherited.
+    subgraph vertex i.  Masses are inherited.  The smallest vertex outside
+    [0, n) raises IndexOutOfRangeError.
     """
     old_of_new = sorted(set(vertices))
+    outside = next((x for x in old_of_new if not 0 <= x < g.n), None)
+    if outside is not None:
+        raise IndexOutOfRangeError(outside, g.n)
     mass = [g.mass[o] for o in old_of_new]
-    old = np.array(old_of_new, dtype=np.intp)
-    inside = old >= 0   # a negative index names a mass, never an edge end
     new_of_old = np.full(g.n, -1, dtype=np.intp)
-    new_of_old[old[inside]] = np.flatnonzero(inside)
+    new_of_old[old_of_new] = np.arange(len(old_of_new))
     nu, nv = new_of_old[g.u], new_of_old[g.v]
     kept = (nu >= 0) & (nv >= 0)
     sub = build_graph_from_columns(len(old_of_new), nu[kept], nv[kept], g.w[kept], mass=mass)

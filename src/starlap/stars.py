@@ -361,7 +361,8 @@ def _strength_classes(s: np.ndarray) -> np.ndarray:
     order = np.argsort(s, kind="stable")
     ordered = s[order]
     starts = np.ones(s.size, dtype=bool)
-    starts[1:] = np.diff(ordered) > WEIGHT_TOL * ordered[1:]
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN; an inf strength gets -1 below
+        starts[1:] = np.diff(ordered) > WEIGHT_TOL * ordered[1:]
     cls = np.empty(s.size, dtype=np.intp)
     cls[order] = np.cumsum(starts) - 1
     cls[~((s > 0.0) & np.isfinite(s))] = -1
@@ -579,7 +580,8 @@ def verify_ldependent(
     nonnegative = not (coeffs < -COEFF_EPS).any()
 
     # common strength over v1 and v3; an overflowed (inf) one compares as NaN and fails
-    bad = {int(i): float(s[i]) for i in rows if not abs(s[i] - wtilde) <= tol}
+    with np.errstate(invalid="ignore"):
+        bad = {int(i): float(s[i]) for i in rows if not abs(s[i] - wtilde) <= tol}
     if bad:
         bad[int(v1_t[0])] = wtilde
         raise NoCommonStrengthError(bad)

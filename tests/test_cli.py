@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -388,3 +389,56 @@ class TestOverflowingStrengths:
         assert code == 2
         assert not checks["sign-agreement"]["passed"]
         assert "not finite" in checks["sign-agreement"]["detail"]
+
+
+class TestInfiniteStrengthsRunQuietly:
+    """Four edges of weight 1e308 overflow every strength to inf: the reported answer, not noise."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        graph, part = tmp_path / "inf.graph", tmp_path / "part.json"
+        graph.write_text("n 4\n0 2 1e308\n0 3 1e308\n1 2 1e308\n1 3 1e308\n", encoding="utf-8")
+        part.write_text(json.dumps({"v1": [0], "v2": [2, 3], "v3": [1]}), encoding="utf-8")
+        return str(graph), str(part)
+
+    def run_quietly(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--json")
+        assert [str(w.message) for w in caught] == []
+        return code, out, err
+
+    def test_info(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "info", files[0])
+        inf = float("inf")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"] == {
+            "components": 1, "edges": 4, "max_strength": inf, "min_strength": inf,
+            "non_unit_masses": {}, "total_weight": inf, "vertices": 4,
+        }
+
+    def test_spectrum(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "spectrum", files[0])
+        assert (code, err) == (0, "")
+        values = json.loads(out)["values"]
+        assert len(values) == 4 and all(v != v for v in values)
+
+    def test_partition_bisect(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "partition", files[0], "--bisect")
+        assert (code, out) == (2, "")
+        assert err == (
+            "NonFiniteSpectrumError: the second laplacian eigenpair is not finite (lambda2=nan)\n"
+        )
+
+    def test_ldep(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "ldep", files[0])
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (payload["partitions"], payload["rejected"], payload["passed"]) == ([], [], True)
+
+    def test_ldep_partition(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "ldep", files[0], "--partition", files[1])
+        payload = json.loads(out)
+        assert (code, err) == (2, "")
+        assert payload["rejected"] == ["vertices do not share a common strength: {0: inf, 1: inf}"]
+        assert (payload["partitions"], payload["passed"]) == ([], False)

@@ -144,3 +144,10 @@ def test_induced_subgraph_keeps_weights(two_triangles):
     sub, old = induced_subgraph(two_triangles, [3, 4, 5])
     assert old == [3, 4, 5]
     assert sub.edges == ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))
+
+
+@pytest.mark.parametrize("vertices, bad", [([-1, 0, 1], -1), ([0, 3, 1], 3), ([5, 2, -2], -2)])
+def test_induced_subgraph_rejects_out_of_range_vertices(vertices, bad):
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)], mass=[1, 1, 5])
+    with pytest.raises(IndexOutOfRangeError, match=f"vertex index {bad} out of range for 3 vertices"):
+        induced_subgraph(g, vertices)
