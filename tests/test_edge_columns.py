@@ -5,6 +5,7 @@ as numpy columns.  The array code must give equal graphs and bit-identical
 vectors, or raise the same exception type with the same message.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -335,17 +336,31 @@ def test_big_id_message_is_exact():
         build_graph(3, [(0, 2**53 + 1, 1.0)])
 
 
-def test_columns_are_the_edge_store(f1):
-    """n, the columns and the mass make a graph; `edges` is a view built once from the columns."""
+def test_columns_stay_out_of_equality_and_hash(f1):
+    """Equality and hash read n, the columns' bytes and the mass, never the arrays themselves."""
     again = Graph(f1.n, f1.u.copy(), f1.v.copy(), f1.w.copy(), f1.mass)
     assert again == f1 and hash(again) == hash(f1)
+    assert again.u.tolist() == f1.u.tolist() and again.w.tobytes() == f1.w.tobytes()
     heavier = f1.w.copy()
     heavier[2] += 0.5
     assert Graph(f1.n, f1.u, f1.v, heavier, f1.mass) != f1
     assert Graph(f1.n, f1.u, f1.v, f1.w, (2.0,) + f1.mass[1:]) != f1
+    empty = build_graph(2, ())
+    assert empty.u.shape == empty.v.shape == empty.w.shape == (0,)
+
+
+def test_columns_are_derived_never_passed_in(f1):
+    """The columns are the store; `edges` is a view built once from them and never passed in."""
+    with pytest.raises(TypeError):
+        Graph(n=f1.n, edges=f1.edges, mass=f1.mass)
+    with pytest.raises(TypeError):
+        dataclasses.replace(f1, edges=((0, 2, 1.5),))
     assert f1.edges is f1.edges
     assert f1.edges == tuple(zip(f1.u.tolist(), f1.v.tolist(), f1.w.tolist()))
     assert all(tuple(map(type, e)) == (int, int, float) for e in f1.edges)
+    moved = dataclasses.replace(f1, u=np.array([0]), v=np.array([2]), w=np.array([1.5]))
+    assert moved.edges == ((0, 2, 1.5),)
+    assert np.flatnonzero(adjacency(moved)).tolist() == [2, 2 * f1.n]
     for column in (f1.u, f1.v, f1.w):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
