@@ -16,18 +16,16 @@ import time
 import numpy as np
 
 from starlap import (
+    analyze,
     compare_signs,
     detect_stars,
     group_by_weight,
     group_multiplicities,
     interlacing_check,
-    laplacian,
     multiplicity_at,
-    normalized_laplacian,
     plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
-    signless_laplacian,
     sym_eigen,
     verify_adjacency_reduction,
     verify_laplacian_reduction,
@@ -51,12 +49,13 @@ def sweep_star(seed, rng, max_extra):
 
     weighted = [s for s in detect_stars(g) if s.weight_uniform is not None]
     classes = group_by_weight(weighted)
-    lap, signless = laplacian(g), signless_laplacian(g)
+    ctx = analyze(g)
+    lap, signless = ctx.matrix("laplacian"), ctx.matrix("signless")
     results["multiplicity"] = all(
         mult(lap, c.weight) >= c.degree and mult(signless, c.weight) >= c.degree
         for c in classes
     )
-    results["normalized"] = mult(normalized_laplacian(g), 1.0) >= sum(c.degree for c in classes)
+    results["normalized"] = mult(ctx.matrix("normalized"), 1.0) >= sum(c.degree for c in classes)
 
     r = reduce_all(g, "collapse")
     results["adjacency_reduction"] = verify_adjacency_reduction(g, r).passed
@@ -77,8 +76,8 @@ def sweep_dependent(seed, rng):
     )
     return g.n, {
         "certificate": part.l == l,
-        "multiplicity": mult(laplacian(g), wt) >= l,
-        "normalized": mult(normalized_laplacian(g), 1.0) >= l,
+        "multiplicity": mult(analyze(g).matrix("laplacian"), wt) >= l,
+        "normalized": mult(analyze(g).matrix("normalized"), 1.0) >= l,
     }
 
 

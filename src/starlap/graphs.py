@@ -1,17 +1,19 @@
-"""Weighted undirected graphs and their matrix representations.
+"""Weighted undirected graphs, their adjacency matrix and their strengths.
 
 A :class:`Graph` is an immutable edge list over 0-based contiguous vertex
 indices, with a strictly positive per-vertex mass vector (all ones unless the
-graph came out of a reduction).  All matrix constructions are dense numpy
-arrays; the intended scale is n up to a couple of thousand vertices, where
-exact dense eigensolves are cheap.
+graph came out of a reduction).  This module builds the dense adjacency
+matrix and the strengths; every operator (L, Q, the normalized Laplacian and
+the mass families) is assembled from them by ``stars.GraphAnalysis.matrix``.
+The intended scale is n up to a couple of thousand vertices, where exact
+dense eigensolves are cheap.
 
 A graph keeps its edges once, as three read-only numpy columns: ``u`` and
 ``v`` (intp, u < v) and ``w`` (float64), sorted by (u, v).  Equality and
 hashing read n, the columns' bytes and the mass.  The ``edges`` tuple of
 (int, int, float) triples is a view derived from the columns, built at most
 once per graph, for callers that want Python tuples.  Parsing, validation,
-the matrix builds, strengths, components and subgraphs read and write the
+the adjacency build, strengths, components and subgraphs read and write the
 columns with array code, and each gives the result, or raises the error,
 that the per-edge loop it replaced gave, bit for bit.
 """
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
-    IsolatedVertexError,
     NonPositiveWeightError,
     SelfLoopError,
 )
@@ -205,42 +206,6 @@ def strengths(g: Graph) -> np.ndarray:
     with np.errstate(over="ignore"):   # an overflowed strength is inf, and reported as such
         np.add.at(s, np.column_stack((g.u, g.v)).ravel(), np.repeat(g.w, 2))
     return s
-
-
-def strength(g: Graph, v: int) -> float:
-    """Weighted degree of a single vertex."""
-    if not (0 <= v < g.n):
-        raise IndexOutOfRangeError(v, g.n)
-    return float(strengths(g)[v])
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian L = diag(strengths) - adjacency."""
-    return np.diag(strengths(g)) - adjacency(g)
-
-
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Signless Laplacian diag(strengths) + adjacency."""
-    return np.diag(strengths(g)) + adjacency(g)
-
-
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Normalized Laplacian: unit diagonal, off-diagonal -w(i,j)/sqrt(d_i d_j).
-
-    Every vertex must have positive strength.
-    """
-    return normalized_laplacian_from(adjacency(g), strengths(g))
-
-
-def normalized_laplacian_from(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Normalized Laplacian of adjacency matrix `a` with strengths `d`."""
-    isolated = np.flatnonzero(d <= 0.0)
-    if isolated.size:
-        raise IsolatedVertexError(int(isolated[0]))
-    inv_sqrt = 1.0 / np.sqrt(d)
-    lhat = -a * np.outer(inv_sqrt, inv_sqrt)
-    np.fill_diagonal(lhat, 1.0)
-    return lhat
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import eigen
 from .errors import BadKError, DisconnectedError, NonFiniteSpectrumError, TooFewValuesError
-from .graphs import Graph, induced_subgraph, laplacian
+from .graphs import Graph, induced_subgraph
 from .reduction import Reduction, lift_vector
 from .stars import GraphAnalysis, analyze
 
@@ -226,7 +226,8 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     iteration.
     """
     _require_connected(g)
-    spectrum = eigen.sym_eigen(laplacian(g))
+    # the analysis is dropped once L is built, so that its A is freed before the solve
+    spectrum = eigen.sym_eigen(analyze(g).matrix("laplacian"))
     if g.n >= 2:
         _require_finite(spectrum.values[1], spectrum.vectors[:, 1], "laplacian")
     if k == "auto":

@@ -15,7 +15,11 @@ only for a caller that asks for it.
 
 The reduced degree matrix is fixed as the column sums of M B, which makes the
 mass-weighted Laplacian identities hold exactly and conserves total weighted
-strength.
+strength; `GraphAnalysis.mass_strengths` computes them.  The symmetric
+operators M^(1/2) B M^(1/2) and L~ come from `GraphAnalysis.matrix`, and
+`mass_laplacian` builds the nonsymmetric L(MB).  The original graph's
+operators are its own mass families, A and L when every mass is 1, so a
+graph read back from a reduction is reduced and checked the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     InvalidQError,
     StructuralStarOnlyError,
 )
-from .graphs import Graph, adjacency, build_graph_from_columns
+from .graphs import Graph, build_graph_from_columns
 from .stars import WEIGHT_TOL, GraphAnalysis, MkStar, analyze
 
 
@@ -244,29 +248,18 @@ def reduce_all(
     return _reduce(ctx.graph, assignments)
 
 
-def mass_adjacency(r: Reduction) -> np.ndarray:
-    """M B: mass-scaled reduced adjacency (nonsymmetric in general)."""
-    return np.asarray(r.reduced.mass)[:, None] * adjacency(r.reduced)
-
-
-def mass_degree(r: Reduction) -> np.ndarray:
-    """Diagonal matrix of the column sums of M B.
-
-    Column sums conserve each kept vertex's mass-weighted strength, which is
-    what makes the lifted eigen-identities hold; row sums do not.
-    """
-    return np.diag(mass_adjacency(r).sum(axis=0))
-
-
-def sym_mass_laplacian(r: Reduction) -> np.ndarray:
-    """Symmetric mass-weighted Laplacian: mass_degree - M^(1/2) B M^(1/2)."""
-    return GraphAnalysis(r.reduced).matrix("mass-laplacian")
-
-
 def mass_laplacian(r: Reduction) -> np.ndarray:
-    """Nonsymmetric mass-weighted Laplacian: mass_degree - M B."""
-    mb = mass_adjacency(r)
-    return np.diag(mb.sum(axis=0)) - mb
+    """Nonsymmetric mass-weighted Laplacian L(MB) = diag(column sums of M B) - M B."""
+    return _mass_laplacian(GraphAnalysis(r.reduced))
+
+
+def _mass_laplacian(red: GraphAnalysis) -> np.ndarray:
+    """L(MB) of a reduced graph, from its analysis's cached B and mass strengths."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mb = np.asarray(red.graph.mass)[:, None] * red.adjacency
+        lmb = np.diag(red.mass_strengths)
+        lmb -= mb
+    return lmb
 
 
 def _k_times(r: Reduction, m: np.ndarray) -> np.ndarray:
@@ -317,8 +310,11 @@ def _columns(x: np.ndarray) -> Columns:
 
 
 def _laplacian_columns(ctx: GraphAnalysis) -> Columns:
-    """Columns of L = diag(strengths) - A, read off the cached A and strengths."""
-    a, s = ctx.adjacency, ctx.strengths
+    """Columns of the mass Laplacian diag(d) - M^(1/2) A M^(1/2), d the mass strengths.
+
+    With unit masses that is L, read off the cached A and strengths.
+    """
+    a, s = ctx.matrix("mass-adjacency"), ctx.mass_strengths
 
     def columns(idx: np.ndarray) -> np.ndarray:
         out = np.take(a, idx, axis=1)
@@ -428,6 +424,7 @@ def _lift_residual(r: Reduction, x: Columns, reduced: np.ndarray) -> float:
     return math.sqrt(sum(_over_column_blocks(r, x, squares)))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
 def verify_adjacency_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> VerificationRecord:
@@ -435,17 +432,18 @@ def verify_adjacency_reduction(
 
     Checks: K orthonormality, the congruence K^T A K = M^(1/2) B M^(1/2),
     spectrum preservation up to q zeros, and the intertwining A K = K S with
-    S = M^(1/2) B M^(1/2), relative to the spectral radius of A.
+    S = M^(1/2) B M^(1/2), relative to the spectral radius of A.  A stands
+    for the original graph's mass adjacency, A itself when every mass is 1.
     """
     ctx = analyze(g)
     red = ctx.reduced(r)
-    a = ctx.adjacency
+    a = ctx.matrix("mass-adjacency")
     s = red.matrix("mass-adjacency")
     checks = _structural_checks(r, a, s)
     lift = _lift_residual(r, _columns(a), s)
     values_s = red.values("mass-adjacency", s)
     del s  # lowers peak memory: only the eigenvalues are used below
-    values_a = ctx.values("adjacency")
+    values_a = ctx.values("mass-adjacency", a)
     radius = eigen.spectral_radius(values_a)
     tol = tol_rel * radius
 
@@ -459,17 +457,14 @@ def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
     """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde, from the reduced graph's cached B."""
     if not red.graph.n:
         return 0.0
-    mass = np.asarray(red.graph.mass)
-    root = np.sqrt(mass)
-    mb = mass[:, None] * red.adjacency
-    similar = np.diag(mb.sum(axis=0))
-    similar -= mb
-    del mb  # lowers peak memory
+    root = np.sqrt(np.asarray(red.graph.mass))
+    similar = _mass_laplacian(red)
     similar *= np.outer(1.0 / root, root)
     similar -= tilde
     return _maxabs(similar)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
 def verify_laplacian_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> VerificationRecord:
@@ -478,7 +473,9 @@ def verify_laplacian_reduction(
     Checks: spectrum preservation after removing q copies of each reduced
     star's weight, the similarity between the nonsymmetric and symmetric
     mass Laplacians, and the intertwining L K = K L~ with the symmetric mass
-    Laplacian L~, relative to the spectral radius of L.
+    Laplacian L~, relative to the spectral radius of L.  L stands for the
+    original graph's mass Laplacian, L itself when every mass is 1, and a
+    star's weight for its members' mass strength there.
     """
     ctx = analyze(g)
     red = ctx.reduced(r)
@@ -487,13 +484,13 @@ def verify_laplacian_reduction(
     lift = _lift_residual(r, _laplacian_columns(ctx), tilde)
     values_t = red.values("mass-laplacian", tilde)
     del tilde  # lowers peak memory: only the eigenvalues are used below
-    values_l = ctx.values("laplacian")
+    values_l = ctx.values("mass-laplacian")
     radius = eigen.spectral_radius(values_l)
     tol = tol_rel * radius
 
     removals: list[float] = []
     for info in r.star_info:
-        removals.extend([info.star.weight_uniform] * info.q)
+        removals.extend([float(ctx.mass_strengths[info.kept_v1[0]])] * info.q)
     dev, note = _match_after_removal(values_l, values_t, removals, tol)
     checks = (
         Check("laplacian-spectrum", dev, tol, note),
@@ -508,13 +505,14 @@ def interlacing_check(
 ) -> bool:
     """Eigenvalues of K^T A K interlace those of A (descending convention).
 
+    A is the original graph's mass adjacency, as in verify_adjacency_reduction.
     The K^T A K spectrum is read off M^(1/2) B M^(1/2), its value once the
     adjacency-congruence check of verify_adjacency_reduction passes.  The
     tolerance is tol times the spectral radius of A, and a non-finite
     eigenvalue fails.
     """
     ctx = analyze(g)
-    alpha = np.sort(ctx.values("adjacency"))[::-1]
+    alpha = np.sort(ctx.values("mass-adjacency"))[::-1]
     beta = np.sort(ctx.reduced(r).values("mass-adjacency"))[::-1]
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         return False

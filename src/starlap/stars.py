@@ -33,6 +33,7 @@ from .errors import (
     ConditionViolatedError,
     IndexOutOfRangeError,
     InfeasibleSpecError,
+    IsolatedVertexError,
     NoCommonStrengthError,
     UnequalWeightVectorsError,
 )
@@ -43,7 +44,6 @@ from .graphs import (
     component_roots,
     connected_components,
     neighbor_lists,
-    normalized_laplacian_from,
     strengths,
 )
 
@@ -145,24 +145,19 @@ class GraphAnalysis:
     solved through ``eigen.sym_eigen`` for its eigenvalues only, unless its
     second eigenvector is asked for first (the sign comparison reads that of the
     Laplacian and the mass Laplacian); then values and vectors come from one
-    solve and only that vector is kept.  The analysis of a reduction
-    that removed nothing reads the spectrum of a mass family whose matrix
-    equals the original's plain one (M^(1/2) A M^(1/2) and A, the mass
-    Laplacian and L, with unit masses) from the original's analysis.
+    solve and only that vector is kept.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
     (the normalized Laplacian), and with the vertex masses M,
     "mass-adjacency" (M^(1/2) A M^(1/2)) and "mass-laplacian"
-    (diag(column sums of M A) - M^(1/2) A M^(1/2)), the reduced graph's
-    operators when the graph came out of a reduction.
+    (diag(mass_strengths) - M^(1/2) A M^(1/2)), the reduced graph's
+    operators when the graph came out of a reduction.  When every mass is 1
+    the mass families are the plain ones, A and L, bit for bit, and are
+    built and solved as those.
     """
 
-    _UNREDUCED_FAMILY = {"mass-adjacency": "adjacency", "mass-laplacian": "laplacian"}
-
-    def __init__(self, graph: Graph, unreduced: GraphAnalysis | None = None):
-        """`unreduced` is the analysis of the same graph before a reduction that removed nothing."""
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self._unreduced = unreduced
         self._values: dict[str, np.ndarray] = {}
         self._second: dict[str, np.ndarray] = {}
         self._reduced: GraphAnalysis | None = None
@@ -178,6 +173,28 @@ class GraphAnalysis:
         s = strengths(self.graph)
         s.setflags(write=False)
         return s
+
+    @cached_property
+    def unit_mass(self) -> bool:
+        """Whether every mass is 1, which makes each mass family its plain one."""
+        return all(m == 1.0 for m in self.graph.mass)
+
+    @cached_property
+    def mass_strengths(self) -> np.ndarray:
+        """The column sums of M A, the diagonal of the mass Laplacian (read-only).
+
+        Column sums conserve each vertex's mass-weighted strength, which is
+        what makes the lifted eigen-identities of a reduction hold; row sums
+        do not.  With unit masses they are the strengths: np.add.at adds each
+        vertex's weights in ascending neighbour order, and so does the sum
+        down a column of A.
+        """
+        if self.unit_mass:
+            return self.strengths
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (np.asarray(self.graph.mass)[:, None] * self.adjacency).sum(axis=0)
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def isolated(self) -> list[int]:
@@ -250,11 +267,12 @@ class GraphAnalysis:
         return tuple(sorted(found, key=lambda p: p.v1))
 
     def matrix(self, family: str) -> np.ndarray:
-        """One family's matrix, built from the cached A and strengths.
+        """One family's matrix, built from the cached A, strengths and masses.
 
-        Every family but "adjacency", which is the cached A itself, is built
-        anew on each call.
+        This is the one place a family is assembled.  Every family but
+        "adjacency", which is the cached A itself, is built anew on each call.
         """
+        family = self._family(family)
         a, s = self.adjacency, self.strengths
         if family == "adjacency":
             return a
@@ -263,21 +281,33 @@ class GraphAnalysis:
         if family == "signless":
             return np.diag(s) + a
         if family == "normalized":
-            return normalized_laplacian_from(a, s)
-        mass = np.asarray(self.graph.mass)
-        root = np.sqrt(mass)
-        sym = a * np.outer(root, root)
-        if family == "mass-adjacency":
-            return sym
-        if family == "mass-laplacian":
-            return np.diag((mass[:, None] * a).sum(axis=0)) - sym
-        raise ValueError(f"unknown matrix family {family!r}")
+            if self.isolated:
+                raise IsolatedVertexError(self.isolated[0])
+            inv_sqrt = 1.0 / np.sqrt(s)
+            lhat = -a * np.outer(inv_sqrt, inv_sqrt)
+            np.fill_diagonal(lhat, 1.0)
+            return lhat
+        if family not in ("mass-adjacency", "mass-laplacian"):
+            raise ValueError(f"unknown matrix family {family!r}")
+        root = np.sqrt(np.asarray(self.graph.mass))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf, and fails checks
+            sym = a * np.outer(root, root)
+            if family == "mass-adjacency":
+                return sym
+            return np.diag(self.mass_strengths) - sym
+
+    def _family(self, family: str) -> str:
+        """The family built and solved for `family`: with unit masses, a mass family's plain one."""
+        if self.unit_mass and family in ("mass-adjacency", "mass-laplacian"):
+            return family.removeprefix("mass-")
+        return family
 
     def values(self, family: str, matrix: np.ndarray | None = None) -> np.ndarray:
         """Ascending eigenvalues of one family, solved values-only on first use.
 
         `matrix` is the family's matrix when the caller has already built it.
         """
+        family = self._family(family)
         if family not in self._values:
             self._solve(family, matrix, vectors=False)
         return self._values[family]
@@ -289,21 +319,13 @@ class GraphAnalysis:
         both asks for the vector first; after values() it costs a second
         solve, and the values read first are kept.
         """
+        family = self._family(family)
         if family not in self._second:
             self._solve(family, None, vectors=True)
         return self._second[family]
 
     def _solve(self, family: str, matrix: np.ndarray | None, vectors: bool) -> None:
-        if matrix is None:
-            matrix = self.matrix(family)
-        source, plain = self._unreduced, self._UNREDUCED_FAMILY.get(family)
-        plain_matrix = source.matrix(plain) if source is not None and plain else None
-        if plain_matrix is not None and np.array_equal(matrix, plain_matrix):
-            if vectors:
-                self._second[family] = source.second_vector(plain)
-            self._values.setdefault(family, source.values(plain, plain_matrix))
-            return
-        spec = eigen.sym_eigen(matrix, vectors=vectors)
+        spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix, vectors=vectors)
         self._values.setdefault(family, spec.values)
         if vectors:
             self._second[family] = spec.vectors[:, 1].copy()
@@ -326,9 +348,15 @@ class GraphAnalysis:
         return checks
 
     def reduced(self, r: Reduction) -> GraphAnalysis:
-        """Analysis of a reduction's reduced graph, kept for the latest reduction."""
+        """Analysis of a reduction's reduced graph, kept for the latest reduction.
+
+        A reduction that removed nothing has this graph as its reduced
+        graph, and this analysis as that graph's.
+        """
+        if r.reduced is self.graph:
+            return self
         if self._reduced is None or self._reduced.graph is not r.reduced:
-            self._reduced = GraphAnalysis(r.reduced, self if r.q_total == 0 else None)
+            self._reduced = GraphAnalysis(r.reduced)
         return self._reduced
 
 
@@ -337,19 +365,17 @@ def analyze(g: Graph | GraphAnalysis) -> GraphAnalysis:
     return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
 
 
-def _class_rows(g: Graph | GraphAnalysis, v1: Sequence[int], v2: Sequence[int]) -> np.ndarray:
-    return analyze(g).adjacency[np.ix_(list(v1), list(v2))]
-
-
 def _uniform_weight(rows: np.ndarray) -> float | None:
     """Common strength if all rows agree entrywise within tolerance, else None.
 
     Entries within WEIGHT_TOL times the largest entry count as equal;
-    verify_star_predictions reports stars whose rows are equal only so.
+    verify_star_predictions reports stars whose rows are equal only so.  A
+    strength that overflows is inf.
     """
     if rows.size and np.abs(rows - rows[0]).max() > WEIGHT_TOL * rows.max():
         return None
-    return float(rows[0].sum())
+    with np.errstate(over="ignore"):
+        return float(rows[0].sum())
 
 
 def _strength_classes(s: np.ndarray) -> np.ndarray:
@@ -417,18 +443,6 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     return stars
 
 
-def star_weight(g: Graph | GraphAnalysis, s: MkStar) -> float:
-    """Common strength of the star's v1 vertices.
-
-    Raises when the v1 weight vectors differ (structural-only star).
-    """
-    rows = _class_rows(g, s.v1, s.v2)
-    w = _uniform_weight(rows)
-    if w is None:
-        raise UnequalWeightVectorsError(s.v1)
-    return w
-
-
 def group_by_weight(stars: Sequence[MkStar]) -> list[StarClass]:
     """Group weight-carrying stars into classes of equal weight.
 
@@ -488,7 +502,7 @@ def verify_star_predictions(
     report = predict_multiplicities(ctx)
     warn = []
     for s in ctx.stars:
-        rows = _class_rows(ctx, s.v1, s.v2)
+        rows = ctx.adjacency[np.ix_(list(s.v1), list(s.v2))]
         if s.weight_uniform is None:
             warn.append(
                 f"star class v1={list(s.v1)} has unequal weight vectors and cannot be reduced"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from starlap import (
+    analyze,
     build_graph,
     compare_signs,
     detect_stars,
@@ -22,10 +23,8 @@ from starlap import (
     group_multiplicities,
     interlacing_check,
     kway,
-    laplacian,
     lift_vector,
     multiplicity_at,
-    normalized_laplacian,
     plant_ldependent_graph,
     plant_star_graph,
     recursive_bisection,
@@ -33,10 +32,8 @@ from starlap import (
     reduce_star,
     save_graph,
     sign_bipartition,
-    signless_laplacian,
     strengths,
     sym_eigen,
-    sym_mass_laplacian,
     verify_adjacency_reduction,
     verify_laplacian_reduction,
     verify_ldependent,
@@ -60,11 +57,11 @@ def multiplicities(matrix: np.ndarray, tol: float = 1e-8):
 
 def test_criterion_1_star_multiplicity_fixture(f1):
     start = time.time()
-    values = sym_eigen(laplacian(f1)).values
+    values = sym_eigen(analyze(f1).matrix("laplacian")).values
     oracle = bipartite_closed_form(3, 2)
     spectrum_ok = np.abs(values - np.array(oracle)).max() <= 1e-10
     assert oracle == [0.0, 2.0, 2.0, 3.0, 5.0]
-    computed = multiplicity_at(multiplicities(laplacian(f1)), 2.0)
+    computed = multiplicity_at(multiplicities(analyze(f1).matrix("laplacian")), 2.0)
     elapsed = time.time() - start
     report(
         "A1",
@@ -87,9 +84,9 @@ def test_criterion_2_star_multiplicity_randomized():
         g = plant_star_graph(seed=seed, n=n, star_specs=specs)
         weighted = [s for s in detect_stars(g) if s.weight_uniform is not None]
         classes = group_by_weight(weighted)
-        lap_table = multiplicities(laplacian(g))
-        signless_table = multiplicities(signless_laplacian(g))
-        normalized_table = multiplicities(normalized_laplacian(g))
+        lap_table = multiplicities(analyze(g).matrix("laplacian"))
+        signless_table = multiplicities(analyze(g).matrix("signless"))
+        normalized_table = multiplicities(analyze(g).matrix("normalized"))
         for c in classes:
             if multiplicity_at(lap_table, c.weight) < c.degree:
                 failures.append((seed, "laplacian", c.weight))
@@ -129,10 +126,10 @@ def test_criterion_3_dependent_rows_randomized():
         if part.l != l:
             failures.append((seed, "partition"))
             continue
-        if multiplicity_at(multiplicities(laplacian(g)), wt) < l:
+        if multiplicity_at(multiplicities(analyze(g).matrix("laplacian")), wt) < l:
             failures.append((seed, "laplacian", wt, l))
         if np.all(strengths(g) > 0) and multiplicity_at(
-            multiplicities(normalized_laplacian(g)), 1.0
+            multiplicities(analyze(g).matrix("normalized")), 1.0
         ) < l:
             failures.append((seed, "normalized", l))
     elapsed = time.time() - start
@@ -191,10 +188,10 @@ def test_criterion_5_laplacian_reduction(f1):
     start = time.time()
     failures = []
     r = reduce_star(f1, detect_stars(f1)[0], 1)
-    tilde_values = sym_eigen(sym_mass_laplacian(r)).values
+    tilde_values = sym_eigen(analyze(r.reduced).matrix("mass-laplacian")).values
     if np.abs(tilde_values - np.array([0.0, 2.0, 3.0, 5.0])).max() > 1e-10:
         failures.append(("f1 q=1 spectrum", tilde_values.tolist()))
-    spec = sym_eigen(sym_mass_laplacian(r))
+    spec = sym_eigen(analyze(r.reduced).matrix("mass-laplacian"))
     lifted = lift_vector(r, spec.vectors[:, int(np.argmin(np.abs(spec.values - 5.0)))])
     lifted /= np.linalg.norm(lifted)
     target = np.array([1.0, 1.0, 1.0, -1.5, -1.5])

@@ -442,3 +442,46 @@ class TestInfiniteStrengthsRunQuietly:
         assert (code, err) == (2, "")
         assert payload["rejected"] == ["vertices do not share a common strength: {0: inf, 1: inf}"]
         assert (payload["partitions"], payload["passed"]) == ([], False)
+
+    def test_stars(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "stars", files[0])
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        inf = float("inf")
+        assert payload["stars"] == [
+            {"k": 2, "m": 2, "v1": [0, 1], "v2": [2, 3], "weight": inf},
+            {"k": 2, "m": 2, "v1": [2, 3], "v2": [0, 1], "weight": inf},
+        ]
+        assert (payload["checks"], payload["warnings"], payload["passed"]) == ([], [], True)
+
+    def test_compare(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "compare", files[0])
+        assert (code, out) == (2, "")
+        assert err == (
+            "NonFiniteSpectrumError: the second laplacian eigenpair is not finite (lambda2=nan)\n"
+        )
+
+    def test_verify(self, capsys, files):
+        code, out, err = self.run_quietly(capsys, "verify", files[0])
+        payload = json.loads(out)
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert failed == [c["name"] for c in payload["checks"]][1:]
+        assert (code, payload["passed"]) == (2, False)
+        assert err == f"failed checks: {', '.join(failed)}\n"
+        assert payload["reduction"]["masses"] == {"0": 2.0, "1": 2.0}
+
+    def test_reduce(self, capsys, files, tmp_path):
+        out_path = str(tmp_path / "reduced.graph")
+        code, out, err = self.run_quietly(capsys, "reduce", files[0], "-o", out_path)
+        checks = json.loads(out)["reduction"]["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("k-orthonormality", True),
+            ("adjacency-congruence", False),
+            ("adjacency-spectrum", False),
+            ("adjacency-lift-residual", False),
+            ("laplacian-spectrum", False),
+            ("mass-laplacian-similarity", False),
+            ("laplacian-lift-residual", False),
+        ]
+        assert code == 2
+        assert err == f"failed checks: {', '.join(c['name'] for c in checks[1:])}\n"

@@ -149,7 +149,7 @@ def test_each_graph_adjacency_is_built_once(capsys, monkeypatch, command):
         builds[id(g)] = builds.get(id(g), 0) + 1
         return real_adjacency(g)
 
-    for module in (graphs, stars, reduction):
+    for module in (graphs, stars):
         monkeypatch.setattr(module, "adjacency", adjacency)
     assert cli.run_cli([command, str(GOLDEN / "stars120.graph"), "--json"]) == 0
     capsys.readouterr()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
+    analyze,
     group_multiplicities,
-    laplacian,
     multiplicity_at,
     spectral_gap_index,
     sym_eigen,
@@ -33,7 +33,7 @@ def test_two_by_two_closed_form():
 
 def test_bipartite_fixture_spectrum(f1):
     # closed form for complete bipartite parts of sizes 3 and 2: {0, 2, 2, 3, 5}
-    spec = sym_eigen(laplacian(f1))
+    spec = sym_eigen(analyze(f1).matrix("laplacian"))
     assert np.allclose(spec.values, [0.0, 2.0, 2.0, 3.0, 5.0], atol=1e-10)
 
 
@@ -50,7 +50,7 @@ def test_rejects_asymmetric():
 
 
 def test_orthonormal_and_residual(f1):
-    lap = laplacian(f1)
+    lap = analyze(f1).matrix("laplacian")
     spec = sym_eigen(lap)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(5)).max() <= 1e-10
     residual = lap @ spec.vectors - spec.vectors @ np.diag(spec.values)
@@ -134,7 +134,7 @@ def test_non_finite_values_do_not_widen_the_threshold():
 
 
 def test_multiplicity_at_fixture(f1):
-    table = group_multiplicities(sym_eigen(laplacian(f1)).values, 1e-8)
+    table = group_multiplicities(sym_eigen(analyze(f1).matrix("laplacian")).values, 1e-8)
     assert multiplicity_at(table, 2.0) == 2
     assert multiplicity_at(table, 7.0) == 0
 
@@ -148,7 +148,7 @@ def test_grouping_and_lookup_scale_with_the_values(scale):
 
 
 def test_multiplicity_at_dependent_fixture(f3):
-    lap = laplacian(f3)
+    lap = analyze(f3).matrix("laplacian")
     table = group_multiplicities(sym_eigen(lap).values, 1e-8)
     computed = multiplicity_at(table, 6.0)
     assert computed >= 1
@@ -164,7 +164,7 @@ def test_gap_index_tie_breaks_small():
 
 
 def test_gap_index_fixture(f1):
-    assert spectral_gap_index(sym_eigen(laplacian(f1)).values) == 1
+    assert spectral_gap_index(sym_eigen(analyze(f1).matrix("laplacian")).values) == 1
 
 
 def test_gap_index_too_few():

@@ -3,13 +3,10 @@ import pytest
 
 from starlap import (
     adjacency,
+    analyze,
     build_graph,
     connected_components,
     induced_subgraph,
-    laplacian,
-    normalized_laplacian,
-    signless_laplacian,
-    strength,
     strengths,
 )
 from starlap.errors import (
@@ -70,47 +67,46 @@ def test_adjacency_empty():
 
 
 def test_strength_values(f1):
-    assert strength(f1, 0) == 2.0
-    assert strength(f1, 3) == 3.0
-    assert strength(build_graph(2, []), 0) == 0.0
-    with pytest.raises(IndexOutOfRangeError):
-        strength(f1, 9)
+    assert analyze(f1).strengths[0] == 2.0
+    assert analyze(f1).strengths[3] == 3.0
+    assert analyze(build_graph(2, [])).strengths[0] == 0.0
 
 
 def test_laplacian_single_edge():
     g = build_graph(2, [(0, 1, 1.0)])
-    assert laplacian(g).tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    assert analyze(g).matrix("laplacian").tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_laplacian_path_tridiagonal(f4):
-    lap = laplacian(f4)
+    lap = analyze(f4).matrix("laplacian")
     assert np.diag(lap).tolist() == [1.0, 2.0, 2.0, 1.0]
     assert lap[0, 2] == 0.0 and lap[0, 3] == 0.0
 
 
 def test_laplacian_equals_degree_minus_adjacency(f1):
-    lap = laplacian(f1)
+    lap = analyze(f1).matrix("laplacian")
     expected = np.diag(strengths(f1)) - adjacency(f1)
     assert np.array_equal(lap, expected)
     assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * max(1.0, strengths(f1).max())
 
 
 def test_signless_relation(f1):
-    assert np.array_equal(signless_laplacian(f1) - laplacian(f1), 2 * adjacency(f1))
+    ctx = analyze(f1)
+    assert np.array_equal(ctx.matrix("signless") - ctx.matrix("laplacian"), 2 * adjacency(f1))
 
 
 def test_signless_single_edge():
     g = build_graph(2, [(0, 1, 1.0)])
-    assert signless_laplacian(g).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert analyze(g).matrix("signless").tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def test_normalized_single_edge_any_weight():
     g = build_graph(2, [(0, 1, 3.7)])
-    assert np.allclose(normalized_laplacian(g), [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(analyze(g).matrix("normalized"), [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_normalized_bipartite_offdiagonal(f1):
-    lhat = normalized_laplacian(f1)
+    lhat = analyze(f1).matrix("normalized")
     assert lhat[0, 3] == pytest.approx(-1.0 / np.sqrt(6.0))
     assert np.allclose(np.diag(lhat), 1.0)
 
@@ -118,13 +114,13 @@ def test_normalized_bipartite_offdiagonal(f1):
 def test_normalized_rejects_isolated():
     g = build_graph(3, [(0, 1, 1.0)])
     with pytest.raises(IsolatedVertexError):
-        normalized_laplacian(g)
+        analyze(g).matrix("normalized")
 
 
 def test_normalized_is_similarity_transform(f3):
     d = strengths(f3)
-    scaled = laplacian(f3) / np.sqrt(np.outer(d, d))
-    assert np.abs(normalized_laplacian(f3) - scaled).max() <= 1e-12
+    scaled = analyze(f3).matrix("laplacian") / np.sqrt(np.outer(d, d))
+    assert np.abs(analyze(f3).matrix("normalized") - scaled).max() <= 1e-12
 
 
 def test_components_connected(f1):

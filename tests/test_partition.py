@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from starlap import (
+    analyze,
     build_graph,
     compare_signs,
     detect_stars,
     eigen,
     fiedler,
     kway,
-    laplacian,
     load_graph,
     plant_star_graph,
     recursive_bisection,
@@ -55,7 +55,7 @@ class TestFiedler:
     def test_invariants(self, f2):
         result = fiedler(f2)
         assert abs(result.vector.sum()) <= 1e-9
-        lap = laplacian(f2)
+        lap = analyze(f2).matrix("laplacian")
         assert np.linalg.norm(lap @ result.vector - result.lambda2 * result.vector) <= 1e-9
 
     def test_disconnected_rejected(self):
@@ -235,7 +235,7 @@ def test_kway_recovers_planted_blocks():
 
 def _kway_reference(g, k, max_iter=100):
     """kway as first written: the whole n*k*k difference tensor per Lloyd step."""
-    spectrum = eigen.sym_eigen(laplacian(g))
+    spectrum = eigen.sym_eigen(analyze(g).matrix("laplacian"))
     if k == "auto":
         k_val = eigen.spectral_gap_index(spectrum.values)
         if k_val < 2:

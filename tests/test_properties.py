@@ -14,14 +14,11 @@ from starlap import (
     group_by_weight,
     group_multiplicities,
     interlacing_check,
-    laplacian,
     multiplicity_at,
-    normalized_laplacian,
     parse_graph_file,
     plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
-    signless_laplacian,
     strengths,
     sym_eigen,
     verify_adjacency_reduction,
@@ -62,7 +59,7 @@ def graphs(draw, max_n=10, connected=False):
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_matrix_identities(g):
-    a, lap, q = adjacency(g), laplacian(g), signless_laplacian(g)
+    a, lap, q = adjacency(g), analyze(g).matrix("laplacian"), analyze(g).matrix("signless")
     assert np.array_equal(lap, np.diag(strengths(g)) - a)
     assert np.array_equal(q - lap, 2 * a)
     assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * max(1.0, strengths(g).max())
@@ -74,14 +71,14 @@ def test_normalized_is_similarity(g):
     s = strengths(g)
     if np.any(s <= 0):
         return
-    scaled = laplacian(g) / np.sqrt(np.outer(s, s))
-    assert np.abs(normalized_laplacian(g) - scaled).max() <= 1e-12
+    scaled = analyze(g).matrix("laplacian") / np.sqrt(np.outer(s, s))
+    assert np.abs(analyze(g).matrix("normalized") - scaled).max() <= 1e-12
 
 
 @given(graphs())
 @settings(max_examples=40, deadline=None)
 def test_zero_multiplicity_counts_components(g):
-    spec = sym_eigen(laplacian(g))
+    spec = sym_eigen(analyze(g).matrix("laplacian"))
     table = group_multiplicities(spec.values, 1e-8)
     assert multiplicity_at(table, 0.0) == len(connected_components(g))
 
@@ -154,7 +151,7 @@ def test_planted_star_invariants(seed):
     ]
     n = sum(m + k for m, k, _ in specs) + int(rng.integers(0, 5))
     g = plant_star_graph(seed=seed, n=n, star_specs=specs)
-    lap_table = group_multiplicities(sym_eigen(laplacian(g)).values, 1e-8)
+    lap_table = group_multiplicities(sym_eigen(analyze(g).matrix("laplacian")).values, 1e-8)
     for m, k, w in specs:
         assert multiplicity_at(lap_table, w) >= m - 1
 
@@ -325,7 +322,7 @@ def assert_dependent_rows_cover_the_replaced_detectors(g):
             for w, bound in bounds.items():
                 near = [b for v, b in claims if abs(v - w) <= DEFAULT_TOL * max(1.0, w)]
                 assert near and max(near) >= bound, (w, bound, claims)
-    lap = laplacian(g)
+    lap = analyze(g).matrix("laplacian")
     for p in analyze(g).dependent_rows:
         for i, coeffs in p.coefficients.items():
             x = np.zeros(g.n)

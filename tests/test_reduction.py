@@ -10,21 +10,19 @@ from starlap import (
     build_graph,
     detect_stars,
     interlacing_check,
-    laplacian,
     lift_vector,
     load_graph,
-    mass_adjacency,
-    mass_degree,
     mass_laplacian,
     plant_star_graph,
     reduce_all,
     reduce_star,
+    save_graph,
     star_frame,
     sym_eigen,
-    sym_mass_laplacian,
     verify_adjacency_reduction,
     verify_laplacian_reduction,
 )
+from starlap.cli import run_cli
 from starlap.stars import analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
@@ -93,7 +91,7 @@ class TestReduceAll:
         r = reduce_all(f1, [2, 1])
         assert r.reduced.n == 2
         assert r.reduced.mass == (3.0, 2.0)
-        vals = sym_eigen(sym_mass_laplacian(r)).values
+        vals = sym_eigen(analyze(r.reduced).matrix("mass-laplacian")).values
         assert np.allclose(vals, [0.0, 5.0], atol=1e-10)
 
     def test_explicit_q_wrong_length(self, f1):
@@ -133,47 +131,54 @@ class TestKMatrix:
 
 class TestMassOperators:
     def test_mass_adjacency_scales_rows(self, f1):
+        # M B is the off-diagonal of -L(MB)
         r = reduce_star(f1, first_star(f1), 1)
-        mb = mass_adjacency(r)
+        mb = -mass_laplacian(r)
+        np.fill_diagonal(mb, 0.0)
         assert np.allclose(mb[0], 1.5 * adjacency(r.reduced)[0])
         assert np.allclose(mb[2], adjacency(r.reduced)[2])
         r2 = reduce_star(f1, first_star(f1), 2)
-        assert np.allclose(mass_adjacency(r2)[0], 3.0 * adjacency(r2.reduced)[0])
+        mb2 = -mass_laplacian(r2)
+        np.fill_diagonal(mb2, 0.0)
+        assert np.allclose(mb2[0], 3.0 * adjacency(r2.reduced)[0])
 
     def test_mass_degree_fixture(self, f1):
         r1 = reduce_star(f1, first_star(f1), 1)
-        assert np.allclose(np.diag(mass_degree(r1)), [2.0, 2.0, 3.0, 3.0])
+        assert np.allclose(analyze(r1.reduced).mass_strengths, [2.0, 2.0, 3.0, 3.0])
+        assert np.allclose(np.diag(mass_laplacian(r1)), [2.0, 2.0, 3.0, 3.0])
         r2 = reduce_star(f1, first_star(f1), 2)
-        assert np.allclose(np.diag(mass_degree(r2)), [2.0, 3.0, 3.0])
+        assert np.allclose(analyze(r2.reduced).mass_strengths, [2.0, 3.0, 3.0])
 
     def test_unit_mass_reduces_to_plain_operators(self, f4):
         r = reduce_all(f4, "collapse")
-        assert np.array_equal(mass_adjacency(r), adjacency(f4))
-        assert np.array_equal(sym_mass_laplacian(r), laplacian(f4))
+        red, ctx = analyze(r.reduced), analyze(f4)
+        assert np.array_equal(red.matrix("mass-adjacency"), adjacency(f4))
+        assert np.array_equal(red.matrix("mass-laplacian"), ctx.matrix("laplacian"))
+        assert np.array_equal(mass_laplacian(r), ctx.matrix("laplacian"))
 
     def test_tilde_spectrum_q1(self, f1):
         r = reduce_star(f1, first_star(f1), 1)
-        vals = sym_eigen(sym_mass_laplacian(r)).values
+        vals = sym_eigen(analyze(r.reduced).matrix("mass-laplacian")).values
         assert np.allclose(vals, [0.0, 2.0, 3.0, 5.0], atol=1e-10)
 
     def test_tilde_spectrum_q2(self, f1):
         r = reduce_star(f1, first_star(f1), 2)
-        vals = sym_eigen(sym_mass_laplacian(r)).values
+        vals = sym_eigen(analyze(r.reduced).matrix("mass-laplacian")).values
         assert np.allclose(vals, [0.0, 3.0, 5.0], atol=1e-10)
 
     def test_trace_conservation(self, f1, f2):
         for g in (f1, f2):
             r = reduce_all(g, "collapse")
             removed_weight = sum(info.q * info.star.weight_uniform for info in r.star_info)
-            assert np.trace(sym_mass_laplacian(r)) == pytest.approx(
-                np.trace(laplacian(g)) - removed_weight, abs=1e-9
+            assert np.trace(analyze(r.reduced).matrix("mass-laplacian")) == pytest.approx(
+                np.trace(analyze(g).matrix("laplacian")) - removed_weight, abs=1e-9
             )
 
 
 class TestLift:
     def test_top_eigenvector(self, f1):
         r = reduce_star(f1, first_star(f1), 1)
-        spec = sym_eigen(sym_mass_laplacian(r))
+        spec = sym_eigen(analyze(r.reduced).matrix("mass-laplacian"))
         lifted = lift_vector(r, spec.vectors[:, 3])
         lifted /= np.linalg.norm(lifted)
         target = np.array([1.0, 1.0, 1.0, -1.5, -1.5])
@@ -185,7 +190,7 @@ class TestLift:
         lifted = lift_vector(r, np.array([1.0, -1.0, 0.0, 0.0]))
         assert abs(lifted.sum()) <= 1e-12
         assert np.abs(lifted[3:]).max() <= 1e-12
-        lap = laplacian(f1)
+        lap = analyze(f1).matrix("laplacian")
         assert np.abs(lap @ lifted - 2.0 * lifted).max() <= 1e-9
 
     def test_right_eigvec_source(self, f1):
@@ -279,7 +284,7 @@ def _per_vector_lift_residuals(g, r):
     out = {}
     for name, x, reduced in (
         (LIFTS[0], adjacency(g), _sym_mass_adjacency(r)),
-        (LIFTS[1], laplacian(g), sym_mass_laplacian(r)),
+        (LIFTS[1], analyze(g).matrix("laplacian"), analyze(r.reduced).matrix("mass-laplacian")),
     ):
         radius = max(1.0, float(np.abs(np.linalg.eigvalsh(x)).max()))
         spec = sym_eigen(reduced)
@@ -365,8 +370,8 @@ def _dense_residuals(g, r, frames=None):
     Returns them by check name, with the spectral radius of A (at least 1).
     """
     k = _dense_k_reference(r, frames)
-    a, lap = adjacency(g), laplacian(g)
-    s, tilde = _sym_mass_adjacency(r), sym_mass_laplacian(r)
+    a, lap = adjacency(g), analyze(g).matrix("laplacian")
+    s, tilde = _sym_mass_adjacency(r), analyze(r.reduced).matrix("mass-laplacian")
     radius_a = max(1.0, float(np.abs(np.linalg.eigvalsh(a)).max()))
     radius_l = max(1.0, float(np.abs(np.linalg.eigvalsh(lap)).max()))
     residuals = {
@@ -489,12 +494,12 @@ def _match_after_removal_reference(original_vals, reduced_vals, removals, tol):
 def _spectrum_matches(g, r):
     """The (original, reduced, removals, tol) inputs of both spectrum checks."""
     a_vals = np.linalg.eigvalsh(adjacency(g))
-    l_vals = np.linalg.eigvalsh(laplacian(g))
+    l_vals = np.linalg.eigvalsh(analyze(g).matrix("laplacian"))
     weights = [info.star.weight_uniform for info in r.star_info for _ in range(info.q)]
     return [
         (a_vals, np.linalg.eigvalsh(_sym_mass_adjacency(r)), [0.0] * r.q_total,
          1e-8 * max(1.0, np.abs(a_vals).max())),
-        (l_vals, np.linalg.eigvalsh(sym_mass_laplacian(r)), weights,
+        (l_vals, np.linalg.eigvalsh(analyze(r.reduced).matrix("mass-laplacian")), weights,
          1e-8 * max(1.0, np.abs(l_vals).max())),
     ]
 
@@ -532,3 +537,39 @@ class TestMatchAfterRemoval:
     def test_equals_the_list_scan_on_edge_cases(self, original, reduced, removals, tol):
         with np.errstate(invalid="ignore"):
             _same_match((np.array(original), np.array(reduced), removals, tol))
+
+
+class TestGraphsWithMasses:
+    """A graph with masses, as reduce writes it, is checked through its mass families."""
+
+    def test_identity_reduction_keeps_the_masses(self, tmp_path, capsys):
+        # a path has no twins, so nothing is reduced; vertex 0 keeps mass 1.5
+        path = tmp_path / "massed.graph"
+        path.write_text("n 4\n0 1 1\n1 2 2\n2 3 3\nm 0 1.5\n", encoding="utf-8")
+        assert run_cli(["verify", str(path)]) == 0
+        capsys.readouterr()
+        g = load_graph(str(path))
+        ctx = analyze(g)
+        r = reduce_all(ctx)
+        assert r.reduced is g and ctx.reduced(r) is ctx and not ctx.unit_mass
+        a, mass = adjacency(g), np.array([1.5, 1.0, 1.0, 1.0])
+        root = np.diag(np.sqrt(mass))
+        by_hand = np.diag((np.diag(mass) @ a).sum(axis=0)) - root @ a @ root
+        values = ctx.values("mass-laplacian")
+        assert np.allclose(values, sym_eigen(by_hand).values, rtol=0.0, atol=1e-12)
+        assert not np.allclose(values, ctx.values("laplacian"))
+
+    def test_a_reduced_graph_reduces_again(self, f1, tmp_path, capsys):
+        # K_{3,2} with its three twins collapsed into a vertex of mass 3: the
+        # two hubs are twins of weight 1, and of mass strength 3, the value
+        # their difference vector takes in the mass Laplacian
+        path = tmp_path / "half.graph"
+        save_graph(reduce_star(f1, first_star(f1), 2).reduced, str(path))
+        assert run_cli(["verify", str(path)]) == 0
+        capsys.readouterr()
+        half = analyze(load_graph(str(path)))
+        r = reduce_all(half)
+        assert r.q_total == 1
+        reduced = half.reduced(r).values("mass-laplacian")
+        assert np.allclose(half.values("mass-laplacian"), [0.0, 3.0, 5.0], rtol=0.0, atol=1e-12)
+        assert np.allclose(reduced, [0.0, 5.0], rtol=0.0, atol=1e-12)

@@ -6,12 +6,10 @@ from starlap import (
     build_graph,
     detect_stars,
     group_by_weight,
-    laplacian,
     plant_ldependent_graph,
     plant_star_graph,
     predict_multiplicities,
     reduce_all,
-    star_weight,
     strengths,
     verify_ldependent,
     verify_star_predictions,
@@ -76,15 +74,16 @@ class TestDetect:
 
 class TestStarWeight:
     def test_values(self, f1, f2):
-        assert star_weight(f1, detect_stars(f1)[0]) == pytest.approx(2.0)
+        assert detect_stars(f1)[0].weight_uniform == pytest.approx(2.0)
         for s in detect_stars(f2):
-            assert star_weight(f2, s) == pytest.approx(1.0)
+            assert s.weight_uniform == pytest.approx(1.0)
 
     def test_unequal_rows_raise(self, f1):
         g = perturb_edge(f1, (0, 3), 2.0)
         broken = next(s for s in detect_stars(g) if s.v1 == (0, 1, 2))
+        assert broken.weight_uniform is None
         with pytest.raises(UnequalWeightVectorsError):
-            star_weight(g, broken)
+            group_by_weight([broken])
 
 
 class TestGrouping:
@@ -381,7 +380,7 @@ class TestPlantDependent:
         from starlap import group_multiplicities, multiplicity_at, sym_eigen
 
         g = plant_ldependent_graph(seed=2, sizes=(3, 4, 3), wtilde=4.0)
-        table = group_multiplicities(sym_eigen(laplacian(g)).values, 1e-8)
+        table = group_multiplicities(sym_eigen(analyze(g).matrix("laplacian")).values, 1e-8)
         assert multiplicity_at(table, 4.0) >= 3
 
     def test_degenerate_sizes(self):
