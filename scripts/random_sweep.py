@@ -4,7 +4,9 @@
 For each seed, plants either a uniform-weight star graph or a dependent-row
 graph, then checks every claim the structure makes: eigenvalue multiplicity
 bounds on the Laplacian / signless / normalized families, spectrum
-preservation under reduction, interlacing, and Fiedler sign agreement.
+preservation under reduction, interlacing, Fiedler sign agreement, and,
+where that comparison is conclusive, that bisecting the reduced graph splits
+the original vertices as bisecting the original does.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
@@ -26,6 +28,7 @@ from starlap import (
     plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
+    sign_bipartition,
     sym_eigen,
     verify_adjacency_reduction,
     verify_laplacian_reduction,
@@ -63,6 +66,13 @@ def sweep_star(seed, rng, max_extra):
     results["interlacing"] = interlacing_check(g, r)
     report = compare_signs(g, r)
     results["sign_agreement"] = report.degenerate or report.agreement_fraction == 1.0
+    if not report.degenerate:
+        # bisect the reduced graph itself; a removed vertex takes its kept twin's side
+        labels = sign_bipartition(r.reduced).labels
+        twin = {v: info.kept_v1[0] for info in r.star_info for v in info.star.v1}
+        lifted = [labels[r.vertex_map[twin.get(v, v)]] for v in range(g.n)]
+        original = list(sign_bipartition(g).labels)
+        results["reduced_bisection"] = lifted in (original, [1 - x for x in original])
     return g.n, results
 
 

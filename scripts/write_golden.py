@@ -2,11 +2,11 @@
 """Write the golden CLI outputs that tests/test_golden.py compares against.
 
 For each input graph (the write_fixtures.py graphs, a planted 120-vertex star
-graph and a planted dependent-row graph) it saves the graph file and the
-exact ``--json`` stdout of every call in ``COMMANDS`` (``info``, ``spectrum``
-of each matrix family, ``stars``, ``ldep``, ``verify``, ``reduce``,
-``compare`` and three ``partition`` modes), plus every call's exit code in
-``index.json``.  Regenerate a file only when a change is meant to alter that
+graph, a planted dependent-row graph and a graph with masses, as ``reduce``
+writes it) it saves the graph file and the exact ``--json`` stdout of every
+call in ``COMMANDS`` (``info``, ``spectrum`` of each matrix family,
+``stars``, ``ldep``, ``verify``, ``reduce``, ``compare`` and three
+``partition`` modes), plus every call's exit code in ``index.json``.  Regenerate a file only when a change is meant to alter that
 output.
 
 Usage:
@@ -23,7 +23,13 @@ import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from starlap import build_graph, plant_ldependent_graph, plant_star_graph, save_graph
+from starlap import (
+    build_graph,
+    plant_ldependent_graph,
+    plant_star_graph,
+    reduce_all,
+    save_graph,
+)
 from starlap.cli import run_cli
 from write_fixtures import FIXTURES
 
@@ -49,6 +55,10 @@ def golden_graphs():
         11, 120, [(4, 3, 2.0), (3, 2, 1.0), (5, 2, 1.5), (2, 1, 0.75)], background_p=0.08
     )
     graphs["ldep44"] = plant_ldependent_graph(3, (4, 30, 10), 6.0)
+    # a twin pair collapsed into one vertex of mass 2
+    graphs["written_reduction"] = reduce_all(
+        plant_star_graph(2, 35, [(2, 1, 1.0)], background_p=0.1)
+    ).reduced
     return graphs
 
 

@@ -87,7 +87,8 @@ class InvalidQError(StarlapError):
 class StructuralStarOnlyError(StarlapError):
     def __init__(self, v1: tuple[int, ...]):
         super().__init__(
-            f"star with v1={list(v1)} has unequal weight vectors and cannot be reduced"
+            f"star with v1={list(v1)} has unequal weight vectors or masses "
+            "and cannot be reduced"
         )
         self.v1 = v1
 

@@ -1,10 +1,15 @@
 """Spectral partitioning on original and reduced graphs.
 
-Bipartition by the sign pattern of the second Laplacian eigenvector,
-recursive bisection, and k-way clustering on the smallest-eigenvector
-embedding.  A reduced graph is partitioned through its mass-weighted
-Laplacian, and the lifted eigenvector's signs are compared against the
-original graph's, which is the point of reducing before partitioning.
+Every graph has one Fiedler pair: the second eigenpair of its own mass
+Laplacian L~ = diag(mass strengths) - M^(1/2) A M^(1/2), which is L bit for
+bit when every mass is 1.  L~ is similar to the nonsymmetric L(MB) through
+the positive diagonal M^(1/2), so its eigenvectors have the signs of L(MB)'s
+right eigenvectors, and a graph that a reduction wrote is bisected as its
+original.  Bipartition by the sign pattern of that vector, recursive
+bisection, and k-way clustering on the smallest-eigenvector embedding all
+read it; the reduced graph's vector, lifted through K, is compared sign by
+sign with the original graph's, which is the point of reducing before
+partitioning.
 """
 
 from __future__ import annotations
@@ -62,13 +67,28 @@ def _require_connected(g: Graph | GraphAnalysis) -> None:
         raise DisconnectedError(len(comps))
 
 
-def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> FiedlerResult:
+def _require_finite(g: Graph | GraphAnalysis, lambda2: float, vector: np.ndarray) -> None:
+    if not (np.isfinite(lambda2) and np.isfinite(vector).all()):
+        family = "laplacian" if analyze(g).unit_mass else "mass-laplacian"
+        raise NonFiniteSpectrumError(
+            f"the second {family} eigenpair is not finite (lambda2={lambda2:.6g})"
+        )
+
+
+def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
+    """Second-smallest eigenpair of a connected graph's mass Laplacian.
+
+    That is L's pair when every mass is 1.  Raises DisconnectedError,
+    TooFewValuesError below 2 vertices, and NonFiniteSpectrumError when the
+    pair is NaN or infinite.
+    """
+    ctx = analyze(g)
     _require_connected(ctx)
     if ctx.graph.n < 2:
         raise TooFewValuesError("second eigenpair needs at least 2 vertices")
-    vector = ctx.second_vector(family)   # first, so one solve gives both
-    values = ctx.values(family)
-    _require_finite(values[1], vector, family)
+    vector = ctx.second_vector("mass-laplacian")   # first, so one solve gives both
+    values = ctx.values("mass-laplacian")
+    _require_finite(ctx, values[1], vector)
     table = eigen.group_multiplicities(values, tol_rel)
     group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
     return FiedlerResult(
@@ -76,21 +96,6 @@ def _second_eigenpair(ctx: GraphAnalysis, family: str, tol_rel: float) -> Fiedle
         vector=vector,
         degenerate=group.multiplicity > 1,
     )
-
-
-def _require_finite(lambda2: float, vector: np.ndarray, family: str) -> None:
-    if not (np.isfinite(lambda2) and np.isfinite(vector).all()):
-        raise NonFiniteSpectrumError(
-            f"the second {family} eigenpair is not finite (lambda2={lambda2:.6g})"
-        )
-
-
-def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
-    """Second-smallest Laplacian eigenpair of a connected graph.
-
-    Raises NonFiniteSpectrumError when the pair is NaN or infinite.
-    """
-    return _second_eigenpair(analyze(g), "laplacian", tol_rel)
 
 
 def _labels_from_signs(vector: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
@@ -213,11 +218,12 @@ def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
 def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     """Cluster the rows of the k smallest-eigenvector embedding.
 
-    Lloyd iterations with farthest-first seeding from vertex 0's row; squared
-    Euclidean distances on unnormalized embedding rows.  k="auto" places the
-    cluster count at the largest gap anywhere in the Laplacian spectrum, so it
-    can choose k close to n (k=n-1 when the gap below the largest eigenvalue
-    is the widest).
+    The eigenvectors are those of the graph's mass Laplacian, whose second
+    one `fiedler` reads (L's when every mass is 1).  Lloyd iterations with
+    farthest-first seeding from vertex 0's row; squared Euclidean distances
+    on unnormalized embedding rows.  k="auto" places the cluster count at
+    the largest gap anywhere in that spectrum, so it can choose k close to n
+    (k=n-1 when the gap below the largest eigenvalue is the widest).
 
     A NaN or infinite second eigenpair raises NonFiniteSpectrumError.
 
@@ -226,10 +232,10 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     iteration.
     """
     _require_connected(g)
-    # the analysis is dropped once L is built, so that its A is freed before the solve
-    spectrum = eigen.sym_eigen(analyze(g).matrix("laplacian"))
+    # the analysis is dropped once L~ is built, so that its A is freed before the solve
+    spectrum = eigen.sym_eigen(analyze(g).matrix("mass-laplacian"))
     if g.n >= 2:
-        _require_finite(spectrum.values[1], spectrum.vectors[:, 1], "laplacian")
+        _require_finite(g, spectrum.values[1], spectrum.vectors[:, 1])
     if k == "auto":
         k_val = eigen.spectral_gap_index(spectrum.values)
         if k_val < 2:
@@ -261,65 +267,43 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     )
 
 
-def reduced_fiedler(
-    r: Reduction, tol_rel: float = eigen.DEFAULT_TOL, reduced: GraphAnalysis | None = None
-) -> FiedlerResult:
-    """Second eigenpair of the reduced graph's mass-weighted Laplacian.
-
-    The returned vector is the right eigenvector of the nonsymmetric mass
-    Laplacian (the symmetric solve's eigenvector scaled by sqrt(mass)),
-    renormalized and sign-normalized, so its sign pattern is the one the
-    lifted comparison uses.  `reduced`, the analysis of r.reduced, lets a
-    caller share its spectra.
-    """
-    sym = _second_eigenpair(reduced or GraphAnalysis(r.reduced), "mass-laplacian", tol_rel)
-    vec = sym.vector * np.sqrt(np.asarray(r.reduced.mass))
-    vec = vec / np.linalg.norm(vec)
-    significant = np.nonzero(np.abs(vec) > ZERO_ENTRY_EPS)[0]
-    if significant.size and vec[significant[0]] < 0:
-        vec = -vec
-    return FiedlerResult(lambda2=sym.lambda2, vector=vec, degenerate=sym.degenerate)
+def _inconclusive(reason: str) -> SignAgreementReport:
+    return SignAgreementReport(
+        pairs=(), global_flip=False, agreement_fraction=None, degenerate=True, reason=reason
+    )
 
 
 def compare_signs(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> SignAgreementReport:
-    """Compare Fiedler sign patterns of a graph and its reduction.
+    """Compare the Fiedler sign patterns of a graph and its reduction.
 
-    The reduced second eigenvector is lifted back to the original vertex set;
-    after an optional global flip, signs should agree on every kept vertex
-    with a significant entry.  Degenerate second eigenvalues (either side) or
+    The reduced graph's Fiedler vector v lifts to K v on the original vertex
+    set; after an optional global flip, signs should agree on every kept
+    vertex with a significant entry.  A graph with fewer than two vertices or
+    more than one component, a degenerate second eigenvalue (either side) or
     a second eigenvalue removed by the reduction make the comparison
-    inconclusive rather than failed.  Removed vertices inherit the cluster of
-    their kept twin in `extended_labels` (a convention, not a theorem).
+    inconclusive rather than failed.  A kept twin keeps every neighbour, so
+    the reduction of a connected graph is connected.  Removed vertices
+    inherit the cluster of their kept twin in `extended_labels` (a
+    convention, not a theorem).
     """
     ctx = analyze(g)
+    if ctx.graph.n < 2 or len(ctx.components) != 1:
+        return _inconclusive("graph too small or disconnected")
     orig = fiedler(ctx, tol_rel)
-    red = reduced_fiedler(r, tol_rel, ctx.reduced(r))
+    red = fiedler(ctx.reduced(r), tol_rel)
     if orig.degenerate or red.degenerate:
         which = "original" if orig.degenerate else "reduced"
-        return SignAgreementReport(
-            pairs=(),
-            global_flip=False,
-            agreement_fraction=None,
-            degenerate=True,
-            reason=f"second eigenvalue of the {which} graph is not simple",
-        )
-    radius = eigen.spectral_radius(ctx.values("laplacian"))
+        return _inconclusive(f"second eigenvalue of the {which} graph is not simple")
+    radius = eigen.spectral_radius(ctx.values("mass-laplacian"))
     if abs(orig.lambda2 - red.lambda2) > tol_rel * radius:
-        return SignAgreementReport(
-            pairs=(),
-            global_flip=False,
-            agreement_fraction=None,
-            degenerate=True,
-            reason=(
-                f"second eigenvalues differ ({orig.lambda2:.6g} vs {red.lambda2:.6g}); "
-                "the reduction removed the original second eigenvalue"
-            ),
+        return _inconclusive(
+            f"second eigenvalues differ ({orig.lambda2:.6g} vs {red.lambda2:.6g}); "
+            "the reduction removed the original second eigenvalue"
         )
 
-    lifted = lift_vector(r, red.vector, source="lmb_right")
-    lifted = lifted / np.linalg.norm(lifted)
+    lifted = lift_vector(r, red.vector)
     kept = [v for v in range(ctx.graph.n) if r.vertex_map[v] is not None]
     significant = [
         v

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,8 +221,9 @@ def reduce_all(
     "collapse" removes all but one vertex per star (q = m - 1); "keep-pair"
     removes all but two (q = m - 2, skipping 2-vertex stars).  A sequence of
     per-star q values, aligned with detect_stars order, gives explicit control
-    (q = 0 skips a star).  Structural-only stars are skipped by the named
-    policies and rejected when an explicit positive q targets them.
+    (q = 0 skips a star).  A star without a weight (unequal weight vectors
+    or masses) is skipped by the named policies and rejected when an
+    explicit positive q targets it.
     """
     ctx = analyze(g)
     stars = ctx.stars
@@ -325,26 +326,21 @@ def _laplacian_columns(ctx: GraphAnalysis) -> Columns:
     return columns
 
 
-LiftSource = Literal["tilde_l", "lmb_right"]
+def lift_vector(r: Reduction, v: np.ndarray) -> np.ndarray:
+    """Map a reduced-graph eigenvector to an original-graph eigenvector, as K v.
 
-
-def lift_vector(r: Reduction, v: np.ndarray, source: LiftSource = "tilde_l") -> np.ndarray:
-    """Map a reduced-graph eigenvector to an original-graph eigenvector.
-
-    Eigenvectors of the symmetric mass-weighted Laplacian (or of
-    M^(1/2) B M^(1/2)) lift as K v.  Right eigenvectors of the nonsymmetric
-    mass Laplacian carry an extra M^(1/2) factor, so they lift as
-    K M^(-1/2) v.
+    An eigenvector of the reduced graph's symmetric mass Laplacian L~ (or of
+    M^(1/2) B M^(1/2)) lifts to one of the original graph's at the same
+    eigenvalue, by the intertwining L K = K L~ (A K = K M^(1/2) B M^(1/2)).
+    K has orthonormal columns, so K v keeps v's norm.  A right eigenvector
+    of the nonsymmetric L(MB) is M^(1/2) times one of L~; M^(1/2) is a
+    positive diagonal, so the two have the same signs.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (r.reduced.n,):
         raise DimensionMismatchError(
             f"vector has shape {v.shape}, reduced graph has {r.reduced.n} vertices"
         )
-    if source == "lmb_right":
-        v = v / np.sqrt(np.asarray(r.reduced.mass))
-    elif source != "tilde_l":
-        raise ValueError(f"unknown lift source {source!r}")
     return _k_times(r, v)
 
 

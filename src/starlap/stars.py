@@ -59,7 +59,7 @@ class MkStar:
     """A class of vertices (v1) with identical neighborhoods (v2).
 
     `weight_uniform` holds the common strength when all v1 vertices also share
-    identical weight vectors toward v2, and None for purely structural classes.
+    identical weight vectors toward v2 and one mass, and None otherwise.
     """
 
     v1: tuple[int, ...]
@@ -143,9 +143,9 @@ class GraphAnalysis:
     vertices, the connected components, the detected stars and the
     dependent-row partitions are computed once, on first use.  A family is
     solved through ``eigen.sym_eigen`` for its eigenvalues only, unless its
-    second eigenvector is asked for first (the sign comparison reads that of the
-    Laplacian and the mass Laplacian); then values and vectors come from one
-    solve and only that vector is kept.
+    second eigenvector is asked for first (every Fiedler pair reads that of
+    the mass Laplacian); then values and vectors come from one solve and
+    only that vector is kept.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
     (the normalized Laplacian), and with the vertex masses M,
@@ -421,8 +421,10 @@ def _independent_columns(m: np.ndarray, tol: float) -> np.ndarray:
 def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     """All maximal classes of >= 2 vertices with identical open neighborhoods.
 
-    Classes with an empty neighborhood (isolated twins) are skipped.  Output
-    is ordered by the smallest vertex index in v1.
+    Classes with an empty neighborhood (isolated twins) are skipped.  A
+    class whose members differ in mass gets no weight, as one with unequal
+    weight vectors does: neither can be reduced.  Output is ordered by the
+    smallest vertex index in v1.
     """
     ctx = analyze(g)
     bounds, neighbors = neighbor_lists(ctx.graph)
@@ -438,9 +440,18 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
         v1 = tuple(members)
         v2 = tuple(neighbors[bounds[v1[0]] : bounds[v1[0] + 1]].tolist())
         rows = a[np.ix_(list(v1), list(v2))]
-        stars.append(MkStar(v1=v1, v2=v2, weight_uniform=_uniform_weight(rows)))
+        equal_masses = len({ctx.graph.mass[v] for v in v1}) == 1
+        weight = _uniform_weight(rows) if equal_masses else None
+        stars.append(MkStar(v1=v1, v2=v2, weight_uniform=weight))
     stars.sort(key=lambda s: s.v1[0])
     return stars
+
+
+def unreducible_reason(g: Graph | GraphAnalysis, s: MkStar) -> str | None:
+    """Why a detected star has no weight and cannot be reduced; None when it can."""
+    if len({analyze(g).graph.mass[v] for v in s.v1}) > 1:
+        return "unequal masses"
+    return "unequal weight vectors" if s.weight_uniform is None else None
 
 
 def group_by_weight(stars: Sequence[MkStar]) -> list[StarClass]:
@@ -493,8 +504,8 @@ def verify_star_predictions(
 ) -> StarVerification:
     """Check every dependent-row prediction against computed multiplicities.
 
-    With no predictions the result is a vacuous pass.  Structural-only stars,
-    which cannot be reduced, and stars whose weight vectors are equal only
+    With no predictions the result is a vacuous pass.  Stars that cannot be
+    reduced, with their reason, and stars whose weight vectors are equal only
     within tolerance are reported as warnings.  The normalized-Laplacian
     claim is skipped, with a warning, when the graph has an isolated vertex.
     """
@@ -503,10 +514,9 @@ def verify_star_predictions(
     warn = []
     for s in ctx.stars:
         rows = ctx.adjacency[np.ix_(list(s.v1), list(s.v2))]
-        if s.weight_uniform is None:
-            warn.append(
-                f"star class v1={list(s.v1)} has unequal weight vectors and cannot be reduced"
-            )
+        reason = unreducible_reason(ctx, s)
+        if reason:
+            warn.append(f"star class v1={list(s.v1)} has {reason} and cannot be reduced")
         elif (rows != rows[0]).any():
             warn.append(
                 f"star class v1={list(s.v1)} has weight vectors that differ by less than "

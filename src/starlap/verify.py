@@ -48,22 +48,37 @@ def verify_graph(
     """Run every check of the suite on one graph.
 
     With q (at least 1) only the first detected star is reduced, by
-    min(q, m - 1) vertices; without it every weight-uniform star is
-    collapsed.  The sign comparison needs both graphs connected with at
-    least two vertices, and is otherwise reported as an inconclusive pass.
+    min(q, m - 1) vertices; without it every reducible star is collapsed.
+    The sign comparison is an inconclusive pass on a graph with fewer than
+    two vertices or more than one component.
     """
     if q is not None and q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     ctx = stars.analyze(g)
     checks: list[NamedCheck] = []
-    # the sign comparison reads the second eigenvectors of L and L~; asking
-    # for them before any eigenvalue solves each matrix once, with vectors
-    connected = ctx.graph.n >= 2 and len(ctx.components) == 1
-    if connected:
-        ctx.second_vector("laplacian")
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(NamedCheck(name, bool(passed), detail))
+
+    detected = ctx.stars
+    qs: str | list[int] = "collapse"
+    if q is not None:
+        qs = [0] * len(detected)
+        if not detected:
+            requested = (True, "no stars to reduce; identity reduction")
+        elif reason := stars.unreducible_reason(ctx, detected[0]):
+            requested = (False, f"first star v1={list(detected[0].v1)} has {reason} "
+                         "and cannot be reduced")
+        else:
+            qs[0] = min(q, detected[0].m - 1)
+            requested = (True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
+    r = reduction.reduce_all(ctx, qs)
+    # the sign comparison reads the second eigenvectors of L and L~; running
+    # it before any eigenvalue is read solves each matrix once, with vectors
+    try:
+        signs, failure = partition.compare_signs(ctx, r, tol), ""
+    except NonFiniteSpectrumError as exc:
+        signs, failure = None, str(exc)
 
     star_verification = stars.verify_star_predictions(ctx, tol)
     for c in star_verification.checks:
@@ -72,25 +87,8 @@ def verify_graph(
             c.passed,
             f"computed {c.computed} >= predicted {c.predicted}",
         )
-
-    detected = ctx.stars
-    qs: str | list[int] = "collapse"
     if q is not None:
-        qs = [0] * len(detected)
-        name = f"reduction-requested(q={q})"
-        if not detected:
-            add(name, True, "no stars to reduce; identity reduction")
-        elif detected[0].weight_uniform is None:
-            add(name, False, f"first star v1={list(detected[0].v1)} has unequal weight vectors "
-                "and cannot be reduced")
-        else:
-            qs[0] = min(q, detected[0].m - 1)
-            add(name, True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
-    r = reduction.reduce_all(ctx, qs)
-    red = ctx.reduced(r)
-    comparable = connected and r.reduced.n >= 2 and len(red.components) == 1
-    if comparable:
-        red.second_vector("mass-laplacian")
+        add(f"reduction-requested(q={q})", *requested)
     records = (
         reduction.verify_adjacency_reduction(ctx, r, tol),
         reduction.verify_laplacian_reduction(ctx, r, tol),
@@ -98,23 +96,12 @@ def verify_graph(
     for c in records[0].checks + records[1].checks:
         add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}")
     add("reduction-interlacing", reduction.interlacing_check(ctx, r, tol))
-
-    signs = None
-    if not connected or r.reduced.n < 2:
-        add("sign-agreement", True, "inconclusive: graph too small or disconnected")
-    elif not comparable:
-        add("sign-agreement", True, "inconclusive: reduced graph is disconnected")
+    if signs is None:
+        add("sign-agreement", False, failure)
+    elif signs.degenerate:
+        add("sign-agreement", True, f"inconclusive: {signs.reason}")
     else:
-        try:
-            signs = partition.compare_signs(ctx, r, tol)
-        except NonFiniteSpectrumError as exc:
-            add("sign-agreement", False, str(exc))
-        else:
-            if signs.degenerate:
-                add("sign-agreement", True, f"inconclusive: {signs.reason}")
-            else:
-                fraction = signs.agreement_fraction
-                add("sign-agreement", signs.passed, f"agreement fraction {fraction}")
+        add("sign-agreement", signs.passed, f"agreement fraction {signs.agreement_fraction}")
 
     return GraphVerification(
         checks=tuple(checks),

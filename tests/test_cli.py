@@ -240,6 +240,22 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", fixture_files["f1"])
         assert code == 0 and "inconclusive" in out
 
+    def test_disconnected_is_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "disc.graph"
+        path.write_text("n 4\n0 1 1\n2 3 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "compare", str(path))
+        assert (code, out, err) == (0, "inconclusive: graph too small or disconnected\n", "")
+
+    def test_graph_with_masses_agrees_on_every_vertex(self, capsys, tmp_path):
+        # a path has no twins: the identity reduction compares L~ with itself
+        path = tmp_path / "massed.graph"
+        path.write_text("n 4\n0 1 1\n1 2 2\n2 3 3\nm 0 1.5\n", encoding="utf-8")
+        code, out, _ = run(capsys, "compare", str(path), "--json")
+        payload = json.loads(out)
+        assert code == 0 and not payload["degenerate"]
+        assert payload["agreement_fraction"] == 1.0
+        assert [v for v, a, b in payload["pairs"] if a != b or a == 0] == []
+
 
 class TestJsonStability:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from starlap import (
     recursive_bisection,
     reduce_all,
     reduce_star,
-    reduced_fiedler,
+    save_graph,
     sign_bipartition,
 )
+from starlap.cli import run_cli
 from starlap.errors import BadKError, DisconnectedError
 from starlap.partition import Partition, _relabel_by_smallest_member
 
@@ -139,13 +141,13 @@ class TestKway:
 class TestReducedFiedler:
     def test_degeneracy_drops_after_reduction(self, f1):
         r = reduce_star(f1, detect_stars(f1)[0], 1)
-        result = reduced_fiedler(r)
+        result = fiedler(r.reduced)
         assert result.lambda2 == pytest.approx(2.0, abs=1e-10)
         assert not result.degenerate
 
     def test_collapse_double_star(self, f2):
         r = reduce_all(f2, "collapse")
-        result = reduced_fiedler(r)
+        result = fiedler(r.reduced)
         assert result.lambda2 == pytest.approx((5.0 - np.sqrt(17.0)) / 2.0, abs=1e-10)
         # former centers 0 and 1 land on opposite sides
         i0, i1 = r.vertex_map[0], r.vertex_map[1]
@@ -153,7 +155,7 @@ class TestReducedFiedler:
 
     def test_identity_matches_original(self, f4):
         r = reduce_all(f4, "collapse")
-        plain, red = fiedler(f4), reduced_fiedler(r)
+        plain, red = fiedler(f4), fiedler(r.reduced)
         assert red.lambda2 == pytest.approx(plain.lambda2)
         assert np.allclose(red.vector, plain.vector)
 
@@ -197,6 +199,43 @@ class TestCompareSigns:
                 assert report.agreement_fraction == 1.0
                 agreements += 1
         assert agreements >= 10
+
+
+def lifted_labels(r, labels):
+    """Reduced-graph labels on the original vertices; a removed vertex takes its kept twin's."""
+    twin = {v: info.kept_v1[0] for info in r.star_info for v in info.star.v1}
+    return [labels[r.vertex_map[v if r.vertex_map[v] is not None else twin[v]]]
+            for v in range(r.original.n)]
+
+
+def same_up_to_swap(a, b):
+    return list(a) == list(b) or list(a) == [1 - x for x in b]
+
+
+class TestReducedGraphBisectsLikeItsOriginal:
+    """The reduced graph's Fiedler vector is the original's restricted to range(K)."""
+
+    @pytest.fixture
+    def g(self):
+        return plant_star_graph(2, 35, [(2, 1, 1.0)], background_p=0.1)
+
+    def test_sign_bipartition(self, g):
+        r = reduce_all(g)
+        assert r.q_total == 1 and set(r.reduced.mass) == {1.0, 2.0}
+        reduced = sign_bipartition(r.reduced).labels
+        assert same_up_to_swap(lifted_labels(r, reduced), sign_bipartition(g).labels)
+
+    def test_partition_of_the_written_file(self, g, tmp_path, capsys):
+        original, written = str(tmp_path / "g.graph"), str(tmp_path / "reduced.graph")
+        save_graph(g, original)
+        assert run_cli(["reduce", original, "-o", written]) == 0
+        capsys.readouterr()
+        labels = {}
+        for path in (original, written):
+            assert run_cli(["partition", path, "--bisect", "--json"]) == 0
+            labels[path] = json.loads(capsys.readouterr().out)["labels"]
+        r = reduce_all(g)
+        assert same_up_to_swap(lifted_labels(r, labels[written]), labels[original])
 
 
 def planted_blocks(seed, n_blocks, bridge_weight=1e-3):

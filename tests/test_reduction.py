@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from starlap import (
     adjacency,
     build_graph,
     detect_stars,
+    fiedler,
     interlacing_check,
     lift_vector,
     load_graph,
@@ -194,11 +196,20 @@ class TestLift:
         assert np.abs(lap @ lifted - 2.0 * lifted).max() <= 1e-9
 
     def test_right_eigvec_source(self, f1):
+        # L(MB) = M^(1/2) L~ M^(-1/2) with M^(1/2) a positive diagonal, so
+        # its right eigenvectors have the signs of L~'s, which fiedler reads
         r = reduce_star(f1, first_star(f1), 1)
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        direct = lift_vector(r, v)
-        via_mass = lift_vector(r, v * np.sqrt(np.asarray(r.reduced.mass)), source="lmb_right")
-        assert np.allclose(direct, via_mass)
+        values, vectors = np.linalg.eig(mass_laplacian(r))
+        order = np.argsort(values.real)
+        right = vectors[:, order[1]].real
+        lam2 = fiedler(r.reduced)
+        assert not lam2.degenerate
+        assert values.real[order[1]] == pytest.approx(lam2.lambda2)
+        signs = np.where(np.abs(right) > 1e-9, np.sign(right), 0.0)
+        expected = np.where(np.abs(lam2.vector) > 1e-9, np.sign(lam2.vector), 0.0)
+        assert np.any(signs) and (
+            np.array_equal(signs, expected) or np.array_equal(signs, -expected)
+        )
 
     def test_identity_reduction(self, f4):
         r = reduce_all(f4, "collapse")
@@ -573,3 +584,21 @@ class TestGraphsWithMasses:
         reduced = half.reduced(r).values("mass-laplacian")
         assert np.allclose(half.values("mass-laplacian"), [0.0, 3.0, 5.0], rtol=0.0, atol=1e-12)
         assert np.allclose(reduced, [0.0, 5.0], rtol=0.0, atol=1e-12)
+
+    def test_twins_of_unequal_mass_are_not_reduced(self, tmp_path, capsys):
+        # 0, 1 and 3 hang off hub 2 with equal weights, but vertex 0 has mass 2
+        path = tmp_path / "twins.graph"
+        path.write_text("n 4\n0 2 1\n1 2 1\n2 3 1\nm 0 2\n", encoding="utf-8")
+        warning = "star class v1=[0, 1, 3] has unequal masses and cannot be reduced"
+        for command in ("verify", "stars"):
+            assert run_cli([command, str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+        g = load_graph(str(path))
+        star = first_star(g)
+        assert star.v1 == (0, 1, 3) and star.weight_uniform is None
+        for policy in ("collapse", "keep-pair"):
+            assert reduce_all(g, policy).q_total == 0
+        with pytest.raises(StructuralStarOnlyError):
+            reduce_all(g, [1])
+        with pytest.raises(StructuralStarOnlyError):
+            reduce_star(g, star, 1)
