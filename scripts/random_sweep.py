@@ -6,7 +6,9 @@ graph, then checks every claim the structure makes: eigenvalue multiplicity
 bounds on the Laplacian / signless / normalized families, spectrum
 preservation under reduction, interlacing, Fiedler sign agreement, and,
 where that comparison is conclusive, that bisecting the reduced graph splits
-the original vertices as bisecting the original does.
+the original vertices as bisecting the original does.  On every graph
+without near ties of strength it also checks that the dependent-row claims
+do not change under one seeded relabelling of the vertices.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
@@ -19,6 +21,7 @@ import numpy as np
 
 from starlap import (
     analyze,
+    build_graph,
     compare_signs,
     detect_stars,
     group_by_weight,
@@ -29,16 +32,37 @@ from starlap import (
     plant_star_graph,
     reduce_all,
     sign_bipartition,
+    strengths,
     sym_eigen,
     verify_adjacency_reduction,
     verify_laplacian_reduction,
     verify_ldependent,
 )
+from starlap.stars import WEIGHT_TOL
 
 
 def mult(matrix, value, tol=1e-8):
     values = sym_eigen(matrix, vectors=False).values
     return multiplicity_at(group_multiplicities(values, tol), value)
+
+
+def claims(g):
+    return sorted((round(p.wtilde, 6), p.l) for p in analyze(g).dependent_rows)
+
+
+def relabelled(g, rng):
+    """Whether one random relabelling keeps the dependent-row claims; None on near ties.
+
+    Strengths that differ by more than rounding but by at most ten
+    WEIGHT_TOL are near ties, where a relabelling may change which rows the
+    tolerance groups together.
+    """
+    s = np.sort(strengths(g))
+    gaps = np.diff(s) / np.maximum(1.0, s[1:])
+    if ((gaps > 1e-12) & (gaps <= 10 * WEIGHT_TOL)).any():
+        return None
+    perm = rng.permutation(g.n).tolist()
+    return claims(build_graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])) == claims(g)
 
 
 def sweep_star(seed, rng, max_extra):
@@ -50,8 +74,7 @@ def sweep_star(seed, rng, max_extra):
     g = plant_star_graph(seed=seed, n=n, star_specs=specs)
     results = {}
 
-    weighted = [s for s in detect_stars(g) if s.weight_uniform is not None]
-    classes = group_by_weight(weighted)
+    classes = group_by_weight(detect_stars(g))
     ctx = analyze(g)
     lap, signless = ctx.matrix("laplacian"), ctx.matrix("signless")
     results["multiplicity"] = all(
@@ -73,7 +96,7 @@ def sweep_star(seed, rng, max_extra):
         lifted = [labels[r.vertex_map[twin.get(v, v)]] for v in range(g.n)]
         original = list(sign_bipartition(g).labels)
         results["reduced_bisection"] = lifted in (original, [1 - x for x in original])
-    return g.n, results
+    return g, results
 
 
 def sweep_dependent(seed, rng):
@@ -84,7 +107,7 @@ def sweep_dependent(seed, rng):
     part = verify_ldependent(
         g, list(range(m1)), list(range(m1, m1 + k)), list(range(m1 + k, g.n))
     )
-    return g.n, {
+    return g, {
         "certificate": part.l == l,
         "multiplicity": mult(analyze(g).matrix("laplacian"), wt) >= l,
         "normalized": mult(analyze(g).matrix("normalized"), 1.0) >= l,
@@ -106,10 +129,12 @@ def main():
         seed = args.seed + i
         rng = np.random.default_rng(seed)
         if i % 2 == 0:
-            n, results = sweep_star(seed, rng, args.max_extra)
+            g, results = sweep_star(seed, rng, args.max_extra)
         else:
-            n, results = sweep_dependent(seed, rng)
-        sizes.append(n)
+            g, results = sweep_dependent(seed, rng)
+        if (same := relabelled(g, rng)) is not None:
+            results["relabelled"] = same
+        sizes.append(g.n)
         for name, ok in results.items():
             counts[name] = counts.get(name, 0) + 1
             if not ok:

@@ -312,7 +312,6 @@ def _cmd_verify(args) -> int:
     lines.extend(f"warning: {w}" for w in result.warnings)
     lines.append(f"{'all checks passed' if result.passed else 'FAILED checks present'}")
     signs = result.signs
-    weighted = [s for s in ctx.stars if s.weight_uniform is not None]
     payload = {
         "summary": fileio.graph_summary(ctx),
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in result.checks],
@@ -323,7 +322,7 @@ def _cmd_verify(args) -> int:
         "stars": [_star_payload(s) for s in ctx.stars],
         "star_classes": [
             {"weight": c.weight, "degree": c.degree, "v1_sets": [list(s.v1) for s in c.stars]}
-            for c in stars_mod.group_by_weight(weighted)
+            for c in stars_mod.group_by_weight(ctx.stars)
         ],
         "dependent_rows": [_partition_payload(p) for p in result.dependent_rows],
         "warnings": list(result.warnings),

@@ -46,15 +46,6 @@ class TooFewValuesError(StarlapError):
     pass
 
 
-class UnequalWeightVectorsError(StarlapError):
-    def __init__(self, v1: tuple[int, ...], detail: str = ""):
-        msg = f"star vertices {list(v1)} do not share identical weight vectors"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.v1 = v1
-
-
 class ConditionViolatedError(StarlapError):
     """A dependent-rows partition condition failed; records which one and where."""
 

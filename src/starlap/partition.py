@@ -62,8 +62,9 @@ class SignAgreementReport:
 
 
 def _require_connected(g: Graph | GraphAnalysis) -> None:
+    """Raise DisconnectedError on two or more components; an empty graph has none."""
     comps = analyze(g).components
-    if len(comps) != 1:
+    if len(comps) > 1:
         raise DisconnectedError(len(comps))
 
 
@@ -78,7 +79,10 @@ def _require_finite(g: Graph | GraphAnalysis, lambda2: float, vector: np.ndarray
 def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> FiedlerResult:
     """Second-smallest eigenpair of a connected graph's mass Laplacian.
 
-    That is L's pair when every mass is 1.  Raises DisconnectedError,
+    That is L's pair when every mass is 1.  The pair is degenerate when
+    lambda2 lies within tol_rel times the spectral radius of lambda1 or
+    lambda3, where single-linkage grouping (eigen.group_multiplicities)
+    would join it to a neighbour.  Raises DisconnectedError,
     TooFewValuesError below 2 vertices, and NonFiniteSpectrumError when the
     pair is NaN or infinite.
     """
@@ -89,12 +93,11 @@ def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> Fie
     vector = ctx.second_vector("mass-laplacian")   # first, so one solve gives both
     values = ctx.values("mass-laplacian")
     _require_finite(ctx, values[1], vector)
-    table = eigen.group_multiplicities(values, tol_rel)
-    group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
+    separated = np.diff(values[:3]) > tol_rel * eigen.spectral_radius(values)
     return FiedlerResult(
         lambda2=float(values[1]),
         vector=vector,
-        degenerate=group.multiplicity > 1,
+        degenerate=not separated.all(),
     )
 
 
@@ -106,11 +109,14 @@ def _labels_from_signs(vector: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
 
 
 def sign_bipartition(g: Graph) -> Partition:
-    """Two clusters from the Fiedler vector's sign pattern."""
+    """Two clusters from the Fiedler vector's sign pattern.
+
+    A graph with fewer than two vertices is one cluster (none when empty).
+    """
+    if g.n < 2:
+        return Partition(labels=(0,) * g.n, provenance="fiedler-sign(fewer than 2 vertices)")
     result = fiedler(g)
     labels, near_zero = _labels_from_signs(result.vector)
-    if 1 not in labels:
-        labels = tuple(0 for _ in labels)
     note = f"; zero entries at {near_zero}" if near_zero else ""
     return Partition(
         labels=labels,
@@ -139,7 +145,7 @@ def recursive_bisection(
     weights.  A block that falls apart into components splits along its first
     component.  Stops at max_clusters blocks, or when every block's second
     eigenvalue exceeds lambda2_threshold, or when only singletons remain.
-    Each block's split is computed once.
+    Each block's split is computed once; an empty graph has no blocks.
     """
     if (max_clusters is None) == (lambda2_threshold is None):
         raise ValueError("give exactly one of max_clusters, lambda2_threshold")
@@ -169,8 +175,8 @@ def recursive_bisection(
             )
         return splits[block]
 
-    blocks = [tuple(range(g.n))]
-    while max_clusters is None or len(blocks) < max_clusters:
+    blocks = [tuple(range(g.n))] if g.n else []
+    while blocks and (max_clusters is None or len(blocks) < max_clusters):
         keys = [(split(b)[0], b[0]) for b in blocks]
         order = keys.index(min(keys))
         lam = keys[order][0]
@@ -223,7 +229,8 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     farthest-first seeding from vertex 0's row; squared Euclidean distances
     on unnormalized embedding rows.  k="auto" places the cluster count at
     the largest gap anywhere in that spectrum, so it can choose k close to n
-    (k=n-1 when the gap below the largest eigenvalue is the widest).
+    (k=n-1 when the gap below the largest eigenvalue is the widest), and
+    chooses one cluster on a graph with fewer than two vertices.
 
     A NaN or infinite second eigenpair raises NonFiniteSpectrumError.
 
@@ -237,7 +244,7 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     if g.n >= 2:
         _require_finite(g, spectrum.values[1], spectrum.vectors[:, 1])
     if k == "auto":
-        k_val = eigen.spectral_gap_index(spectrum.values)
+        k_val = eigen.spectral_gap_index(spectrum.values) if g.n >= 2 else 1
         if k_val < 2:
             return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
     else:

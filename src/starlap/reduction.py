@@ -137,32 +137,24 @@ class VerificationRecord:
         return all(c.passed for c in self.checks)
 
 
-def _ones_first_basis(dim: int, p: int) -> np.ndarray:
-    """dim x p orthonormal columns, the first being the normalized all-ones."""
-    cols = [np.ones(dim) / np.sqrt(dim)]
-    i = 0
-    while len(cols) < p:
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for c in cols:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            cols.append(v / norm)
-        i += 1
-    return np.column_stack(cols)
+def _swap_reflection(k: int) -> np.ndarray:
+    """The k x k reflection H_k that swaps e_1 and the normalized all-ones vector (k >= 2)."""
+    w = np.full(k, -1.0 / np.sqrt(k))
+    w[0] += 1.0
+    return np.eye(k) - (2.0 / (w @ w)) * np.outer(w, w)
 
 
 def star_frame(m: int, p: int) -> np.ndarray:
     """m x p orthonormal frame whose columns each sum to sqrt(m / p).
 
-    Columns are u / sqrt(p) + sqrt(1 - 1/p) * f_c with u the normalized
-    all-ones vector and {f_c} regular-simplex unit vectors orthogonal to u
-    (pairwise inner product -1 / (p - 1)); for p = 1 the single column is u.
+    For p = 1 the single column is the normalized all-ones vector u.  For
+    p >= 2 the frame is H_m[:, :p] H_p: the columns of H_m[:, :p] are
+    orthonormal, the first is u and the others sum to 0, so each column sums
+    to sqrt(m) times the first row of H_p, which is 1 / sqrt(p) throughout.
     """
-    u_basis = _ones_first_basis(m, p)
-    q_basis = _ones_first_basis(p, p)
-    return u_basis @ q_basis.T
+    if p == 1:
+        return np.full((m, 1), 1.0 / np.sqrt(m))
+    return _swap_reflection(m)[:, :p] @ _swap_reflection(p)
 
 
 def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:

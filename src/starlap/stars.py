@@ -35,7 +35,6 @@ from .errors import (
     InfeasibleSpecError,
     IsolatedVertexError,
     NoCommonStrengthError,
-    UnequalWeightVectorsError,
 )
 from .graphs import (
     Graph,
@@ -74,10 +73,6 @@ class MkStar:
     def k(self) -> int:
         return len(self.v2)
 
-    @property
-    def degree(self) -> int:
-        return self.m - 1
-
 
 @dataclass(frozen=True)
 class StarClass:
@@ -109,15 +104,6 @@ class LDependentPartition:
     @property
     def l(self) -> int:
         return len(self.v3)
-
-
-@dataclass(frozen=True)
-class PredictionReport:
-    """Eigenvalue/multiplicity lower bounds read off the detected structure."""
-
-    laplacian_predictions: tuple[tuple[float, int], ...]
-    signless_predictions: tuple[tuple[float, int], ...]
-    normalized_prediction: tuple[float, int] | None
 
 
 @dataclass(frozen=True)
@@ -455,16 +441,16 @@ def unreducible_reason(g: Graph | GraphAnalysis, s: MkStar) -> str | None:
 
 
 def group_by_weight(stars: Sequence[MkStar]) -> list[StarClass]:
-    """Group weight-carrying stars into classes of equal weight.
+    """Group the stars that carry a weight into classes of equal weight.
 
+    A star without a weight (unequal weight vectors or masses) is left out.
     The weights fall into classes as strengths do (see _strength_classes);
     the non-finite weights form a class of their own.  The class degree is
     the sum of (m - 1) over its members.
     """
-    for s in stars:
-        if s.weight_uniform is None:
-            raise UnequalWeightVectorsError(s.v1, detail="cannot group a structural-only star")
-    ordered = sorted(stars, key=lambda s: (s.weight_uniform, s.v1))
+    ordered = sorted(
+        (s for s in stars if s.weight_uniform is not None), key=lambda s: (s.weight_uniform, s.v1)
+    )
     cls = _strength_classes(np.array([s.weight_uniform for s in ordered], dtype=float)).tolist()
     classes = []
     for c in dict.fromkeys(cls):
@@ -475,27 +461,21 @@ def group_by_weight(stars: Sequence[MkStar]) -> list[StarClass]:
     return classes
 
 
-def predict_multiplicities(g: Graph | GraphAnalysis) -> PredictionReport:
-    """Eigenvalue lower bounds read off the dependent-row partitions.
+def predict_multiplicities(g: Graph | GraphAnalysis) -> tuple[tuple[float, int], ...]:
+    """Eigenvalue lower bounds (w, l) read off the dependent-row partitions.
 
     The l of the partitions of one strength class add up, at the mean of
-    their common strengths, for L and for Q; their total is the bound at 1
-    for the normalized Laplacian.
+    their common strengths; each claim bounds the multiplicity of w in L and
+    in Q alike.  Their total is the bound at 1 for the normalized Laplacian.
     """
     ctx = analyze(g)
     cls = _strength_classes(ctx.strengths)
     by_class: dict[int, list[LDependentPartition]] = {}
     for p in ctx.dependent_rows:
         by_class.setdefault(int(cls[p.v1[0]]), []).append(p)
-    claims = tuple(
+    return tuple(
         (float(np.mean([p.wtilde for p in parts])), sum(p.l for p in parts))
         for _, parts in sorted(by_class.items())
-    )
-    total = sum(bound for _, bound in claims)
-    return PredictionReport(
-        laplacian_predictions=claims,
-        signless_predictions=claims,
-        normalized_prediction=(1.0, total) if total > 0 else None,
     )
 
 
@@ -504,13 +484,15 @@ def verify_star_predictions(
 ) -> StarVerification:
     """Check every dependent-row prediction against computed multiplicities.
 
-    With no predictions the result is a vacuous pass.  Stars that cannot be
-    reduced, with their reason, and stars whose weight vectors are equal only
-    within tolerance are reported as warnings.  The normalized-Laplacian
-    claim is skipped, with a warning, when the graph has an isolated vertex.
+    Each claim (w, l) is checked in L and in Q, and their total l at 1 in
+    the normalized Laplacian.  With no claims the result is a vacuous pass.
+    Stars that cannot be reduced, with their reason, and stars whose weight
+    vectors are equal only within tolerance are reported as warnings.  The
+    normalized-Laplacian claim is skipped, with a warning, when the graph
+    has an isolated vertex.
     """
     ctx = analyze(g)
-    report = predict_multiplicities(ctx)
+    claims = predict_multiplicities(ctx)
     warn = []
     for s in ctx.stars:
         rows = ctx.adjacency[np.ix_(list(s.v1), list(s.v2))]
@@ -522,16 +504,16 @@ def verify_star_predictions(
                 f"star class v1={list(s.v1)} has weight vectors that differ by less than "
                 "the equality tolerance; treating them as equal"
             )
-    checks = ctx.check_claims("laplacian", report.laplacian_predictions, tol_rel)
-    checks += ctx.check_claims("signless", report.signless_predictions, tol_rel)
-    if report.normalized_prediction is not None:
+    checks = ctx.check_claims("laplacian", claims, tol_rel)
+    checks += ctx.check_claims("signless", claims, tol_rel)
+    if claims:
         if ctx.isolated:
             warn.append(
                 f"normalized-Laplacian prediction skipped: isolated vertices {ctx.isolated} "
                 "have no normalized row"
             )
         else:
-            checks += ctx.check_claims("normalized", [report.normalized_prediction], tol_rel)
+            checks += ctx.check_claims("normalized", [(1.0, sum(l for _, l in claims))], tol_rel)
     return StarVerification(
         checks=tuple(checks),
         warnings=tuple(warn),

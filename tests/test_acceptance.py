@@ -82,8 +82,7 @@ def test_criterion_2_star_multiplicity_randomized():
         total = sum(m + k for m, k, _ in specs)
         n = min(100, total + int(rng.integers(0, 15)))
         g = plant_star_graph(seed=seed, n=n, star_specs=specs)
-        weighted = [s for s in detect_stars(g) if s.weight_uniform is not None]
-        classes = group_by_weight(weighted)
+        classes = group_by_weight(detect_stars(g))
         lap_table = multiplicities(analyze(g).matrix("laplacian"))
         signless_table = multiplicities(analyze(g).matrix("signless"))
         normalized_table = multiplicities(analyze(g).matrix("normalized"))
@@ -323,3 +322,4 @@ def test_random_sweep_script_runs(monkeypatch, capsys):
     sweep.main()   # raises SystemExit(2) when any claim fails
     out = capsys.readouterr().out
     assert out.startswith("5 graphs") and "FAIL" not in out
+    assert " relabelled " in out

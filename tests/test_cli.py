@@ -230,6 +230,31 @@ class TestPartitionCommand:
         code, _, err = run(capsys, "partition", str(path), "--bisect")
         assert code == 1 and "Disconnected" in err
 
+    @pytest.mark.parametrize("n, labels", [(0, []), (1, [0])])
+    @pytest.mark.parametrize(
+        "mode, provenance",
+        [
+            (["--bisect"], "fiedler-sign(fewer than 2 vertices)"),
+            (["--rsb"], "recursive-bisection(max_clusters=2)"),
+            (["--kway", "auto"], "kway(auto->1)"),
+        ],
+    )
+    def test_fewer_than_two_vertices_is_one_cluster(
+        self, capsys, tmp_path, n, labels, mode, provenance
+    ):
+        path = tmp_path / "tiny.graph"
+        path.write_text(f"n {n}\n", encoding="utf-8")
+        code, out, err = run(capsys, "--json", "partition", str(path), *mode)
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (payload["labels"], payload["provenance"]) == (labels, provenance)
+
+    def test_more_clusters_than_vertices_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "one.graph"
+        path.write_text("n 1\n", encoding="utf-8")
+        code, _, err = run(capsys, "partition", str(path), "--kway", "2")
+        assert code == 1 and "BadKError" in err
+
 
 class TestCompare:
     def test_double_star(self, capsys, fixture_files):

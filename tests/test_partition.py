@@ -14,6 +14,7 @@ from starlap import (
     fiedler,
     kway,
     load_graph,
+    plant_ldependent_graph,
     plant_star_graph,
     recursive_bisection,
     reduce_all,
@@ -22,10 +23,11 @@ from starlap import (
     sign_bipartition,
 )
 from starlap.cli import run_cli
-from starlap.errors import BadKError, DisconnectedError
+from starlap.errors import BadKError, DisconnectedError, TooFewValuesError
 from starlap.partition import Partition, _relabel_by_smallest_member
 
-STARS120 = Path(__file__).resolve().parent / "golden" / "stars120.graph"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+STARS120 = GOLDEN / "stars120.graph"
 
 
 def labels_as_sets(partition):
@@ -64,6 +66,31 @@ class TestFiedler:
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedError):
             fiedler(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_rejected(self, n):
+        with pytest.raises(TooFewValuesError):
+            fiedler(build_graph(n, []))
+
+    def test_degenerate_when_the_spectrum_groups_lambda2_with_a_neighbour(self):
+        # fiedler tests only the gaps next to lambda2; the grouping of the
+        # whole spectrum must give the same verdict
+        graphs = {p.stem: load_graph(str(p)) for p in sorted(GOLDEN.glob("*.graph"))}
+        for seed in range(8):
+            graphs[f"stars{seed}"] = plant_star_graph(seed, 16, [(3, 2, 2.0), (2, 1, 0.5)])
+            # a single hub makes a weighted star, whose lambda2 is repeated
+            graphs[f"ldep{seed}"] = plant_ldependent_graph(seed, (2, 1 + seed % 3, 2), 4.0)
+        verdicts = {}
+        for name, g in graphs.items():
+            ctx = analyze(g)
+            if g.n < 2 or len(ctx.components) > 1:
+                continue
+            table = eigen.group_multiplicities(ctx.values("mass-laplacian"), eigen.DEFAULT_TOL)
+            group = next(grp for grp in table.groups if grp.start <= 1 < grp.stop)
+            verdicts[name] = fiedler(ctx).degenerate
+            assert verdicts[name] == (group.multiplicity > 1), name
+        assert verdicts["f1"]   # lambda2 = 2 has multiplicity 2
+        assert set(verdicts.values()) == {True, False}
 
 
 class TestBipartition:
