@@ -46,23 +46,29 @@ def mult(matrix, value, tol=1e-8):
     return multiplicity_at(group_multiplicities(values, tol), value)
 
 
-def claims(g):
+def dependent_row_claims(g):
     return sorted((round(p.wtilde, 6), p.l) for p in analyze(g).dependent_rows)
 
 
-def relabelled(g, rng):
-    """Whether one random relabelling keeps the dependent-row claims; None on near ties.
+def has_near_ties(g):
+    """Whether two strengths differ by more than rounding but by at most ten WEIGHT_TOL.
 
-    Strengths that differ by more than rounding but by at most ten
-    WEIGHT_TOL are near ties, where a relabelling may change which rows the
-    tolerance groups together.
+    On such near ties the tolerance chain decides which rows group together,
+    and a piece's first member, which a relabelling can change, decides what
+    is split off; the tests read this rule from here.
     """
     s = np.sort(strengths(g))
     gaps = np.diff(s) / np.maximum(1.0, s[1:])
-    if ((gaps > 1e-12) & (gaps <= 10 * WEIGHT_TOL)).any():
+    return bool(((gaps > 1e-12) & (gaps <= 10 * WEIGHT_TOL)).any())
+
+
+def relabelled(g, rng):
+    """Whether one random relabelling keeps the dependent-row claims; None on near ties."""
+    if has_near_ties(g):
         return None
     perm = rng.permutation(g.n).tolist()
-    return claims(build_graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])) == claims(g)
+    moved = build_graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+    return dependent_row_claims(moved) == dependent_row_claims(g)
 
 
 def sweep_star(seed, rng, max_extra):

@@ -137,11 +137,11 @@ class VerificationRecord:
         return all(c.passed for c in self.checks)
 
 
-def _swap_reflection(k: int) -> np.ndarray:
-    """The k x k reflection H_k that swaps e_1 and the normalized all-ones vector (k >= 2)."""
+def _swap_columns(k: int, p: int) -> np.ndarray:
+    """The first p columns of the reflection H_k swapping e_1 and the normalized all-ones vector."""
     w = np.full(k, -1.0 / np.sqrt(k))
     w[0] += 1.0
-    return np.eye(k) - (2.0 / (w @ w)) * np.outer(w, w)
+    return np.eye(k, p) - (2.0 / (w @ w)) * np.outer(w, w[:p])
 
 
 def star_frame(m: int, p: int) -> np.ndarray:
@@ -154,7 +154,7 @@ def star_frame(m: int, p: int) -> np.ndarray:
     """
     if p == 1:
         return np.full((m, 1), 1.0 / np.sqrt(m))
-    return _swap_reflection(m)[:, :p] @ _swap_reflection(p)
+    return _swap_columns(m, p) @ _swap_columns(p, p)
 
 
 def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:

@@ -1,6 +1,8 @@
 """Property-based invariants over random graphs and matrices."""
 
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,20 @@ from starlap import (
 from starlap.eigen import DEFAULT_TOL
 from starlap.errors import ConditionViolatedError, NoCommonStrengthError
 from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "random_sweep", Path(__file__).resolve().parents[1] / "scripts" / "random_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the near-tie rule and the claims key are kept once, in the sweep script
+_SWEEP = _load_sweep()
+has_near_ties, dependent_row_claims = _SWEEP.has_near_ties, _SWEEP.dependent_row_claims
 
 
 @st.composite
@@ -297,19 +313,6 @@ def twin_graphs(draw):
     return build_graph(n, edges)
 
 
-def has_near_ties(g):
-    """Whether two strengths differ by more than rounding but by at most ten WEIGHT_TOL.
-
-    The replaced detectors compared strengths and rows to a representative
-    each had picked, the dependent-row partitions compare them to a piece's
-    first member; on such near ties the two rules can group a few vertices
-    differently.
-    """
-    s = np.sort(strengths(g))
-    gaps = np.diff(s) / np.maximum(1.0, s[1:])
-    return bool(((gaps > 1e-12) & (gaps <= 10 * WEIGHT_TOL)).any())
-
-
 def assert_dependent_rows_cover_the_replaced_detectors(g):
     """Each claim rests on certificates, and covers the replaced detectors' claims.
 
@@ -356,10 +359,6 @@ def planted_graphs(draw):
         return plant_star_graph(seed=seed, n=n, star_specs=specs)
     sizes = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(0, 5)))
     return plant_ldependent_graph(seed, sizes, float(rng.choice([4.0, 6.0])))
-
-
-def dependent_row_claims(g):
-    return sorted((round(p.wtilde, 6), p.l) for p in analyze(g).dependent_rows)
 
 
 @given(st.one_of(planted_graphs(), twin_graphs()), st.randoms(use_true_random=False))

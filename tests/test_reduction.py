@@ -130,6 +130,19 @@ class TestKMatrix:
         assert np.abs(frame.T @ frame - np.eye(p)).max() <= 1e-12
         assert np.allclose(frame.sum(axis=0), np.sqrt(m / p), atol=1e-12)
 
+    def test_frame_of_a_large_class_is_built_in_m_times_p_memory(self):
+        # an m x m intermediate would need 8 m^2 bytes, 128 MB here
+        m, p = 4000, 3
+        tracemalloc.start()
+        try:
+            frame = star_frame(m, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 8 * m * p
+        assert np.abs(frame.T @ frame - np.eye(p)).max() <= 1e-12
+        assert np.allclose(frame.sum(axis=0), np.sqrt(m / p), atol=1e-12)
+
 
 class TestMassOperators:
     def test_mass_adjacency_scales_rows(self, f1):
