@@ -104,8 +104,10 @@ class NonFiniteSpectrumError(StarlapError):
 
 
 class BadKError(StarlapError):
-    def __init__(self, k: int, n: int):
-        super().__init__(f"cluster count k={k} outside valid range 2..{n}")
+    """A cluster count that the graph cannot be partitioned into; message says why."""
+
+    def __init__(self, k: int, n: int, message: str):
+        super().__init__(message)
         self.k = k
         self.n = n
 

@@ -150,7 +150,9 @@ def recursive_bisection(
     if (max_clusters is None) == (lambda2_threshold is None):
         raise ValueError("give exactly one of max_clusters, lambda2_threshold")
     if max_clusters is not None and max_clusters < 1:
-        raise BadKError(max_clusters, g.n)
+        raise BadKError(
+            max_clusters, g.n, f"max_clusters must be at least 1, got {max_clusters}"
+        )
     _require_connected(g)
 
     splits: dict[tuple[int, ...], tuple[float, tuple[int, ...], tuple[int, ...]]] = {}
@@ -200,25 +202,90 @@ def recursive_bisection(
     return _relabel_by_smallest_member(blocks, g.n, f"recursive-bisection({stop})")
 
 
+def _direct(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of points to centre, term by term."""
+    return ((points - centre) ** 2).sum(axis=1)
+
+
+def _slack(reach: np.ndarray, k: int) -> np.ndarray:
+    """How far an expanded squared distance may lie from the direct one.
+
+    reach is |r| + |c|.  In k dimensions each form is within
+    (k+2)*eps/2 * reach^2 of the exact value, so the two differ by at most
+    (k+2)*eps * reach^2.  Four times that also covers the rounding of reach
+    and two squared distances whose square roots round alike; the tiny term
+    covers rounding in the subnormal range.
+    """
+    return 4 * (k + 2) * np.finfo(float).eps * (reach * reach + np.finfo(float).tiny)
+
+
+def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Each point's nearest centre by squared distance, the first of equals.
+
+    One matrix product screens all distances; points with more than one
+    centre within the slack of their nearest are settled by the direct
+    distances to those centres, so the choice is the direct loop's.
+    """
+    squares = np.einsum("ij,ij->i", points, points)
+    centre_squares = np.einsum("ij,ij->i", centres, centres)
+    expanded = points @ centres.T
+    expanded *= -2
+    expanded += squares[:, None]
+    expanded += centre_squares
+    slack = _slack(np.add.outer(np.sqrt(squares), np.sqrt(centre_squares)), points.shape[1])
+    upper = expanded + slack
+    nearest = upper.argmin(axis=1)
+    expanded -= slack
+    tied = expanded <= upper[np.arange(points.shape[0]), nearest][:, None]
+    for i in np.flatnonzero(tied.sum(axis=1) > 1):
+        candidates = np.flatnonzero(tied[i])
+        nearest[i] = candidates[_direct(centres[candidates], points[i]).argmin()]
+    return nearest
+
+
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
-    # one buffer for rows - rows[i] and its square; sqrt(sum(x*x)) is what
-    # np.linalg.norm(x, axis=1) computes for real x, so the seeds match it
-    diff = np.empty_like(rows)
-    step = np.empty(rows.shape[0])
+    """Seeds from row 0, each next one the row farthest from the seeds so far.
 
-    def distances_to(i: int) -> np.ndarray:
-        np.subtract(rows, rows[i], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=1, out=step)
-        return np.sqrt(step, out=step)
-
+    The distance to the nearest seed is screened with one matrix-vector
+    product per seed.  Where rows come within the slack of the farthest,
+    their direct distances to their nearest seeds, sqrt(sum((r - s)**2)),
+    decide, and the first of equals wins, as np.argmax picks it.
+    """
+    squares = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(squares)
     seeds = [0]
-    dist = distances_to(0).copy()
+    nearest = squares - 2 * (rows @ rows[0]) + squares[0]
+    longest_seed = norms[0]
     while len(seeds) < k:
-        nxt = int(np.argmax(dist))
-        seeds.append(nxt)
-        np.minimum(dist, distances_to(nxt), out=dist)
+        # the nearest seed is not known here, so bound with the longest one
+        slack = _slack(norms + longest_seed, rows.shape[1])
+        best = int(np.argmax(nearest - slack))
+        tied = np.flatnonzero(nearest + slack >= nearest[best] - slack[best])
+        if tied.size > 1:
+            seen = rows[seeds]
+            closest = seen[_nearest(rows[tied], seen)]
+            best = int(tied[np.argmax(np.sqrt(_direct(rows[tied], closest)))])
+        seeds.append(best)
+        longest_seed = max(longest_seed, norms[best])
+        np.minimum(nearest, squares - 2 * (rows @ rows[best]) + squares[best], out=nearest)
     return seeds
+
+
+def _cluster_means(rows: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each nonempty cluster's mean; an empty cluster keeps its centroid.
+
+    np.bincount adds each cluster's rows from 0.0 in vertex order, as
+    members.mean(axis=0) does for two or more columns, so the means are
+    the ones it gives bit for bit.
+    """
+    k, d = centroids.shape
+    cells = (labels[:, None] * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(cells, weights=rows.reshape(-1), minlength=k * d).reshape(k, d)
+    counts = np.bincount(labels, minlength=k)
+    means = centroids.copy()
+    present = counts > 0
+    means[present] = sums[present] / counts[present, None]
+    return means
 
 
 def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
@@ -232,13 +299,26 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     (k=n-1 when the gap below the largest eigenvalue is the widest), and
     chooses one cluster on a graph with fewer than two vertices.
 
-    A NaN or infinite second eigenpair raises NonFiniteSpectrumError.
+    An integer k below 2 or above n raises BadKError before the eigensolve;
+    a NaN or infinite second eigenpair raises NonFiniteSpectrumError.
 
-    Memory is O(n*k) beyond the n*n eigensolve: the n*k distance matrix is
-    filled one centroid column at a time.  Time is O(n*k^2) per Lloyd
-    iteration.
+    Distances are screened in expanded form, |r|^2 - 2 r.c + |c|^2, with
+    one BLAS product per Lloyd iteration (rows times centroids) and one
+    matrix-vector product per seed.  Where another candidate lies within
+    the rounding bound of that form, 4*(k+2)*eps*(|r| + |c|)^2, of the
+    best, the direct distances sum((r - c)**2) decide, so the labels are
+    those of the direct computation bit for bit.  Memory is O(n*k) beyond the n*n
+    eigensolve: no Gram matrix and no n*k*k tensor.
     """
     _require_connected(g)
+    if k != "auto":
+        k_val = int(k)
+        if k_val < 2:
+            raise BadKError(k_val, g.n, f"k-way clustering needs k >= 2 clusters, got k={k_val}")
+        if k_val > g.n:
+            raise BadKError(
+                k_val, g.n, f"the graph has fewer vertices ({g.n}) than the k={k_val} clusters"
+            )
     # the analysis is dropped once L~ is built, so that its A is freed before the solve
     spectrum = eigen.sym_eigen(analyze(g).matrix("mass-laplacian"))
     if g.n >= 2:
@@ -247,25 +327,15 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
         k_val = eigen.spectral_gap_index(spectrum.values) if g.n >= 2 else 1
         if k_val < 2:
             return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
-    else:
-        k_val = int(k)
-        if not (2 <= k_val <= g.n):
-            raise BadKError(k_val, g.n)
     rows = np.ascontiguousarray(spectrum.vectors[:, :k_val])
     centroids = rows[_farthest_first_seeds(rows, k_val)]
     labels = np.full(g.n, -1)
-    dists = np.empty((g.n, k_val))
     for _ in range(max_iter):
-        for c in range(k_val):
-            dists[:, c] = ((rows - centroids[c]) ** 2).sum(axis=1)
-        new_labels = dists.argmin(axis=1)
+        new_labels = _nearest(rows, centroids)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k_val):
-            members = rows[labels == c]
-            if members.size:
-                centroids[c] = members.mean(axis=0)
+        centroids = _cluster_means(rows, labels, centroids)
     blocks: dict[int, list[int]] = {}
     for v, lbl in enumerate(labels):
         blocks.setdefault(int(lbl), []).append(v)

@@ -250,10 +250,25 @@ class TestPartitionCommand:
         assert (payload["labels"], payload["provenance"]) == (labels, provenance)
 
     def test_more_clusters_than_vertices_is_input_error(self, capsys, tmp_path):
-        path = tmp_path / "one.graph"
-        path.write_text("n 1\n", encoding="utf-8")
-        code, _, err = run(capsys, "partition", str(path), "--kway", "2")
-        assert code == 1 and "BadKError" in err
+        for n in (1, 0):
+            path = tmp_path / f"n{n}.graph"
+            path.write_text(f"n {n}\n", encoding="utf-8")
+            code, _, err = run(capsys, "partition", str(path), "--kway", "2")
+            assert code == 1
+            assert err == f"BadKError: the graph has fewer vertices ({n}) than the k=2 clusters\n"
+
+    def test_fewer_than_two_kway_clusters_is_input_error(self, capsys, fixture_files):
+        code, _, err = run(capsys, "partition", fixture_files["f4"], "--kway", "1")
+        assert code == 1
+        assert err == "BadKError: k-way clustering needs k >= 2 clusters, got k=1\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_rsb_max_clusters_below_one_is_input_error(self, capsys, tmp_path, n):
+        path = tmp_path / "g.graph"
+        path.write_text(f"n {n}\n" + "".join(f"{v} {v + 1} 1\n" for v in range(n - 1)))
+        code, _, err = run(capsys, "partition", str(path), "--rsb", "--max-clusters", "0")
+        assert code == 1
+        assert err == "BadKError: max_clusters must be at least 1, got 0\n"
 
 
 class TestCompare:

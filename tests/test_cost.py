@@ -131,6 +131,20 @@ def test_rsb_solves_each_block_once(counted):
     assert len(set(counted["solves"])) == len(counted["solves"])
 
 
+@pytest.mark.parametrize(
+    "args, solves",
+    [(["partition", "--bisect"], 1), (["partition", "--kway", "auto"], 1), (["compare"], 2)],
+)
+def test_partition_and_compare_solve_each_matrix_once(tmp_path, counted, capsys, args, solves):
+    # compare solves the graph's mass Laplacian and its reduction's
+    g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
+    path = tmp_path / "g.graph"
+    save_graph(g, str(path))
+    assert cli.run_cli([args[0], str(path), *args[1:], "--json"]) == 0
+    capsys.readouterr()
+    assert len(set(counted["solves"])) == len(counted["solves"]) == solves
+
+
 def test_reduce_computes_no_eigenvector(tmp_path, counted, capsys, monkeypatch):
     full = _count_eigh(monkeypatch)
     out = str(tmp_path / "reduced.graph")

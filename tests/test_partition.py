@@ -24,7 +24,14 @@ from starlap import (
 )
 from starlap.cli import run_cli
 from starlap.errors import BadKError, DisconnectedError, TooFewValuesError
-from starlap.partition import Partition, _relabel_by_smallest_member
+from starlap import partition as partition_module
+from starlap.partition import (
+    Partition,
+    _cluster_means,
+    _farthest_first_seeds,
+    _nearest,
+    _relabel_by_smallest_member,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 STARS120 = GOLDEN / "stars120.graph"
@@ -333,6 +340,126 @@ def _kway_reference(g, k, max_iter=100):
     return _relabel_by_smallest_member(
         list(blocks.values()), g.n, f"kway(k={k_val}, requested={k})"
     )
+
+
+# --- the k-means kernel against the direct loops it replaced ----------------
+
+
+def farthest_first_reference(rows, k):
+    """Farthest-first seeds from direct distances, first of equals."""
+    seeds = [0]
+    dist = np.sqrt(((rows - rows[0]) ** 2).sum(axis=1))
+    while len(seeds) < k:
+        nxt = int(np.argmax(dist))
+        seeds.append(nxt)
+        dist = np.minimum(dist, np.sqrt(((rows - rows[nxt]) ** 2).sum(axis=1)))
+    return seeds
+
+
+def nearest_reference(rows, centroids):
+    """Nearest centroid by direct squared distance, one centroid column at a time."""
+    dists = np.empty((rows.shape[0], centroids.shape[0]))
+    for c in range(centroids.shape[0]):
+        dists[:, c] = ((rows - centroids[c]) ** 2).sum(axis=1)
+    return dists.argmin(axis=1)
+
+
+def means_reference(rows, labels, centroids):
+    """Each nonempty cluster's members.mean(axis=0); an empty one keeps its centroid."""
+    means = centroids.copy()
+    for c in range(centroids.shape[0]):
+        members = rows[labels == c]
+        if members.size:
+            means[c] = members.mean(axis=0)
+    return means
+
+
+def equidistant_points(seed, count=40, dim=3):
+    """Two centres and points on their bisector, so equidistant up to rounding."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((2, dim))
+    middle = centres.mean(axis=0)
+    normal = (centres[1] - centres[0]) / np.linalg.norm(centres[1] - centres[0])
+    points = middle + rng.standard_normal((count, dim))
+    points -= np.outer((points - middle) @ normal, normal)
+    return points, centres
+
+
+GRID = np.array(
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
+)
+EQUIDISTANT, PAIR = equidistant_points(0)
+# rows and centroids
+TIE_CASES = {
+    "duplicate rows": (GRID, GRID[[0, 1, 5]]),
+    "duplicate centroids": (GRID, GRID[[1, 6, 1, 6]]),
+    "row equal to a centroid": (GRID, GRID[[6, 3]]),
+    "all rows equal": (np.full((5, 3), 0.25), np.full((2, 3), 0.25)),
+    "k equals n": (GRID, GRID.copy()),
+    "equidistant rows": (np.vstack([PAIR, EQUIDISTANT]), PAIR),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("case", list(TIE_CASES))
+def test_seeds_match_the_direct_loop(case, scale):
+    rows = TIE_CASES[case][0] * scale
+    for k in range(1, rows.shape[0] + 1):
+        assert _farthest_first_seeds(rows, k) == farthest_first_reference(rows, k)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("case", list(TIE_CASES))
+def test_nearest_centroids_and_means_match_the_direct_loops(case, scale):
+    rows, centroids = (a * scale for a in TIE_CASES[case])
+    labels = _nearest(rows, centroids)
+    assert labels.tolist() == nearest_reference(rows, centroids).tolist()
+    means = _cluster_means(rows, labels, centroids)
+    assert means.tobytes() == means_reference(rows, labels, centroids).tobytes()
+
+
+def test_an_empty_cluster_keeps_its_centroid():
+    rows, centroids = TIE_CASES["duplicate centroids"]
+    labels = _nearest(rows, centroids)
+    # the first of two equal centroids takes every row they are nearest to
+    assert set(labels.tolist()) == {0, 1}
+    means = _cluster_means(rows, labels, centroids)
+    assert means[2:].tobytes() == centroids[2:].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_means_are_members_mean_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 300)), int(rng.integers(2, 40))
+    rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-5, 5, size=(n, 1))
+    labels = rng.integers(0, k, size=n)
+    centroids = rng.standard_normal((k, k))
+    assert _cluster_means(rows, labels, centroids).tobytes() == (
+        means_reference(rows, labels, centroids).tobytes()
+    )
+
+
+def test_the_exact_recheck_settles_what_the_screen_cannot(monkeypatch):
+    rows, centres = EQUIDISTANT, PAIR
+    squares = (rows**2).sum(axis=1)
+    screened = (squares[:, None] - 2 * rows @ centres.T + (centres**2).sum(axis=1)).argmin(axis=1)
+    direct = nearest_reference(rows, centres)
+    # the expanded form alone would pick the other centre for some rows
+    assert (screened != direct).any()
+    rechecked = []
+    real = partition_module._direct
+
+    def counted(points, centre):
+        rechecked.append(len(points))
+        return real(points, centre)
+
+    monkeypatch.setattr(partition_module, "_direct", counted)
+    assert _nearest(rows, centres).tolist() == direct.tolist()
+    assert rechecked
+    rechecked.clear()
+    grid = TIE_CASES["duplicate rows"][0]
+    assert _farthest_first_seeds(grid, 4) == farthest_first_reference(grid, 4)
+    assert rechecked
 
 
 def _reference_cases():

@@ -16,6 +16,7 @@ from starlap import (
     group_by_weight,
     group_multiplicities,
     interlacing_check,
+    kway,
     multiplicity_at,
     parse_graph_file,
     plant_ldependent_graph,
@@ -32,6 +33,8 @@ from starlap import (
 from starlap.eigen import DEFAULT_TOL
 from starlap.errors import ConditionViolatedError, NoCommonStrengthError
 from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
+
+from test_partition import _kway_reference
 
 
 def _load_sweep():
@@ -372,6 +375,27 @@ def test_dependent_rows_do_not_change_under_relabelling(g, rnd):
     rnd.shuffle(perm)
     relabelled = build_graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
     assert dependent_row_claims(relabelled) == dependent_row_claims(g)
+
+
+@st.composite
+def star_graphs_and_cluster_counts(draw):
+    """A planted star graph, whose twin rows tie in the embedding, and a k for kway."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    specs = [
+        (int(rng.integers(2, 6)), int(rng.integers(1, 4)), float(rng.choice([0.5, 1.0, 2.0])))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    n = sum(m + k for m, k, _ in specs) + int(rng.integers(0, 12))
+    g = plant_star_graph(seed, n, specs, draw(st.sampled_from([0.05, 0.3])))
+    return g, draw(st.one_of(st.just("auto"), st.integers(min_value=2, max_value=g.n)))
+
+
+@given(star_graphs_and_cluster_counts())
+@settings(max_examples=100, deadline=None)
+def test_kway_matches_the_direct_reference_on_planted_stars(case):
+    g, k = case
+    assert kway(g, k) == _kway_reference(g, k)
 
 
 def _scaled(g, factor):
