@@ -6,7 +6,10 @@ graph, then checks every claim the structure makes: eigenvalue multiplicity
 bounds on the Laplacian / signless / normalized families, spectrum
 preservation under reduction, interlacing, Fiedler sign agreement, and,
 where that comparison is conclusive, that bisecting the reduced graph splits
-the original vertices as bisecting the original does.  On every graph
+the original vertices as bisecting the original does.  On every connected
+graph it checks the Fiedler vector: its eigen-residual is within 1e-12 of
+the spectral radius, and where lambda2 is simple, bisection labels the
+vertices as the second column of a full eigh does.  On every graph
 without near ties of strength it also checks that the dependent-row claims
 do not change under one seeded relabelling of the vertices.
 
@@ -24,6 +27,7 @@ from starlap import (
     build_graph,
     compare_signs,
     detect_stars,
+    fiedler,
     group_by_weight,
     group_multiplicities,
     interlacing_check,
@@ -38,6 +42,7 @@ from starlap import (
     verify_laplacian_reduction,
     verify_ldependent,
 )
+from starlap.partition import _labels_from_signs
 from starlap.stars import WEIGHT_TOL
 
 
@@ -69,6 +74,22 @@ def relabelled(g, rng):
     perm = rng.permutation(g.n).tolist()
     moved = build_graph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
     return dependent_row_claims(moved) == dependent_row_claims(g)
+
+
+def fiedler_vector(g):
+    """Whether the Fiedler vector is an eigenvector that bisects as eigh's; None without one."""
+    ctx = analyze(g)
+    if g.n < 2 or len(ctx.components) != 1:
+        return None
+    result = fiedler(ctx)
+    radius = float(np.abs(ctx.values("mass-laplacian")).max())
+    matrix = ctx.matrix("mass-laplacian") / radius
+    if np.linalg.norm(matrix @ result.vector - result.lambda2 / radius * result.vector) > 1e-12:
+        return False
+    if result.degenerate:
+        return True
+    reference = sym_eigen(matrix).vectors[:, 1]
+    return sign_bipartition(g).labels == _labels_from_signs(reference)[0]
 
 
 def sweep_star(seed, rng, max_extra):
@@ -140,6 +161,8 @@ def main():
             g, results = sweep_dependent(seed, rng)
         if (same := relabelled(g, rng)) is not None:
             results["relabelled"] = same
+        if (pair := fiedler_vector(g)) is not None:
+            results["fiedler_vector"] = pair
         sizes.append(g.n)
         for name, ok in results.items():
             counts[name] = counts.get(name, 0) + 1

@@ -90,7 +90,7 @@ def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> Fie
     _require_connected(ctx)
     if ctx.graph.n < 2:
         raise TooFewValuesError("second eigenpair needs at least 2 vertices")
-    vector = ctx.second_vector("mass-laplacian")   # first, so one solve gives both
+    vector = ctx.second_vector("mass-laplacian")
     values = ctx.values("mass-laplacian")
     _require_finite(ctx, values[1], vector)
     separated = np.diff(values[:3]) > tol_rel * eigen.spectral_radius(values)

@@ -128,10 +128,10 @@ class GraphAnalysis:
     The adjacency matrix and the strengths (both read-only), the isolated
     vertices, the connected components, the detected stars and the
     dependent-row partitions are computed once, on first use.  A family is
-    solved through ``eigen.sym_eigen`` for its eigenvalues only, unless its
-    second eigenvector is asked for first (every Fiedler pair reads that of
-    the mass Laplacian); then values and vectors come from one solve and
-    only that vector is kept.
+    solved through ``eigen.sym_eigen`` for its eigenvalues only.  The second
+    eigenvector, which every Fiedler pair reads off the mass Laplacian, comes
+    from inverse iteration at the second eigenvalue
+    (``eigen.eigenvector_at``), and no other eigenvector is computed.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
     (the normalized Laplacian), and with the vertex masses M,
@@ -295,26 +295,23 @@ class GraphAnalysis:
         """
         family = self._family(family)
         if family not in self._values:
-            self._solve(family, matrix, vectors=False)
+            if matrix is None:
+                matrix = self.matrix(family)
+            self._values[family] = eigen.sym_eigen(matrix, vectors=False).values
         return self._values[family]
 
     def second_vector(self, family: str) -> np.ndarray:
-        """Sign-normalized eigenvector of the second-smallest eigenvalue.
+        """Unit, sign-normalized eigenvector at the second-smallest eigenvalue.
 
-        Solved together with the values on first use.  A caller that needs
-        both asks for the vector first; after values() it costs a second
-        solve, and the values read first are kept.
+        Inverse iteration (eigen.eigenvector_at) at the cached values-only
+        eigenvalue, on first use.  values() and second_vector() may be
+        called in either order; each family's values are solved once.
         """
         family = self._family(family)
         if family not in self._second:
-            self._solve(family, None, vectors=True)
+            matrix = self.matrix(family)
+            self._second[family] = eigen.eigenvector_at(matrix, self.values(family, matrix)[1])
         return self._second[family]
-
-    def _solve(self, family: str, matrix: np.ndarray | None, vectors: bool) -> None:
-        spec = eigen.sym_eigen(self.matrix(family) if matrix is None else matrix, vectors=vectors)
-        self._values.setdefault(family, spec.values)
-        if vectors:
-            self._second[family] = spec.vectors[:, 1].copy()
 
     def check_claims(
         self, family: str, claims: Sequence[tuple[float, int]], tol_rel: float

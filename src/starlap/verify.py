@@ -73,12 +73,6 @@ def verify_graph(
             qs[0] = min(q, detected[0].m - 1)
             requested = (True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
     r = reduction.reduce_all(ctx, qs)
-    # the sign comparison reads the second eigenvectors of L and L~; running
-    # it before any eigenvalue is read solves each matrix once, with vectors
-    try:
-        signs, failure = partition.compare_signs(ctx, r, tol), ""
-    except NonFiniteSpectrumError as exc:
-        signs, failure = None, str(exc)
 
     star_verification = stars.verify_star_predictions(ctx, tol)
     for c in star_verification.checks:
@@ -96,6 +90,10 @@ def verify_graph(
     for c in records[0].checks + records[1].checks:
         add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}")
     add("reduction-interlacing", reduction.interlacing_check(ctx, r, tol))
+    try:
+        signs, failure = partition.compare_signs(ctx, r, tol), ""
+    except NonFiniteSpectrumError as exc:
+        signs, failure = None, str(exc)
     if signs is None:
         add("sign-agreement", False, failure)
     elif signs.degenerate:

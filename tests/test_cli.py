@@ -210,6 +210,16 @@ class TestPartitionCommand:
         assert code == 0
         assert sorted(json.loads(out)["labels"]) == [0, 1, 2, 3]
 
+    def test_rsb_splits_blocks_whose_shift_is_exactly_singular(
+        self, capsys, tmp_path, varied_supports
+    ):
+        # its blocks include a single edge, whose L - lambda2*I is singular for LU
+        path = tmp_path / "varied.graph"
+        save_graph(varied_supports, str(path))
+        code, out, err = run(capsys, "--json", "partition", str(path), "--rsb", "--max-clusters", "4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["labels"] == [0, 1, 0, 0, 1, 0, 2, 2, 3]
+
     def test_kway_dot(self, capsys, tmp_path, fixture_files):
         dot = tmp_path / "out.dot"
         code, _, _ = run(
@@ -481,6 +491,15 @@ class TestInfiniteStrengthsRunQuietly:
 
     def test_partition_bisect(self, capsys, files):
         code, out, err = self.run_quietly(capsys, "partition", files[0], "--bisect")
+        assert (code, out) == (2, "")
+        assert err == (
+            "NonFiniteSpectrumError: the second laplacian eigenpair is not finite (lambda2=nan)\n"
+        )
+
+    def test_partition_rsb(self, capsys, files):
+        code, out, err = self.run_quietly(
+            capsys, "partition", files[0], "--rsb", "--max-clusters", "3"
+        )
         assert (code, out) == (2, "")
         assert err == (
             "NonFiniteSpectrumError: the second laplacian eigenpair is not finite (lambda2=nan)\n"

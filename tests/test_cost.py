@@ -76,23 +76,26 @@ def test_verify_solves_each_matrix_once(tmp_path, counted, capsys):
     assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
 
 
-def _count_eigh(monkeypatch):
-    real_eigh = np.linalg.eigh
-    full = []
+def _count_calls(monkeypatch, name):
+    """The shapes of the first arguments of every np.linalg.<name> call."""
+    real = getattr(np.linalg, name)
+    shapes = []
 
-    def eigh(a, *args, **kwargs):
-        full.append(a.shape)
-        return real_eigh(a, *args, **kwargs)
+    def wrapper(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    return full
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return shapes
 
 
 def test_verify_computes_eigenvectors_of_l_and_l_tilde_only(counted, capsys, monkeypatch):
-    full = _count_eigh(monkeypatch)
+    # each Fiedler pair is a values-only solve plus one LU solve at lambda2
+    full, lu = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "solve")
     assert cli.run_cli(["verify", str(GOLDEN / "stars120.graph"), "--json"]) == 0
     capsys.readouterr()
-    assert len(full) <= 2
+    assert full == []
+    assert lu == [(120, 120), (110, 110)]   # L, then the reduced graph's L~
     assert len(counted["solves"]) <= 6
 
 
@@ -145,12 +148,44 @@ def test_partition_and_compare_solve_each_matrix_once(tmp_path, counted, capsys,
     assert len(set(counted["solves"])) == len(counted["solves"]) == solves
 
 
+@pytest.mark.parametrize(
+    "args, full_solves",
+    [
+        (["partition", "--bisect"], 0),
+        (["partition", "--rsb", "--max-clusters", "6"], 0),
+        (["compare"], 0),
+        (["partition", "--kway", "auto"], 1),
+    ],
+)
+def test_only_kway_makes_a_full_eigensolve(
+    tmp_path, counted, capsys, monkeypatch, args, full_solves
+):
+    g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
+    path = tmp_path / "g.graph"
+    save_graph(g, str(path))
+    full, lu = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "solve")
+    assert cli.run_cli([args[0], str(path), *args[1:], "--json"]) == 0
+    capsys.readouterr()
+    assert len(full) == full_solves
+    # every other solve is a Fiedler pair's values, and its vector one LU solve
+    assert len(lu) == len(counted["solves"]) - full_solves
+
+
+def test_values_first_then_the_vector_solves_each_once(counted, monkeypatch):
+    lu = _count_calls(monkeypatch, "solve")
+    ctx = stars.analyze(plant_star_graph(4, 80, [(4, 3, 2.0)], background_p=0.1))
+    values = ctx.values("laplacian")
+    vector = ctx.second_vector("laplacian")
+    assert ctx.values("laplacian") is values and ctx.second_vector("laplacian") is vector
+    assert len(counted["solves"]) == len(lu) == 1
+
+
 def test_reduce_computes_no_eigenvector(tmp_path, counted, capsys, monkeypatch):
-    full = _count_eigh(monkeypatch)
+    full, lu = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "solve")
     out = str(tmp_path / "reduced.graph")
     assert cli.run_cli(["reduce", str(GOLDEN / "stars120.graph"), "-o", out, "--json"]) == 0
     capsys.readouterr()
-    assert full == []
+    assert full == lu == []
     assert 0 < len(counted["solves"]) <= 4
 
 

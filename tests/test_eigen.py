@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,14 @@ from starlap import (
     spectral_gap_index,
     sym_eigen,
 )
-from starlap.eigen import SIGN_EPS, EigenvalueGroup, MultiplicityTable, _normalize_signs
+from starlap.eigen import (
+    SIGN_EPS,
+    STEP_TOL,
+    EigenvalueGroup,
+    MultiplicityTable,
+    _normalize_signs,
+    eigenvector_at,
+)
 from starlap.errors import NotSymmetricError, TooFewValuesError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -339,3 +347,92 @@ def test_symmetry_scan_only_on_matrices_not_symmetric_bit_for_bit():
     with np.errstate(invalid="ignore"):
         spec = sym_eigen(one_sided)
     assert np.isnan(spec.values).all() and np.isnan(spec.vectors).all()
+
+
+def _random_symmetric(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    upper = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 7))
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eigenvector_at_every_computed_eigenvalue(seed):
+    a = _random_symmetric(seed)
+    values, columns = np.linalg.eigh(a)
+    radius = float(np.abs(values).max())
+    gaps = np.diff(values)
+    for i, value in enumerate(np.linalg.eigvalsh(a)):
+        x = eigenvector_at(a, value)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(a @ x - value * x) <= 1e-12 * radius
+        assert _normalize_signs(x[:, None])[:, 0].tobytes() == x.tobytes()
+        gap = min(gaps[i - 1] if i else np.inf, gaps[i] if i < gaps.size else np.inf)
+        if gap > 1e-6 * radius:   # a simple eigenvalue: the one eigenvector, up to its sign
+            assert abs(x @ columns[:, i]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_eigenvector_at_leaves_its_matrix_as_it_was():
+    lap = _path_laplacian(7)
+    value = np.linalg.eigvalsh(lap)[1]
+    before = lap.copy()
+    x = eigenvector_at(lap, value)   # shifted in place, then restored
+    assert lap.tobytes() == before.tobytes()
+    frozen = lap.copy()
+    frozen.setflags(write=False)
+    assert eigenvector_at(frozen, value).tobytes() == x.tobytes()
+    assert frozen.tobytes() == before.tobytes()
+
+
+def test_eigenvector_at_moves_an_exactly_singular_shift(monkeypatch):
+    # L - 2I of a single unit edge is exactly singular for LAPACK's LU
+    calls = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        calls.append(np.diag(a).copy())
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    x = eigenvector_at(np.array([[1.0, -1.0], [-1.0, 1.0]]), 2.0)
+    assert len(calls) == 2
+    assert calls[1].tolist() == [-1.0 - np.spacing(2.0)] * 2   # one ulp of the row-sum bound 2
+    assert np.allclose(x, [2**-0.5, -(2**-0.5)], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, value",
+    [
+        (np.array([[2.0, -1.0], [-1.0, np.inf]]), 1.0),
+        (np.array([[2.0, -1.0], [-1.0, np.nan]]), 1.0),
+        (np.array([[1e308, -1e308], [-1e308, 1e308]]), 2.0),   # the row sums overflow
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.nan),
+    ],
+)
+def test_eigenvector_at_non_finite_gives_nan_without_a_solve(monkeypatch, a, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LU solve of a non-finite input")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = eigenvector_at(a, value)
+    assert x.shape == (2,) and np.isnan(x).all()
+
+
+def test_a_start_nearly_orthogonal_to_the_eigenvector_takes_a_second_step(monkeypatch):
+    # sin(1..n) has a component of only 7e-4 along this eigenvector, so the
+    # first step leaves a residual of about 4e-12 of the radius
+    a = _random_symmetric(3)
+    value = np.linalg.eigvalsh(a)[1]
+    calls = []
+    real = np.linalg.solve
+
+    def solve(m, b):
+        calls.append(np.linalg.norm(b))
+        return real(m, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    x = eigenvector_at(a, value)
+    assert len(calls) == 2
+    assert np.linalg.norm(a @ x - value * x) <= STEP_TOL * float(np.abs(a).sum(axis=1).max())

@@ -100,6 +100,110 @@ class TestFiedler:
         assert set(verdicts.values()) == {True, False}
 
 
+def complete_bipartite(p, q):
+    return build_graph(p + q, [(i, p + j, 1.0) for i in range(p) for j in range(q)])
+
+
+# each has lambda2 where L - lambda2*I is exactly singular for LAPACK's LU
+SINGULAR_SHIFT_GRAPHS = {
+    "P2": build_graph(2, [(0, 1, 1.0)]),
+    "K3": build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]),
+    "C4": build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]),
+    "K_{1,4}": complete_bipartite(1, 4),
+    "K_{3,3}": complete_bipartite(3, 3),
+}
+
+
+def relative_residual(ctx, vector):
+    """||L~ v - lambda2 v|| / spectral radius, for the mass Laplacian L~."""
+    values = ctx.values("mass-laplacian")
+    radius = eigen.spectral_radius(values)
+    return np.linalg.norm(ctx.matrix("mass-laplacian") / radius @ vector - values[1] / radius * vector)
+
+
+def reference_labels(ctx):
+    """Sign labels of the second column of a full eigh."""
+    column = eigen.sym_eigen(ctx.matrix("mass-laplacian")).vectors[:, 1]
+    return partition_module._labels_from_signs(column)[0]
+
+
+def connected_graphs():
+    graphs = {p.stem: load_graph(str(p)) for p in sorted(GOLDEN.glob("*.graph"))}
+    for seed in range(20):
+        graphs[f"stars{seed}"] = plant_star_graph(seed, 40, [(3, 2, 2.0), (2, 3, 0.5)], 0.2)
+    graphs["stars1000"] = plant_star_graph(1, 1000, [(4, 3, 2.0)] * 25, background_p=0.05)
+    return {
+        name: g for name, g in graphs.items() if g.n >= 2 and len(analyze(g).components) == 1
+    }
+
+
+class TestFiedlerPairFromItsValues:
+    """The pair is the values-only spectrum plus one inverse-iteration step."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+
+        def solve(a, b):
+            calls.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        return calls
+
+    @pytest.mark.parametrize("name", SINGULAR_SHIFT_GRAPHS)
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_exactly_singular_shift_gives_an_eigenvector(self, solves, name, scale):
+        g = SINGULAR_SHIFT_GRAPHS[name]
+        ctx = analyze(build_graph(g.n, [(u, v, w * scale) for u, v, w in g.edges]))
+        vector = ctx.second_vector("laplacian")
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-15)
+        assert relative_residual(ctx, vector) <= 1e-12
+        if scale == 1.0:
+            assert len(solves) >= 2   # the first shift was singular and moved
+
+    def test_lambda2_is_the_values_only_solve_bit_for_bit(self):
+        for name, g in connected_graphs().items():
+            matrix = analyze(g).matrix("mass-laplacian")
+            expected = eigen.sym_eigen(matrix, vectors=False).values[1]
+            assert fiedler(g).lambda2 == expected, name
+
+    def test_residual_on_golden_and_planted_graphs(self):
+        for name, g in connected_graphs().items():
+            ctx = analyze(g)
+            assert relative_residual(ctx, fiedler(ctx).vector) <= 1e-12, name
+
+    def test_bisection_matches_eigh_where_lambda2_is_simple(self):
+        simple = 0
+        for name, g in connected_graphs().items():
+            ctx = analyze(g)
+            if fiedler(ctx).degenerate:
+                continue
+            simple += 1
+            assert sign_bipartition(g).labels == reference_labels(ctx), name
+        assert simple >= 20
+
+    def test_a_twin_pair_the_start_barely_sees_takes_a_second_step(self, solves):
+        # twins 0 and 710 on hub 1 carry the simple lambda2 = 0.01 with the
+        # eigenvector e_0 - e_710, and sin(1) - sin(711) is about 2e-6, so one
+        # step would leave a residual near 1e-11 of the radius
+        n = 712
+        rng = np.random.default_rng(0)
+        u, v = np.triu_indices(n, 1)
+        keep = (rng.random(u.size) < 0.05) | (v == u + 1)
+        keep &= (u != 0) & (u != 710) & (v != 0) & (v != 710)
+        edges = [(a, b, 1.0) for a, b in zip(u[keep].tolist(), v[keep].tolist())]
+        g = build_graph(n, edges + [(709, 711, 1.0), (0, 1, 0.01), (1, 710, 0.01)])
+        ctx = analyze(g)
+        result = fiedler(ctx)
+        assert not result.degenerate and result.lambda2 == pytest.approx(0.01)
+        assert len(solves) == 2
+        assert relative_residual(ctx, result.vector) <= 1e-15
+        assert sign_bipartition(g).labels == reference_labels(ctx)
+        assert [v for v, label in enumerate(sign_bipartition(g).labels) if label] == [710]
+
+
 class TestBipartition:
     def test_path(self, f4):
         assert labels_as_sets(sign_bipartition(f4)) == [{0, 1}, {2, 3}]
