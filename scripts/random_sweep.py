@@ -9,9 +9,15 @@ where that comparison is conclusive, that bisecting the reduced graph splits
 the original vertices as bisecting the original does.  On every connected
 graph it checks the Fiedler vector: its eigen-residual is within 1e-12 of
 the spectral radius, and where lambda2 is simple, bisection labels the
-vertices as the second column of a full eigh does.  On every graph
-without near ties of strength it also checks that the dependent-row claims
-do not change under one seeded relabelling of the vertices.
+vertices as the second column of a full eigh does, and it checks kway's
+embedding, read off the collapsed graph: `kway auto` chooses the k of a
+full eigh, and every embedding column is an eigenvector, with residual
+within 1e-12 of the row-sum bound.  It then counts, without failing on
+them, the graphs whose kway labels differ from k-means on the full eigh's
+columns: by a permutation of twins only, where k cuts through a repeated
+eigenvalue, or otherwise.  On every graph without near ties of strength it
+also checks that the dependent-row claims do not change under one seeded
+relabelling of the vertices.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
@@ -42,7 +48,8 @@ from starlap import (
     verify_laplacian_reduction,
     verify_ldependent,
 )
-from starlap.partition import _labels_from_signs
+from starlap.eigen import DEFAULT_TOL, spectral_gap_index
+from starlap.partition import _embedding, _labels_from_signs, _lloyd, _relabel_by_smallest_member
 from starlap.stars import WEIGHT_TOL
 
 
@@ -90,6 +97,52 @@ def fiedler_vector(g):
         return True
     reference = sym_eigen(matrix).vectors[:, 1]
     return sign_bipartition(g).labels == _labels_from_signs(reference)[0]
+
+
+def kway_embedding(g):
+    """Whether kway's embedding is k eigenvectors at a full eigh's k, and how its labels differ.
+
+    None without a connected graph of two or more vertices.  The second
+    item is "" when the labels equal those of k-means on the full eigh's
+    first k columns, else "twins" when the two partitions differ only by
+    a permutation of twins, "repeated" when k cuts through a repeated
+    eigenvalue, and "other" for the rest.
+    """
+    ctx = analyze(g)
+    if g.n < 2 or len(ctx.components) != 1:
+        return None
+    tilde = ctx.matrix("mass-laplacian")
+    bound = float(np.abs(tilde).sum(axis=1).max())
+    full = sym_eigen(tilde)
+    k, rows = _embedding(g, "auto")
+    if k != spectral_gap_index(full.values):
+        return False, ""
+    if rows is None:
+        return True, ""
+    product = tilde @ rows
+    quotients = np.einsum("ij,ij->j", rows, product)
+    if np.linalg.norm(product - rows * quotients, axis=0).max() > 1e-12 * bound:
+        return False, ""
+    labels = _relabel_by_smallest_member(_lloyd(rows, 100), g.n, "").labels
+    reference = _relabel_by_smallest_member(_lloyd(full.vectors[:, :k], 100), g.n, "").labels
+    if labels == reference:
+        return True, ""
+    twin_class = list(range(g.n))
+    for star in ctx.stars:
+        for v in star.v1:
+            twin_class[v] = star.v1[0]
+
+    def clusters(lbls):
+        members = {}
+        for v, lbl in enumerate(lbls):
+            members.setdefault(lbl, []).append(twin_class[v])
+        return sorted(sorted(m) for m in members.values())
+
+    if clusters(labels) == clusters(reference):
+        return True, "twins"
+    if k < g.n and full.values[k] - full.values[k - 1] <= DEFAULT_TOL * bound:
+        return True, "repeated"
+    return True, "other"
 
 
 def sweep_star(seed, rng, max_extra):
@@ -150,6 +203,7 @@ def main():
 
     counts: dict[str, int] = {}
     failures: dict[str, list[int]] = {}
+    label_changes: dict[str, int] = {}
     sizes = []
     t0 = time.time()
     for i in range(args.graphs):
@@ -163,6 +217,10 @@ def main():
             results["relabelled"] = same
         if (pair := fiedler_vector(g)) is not None:
             results["fiedler_vector"] = pair
+        if (embedded := kway_embedding(g)) is not None:
+            results["kway_embedding"], kind = embedded
+            if kind:
+                label_changes[kind] = label_changes.get(kind, 0) + 1
         sizes.append(g.n)
         for name, ok in results.items():
             counts[name] = counts.get(name, 0) + 1
@@ -175,6 +233,8 @@ def main():
         bad = failures.get(name, [])
         status = "ok" if not bad else f"FAIL at seeds {bad[:10]}"
         print(f"  {name:<{width}}  {counts[name] - len(bad)}/{counts[name]}  {status}")
+    changed = ", ".join(f"{kind} {n}" for kind, n in sorted(label_changes.items())) or "none"
+    print(f"  kway labels unlike k-means on a full eigh (not failures): {changed}")
     if failures:
         raise SystemExit(2)
 

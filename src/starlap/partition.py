@@ -5,11 +5,14 @@ Laplacian L~ = diag(mass strengths) - M^(1/2) A M^(1/2), which is L bit for
 bit when every mass is 1.  L~ is similar to the nonsymmetric L(MB) through
 the positive diagonal M^(1/2), so its eigenvectors have the signs of L(MB)'s
 right eigenvectors, and a graph that a reduction wrote is bisected as its
-original.  Bipartition by the sign pattern of that vector, recursive
-bisection, and k-way clustering on the smallest-eigenvector embedding all
-read it; the reduced graph's vector, lifted through K, is compared sign by
-sign with the original graph's, which is the point of reducing before
-partitioning.
+original.  Bipartition by the sign pattern of that vector and recursive
+bisection read it; the reduced graph's vector, lifted through K, is
+compared sign by sign with the original graph's, which is the point of
+reducing before partitioning.  k-way clustering on the smallest-eigenvector
+embedding reduces first too: by the paper's eigenvector result, the
+eigenpairs of the graph with every reducible star collapsed, lifted through
+K, and each star's closed-form star-local pairs are together the original's,
+so its one full eigensolve is of order n - q.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ import numpy as np
 from . import eigen
 from .errors import BadKError, DisconnectedError, NonFiniteSpectrumError, TooFewValuesError
 from .graphs import Graph, induced_subgraph
-from .reduction import Reduction, lift_vector
+from .reduction import (
+    Reduction,
+    _k_times,
+    lift_vector,
+    reduce_all,
+    removed_values,
+    star_complement,
+)
 from .stars import GraphAnalysis, analyze
 
 ZERO_ENTRY_EPS = 1e-12
@@ -288,11 +298,76 @@ def _cluster_means(rows: np.ndarray, labels: np.ndarray, centroids: np.ndarray) 
     return means
 
 
+def _lloyd(rows: np.ndarray, max_iter: int) -> list[list[int]]:
+    """The clusters of Lloyd's k-means on the rows, k their width, seeded farthest-first."""
+    centroids = rows[_farthest_first_seeds(rows, rows.shape[1])]
+    labels = np.full(rows.shape[0], -1)
+    for _ in range(max_iter):
+        new_labels = _nearest(rows, centroids)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centroids = _cluster_means(rows, labels, centroids)
+    blocks: dict[int, list[int]] = {}
+    for v, lbl in enumerate(labels):
+        blocks.setdefault(int(lbl), []).append(v)
+    return list(blocks.values())
+
+
+def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
+    """k and the n x k embedding of the mass Laplacian's k smallest eigenvectors.
+
+    The eigenpairs come from the collapsed graph (the paper's reduction):
+    the eigenpairs of its L~, with each vector lifted through K, and each
+    collapsed star's q local pairs, at its mass strength with the columns
+    of star_complement on its members.  Both sets, merged in ascending order
+    of value (the collapsed graph's first among equals), are the original
+    mass Laplacian's eigenpairs.  k="auto" places k at the largest gap of
+    the merged values; the embedding is None when that gives one cluster.
+    A graph with no reducible star is its own collapse, and its embedding is
+    the columns of its own L~'s eigh.
+    """
+    ctx = analyze(g)
+    r = reduce_all(ctx, "collapse")
+    removed = removed_values(ctx, r)
+    tilde = ctx.reduced(r).matrix("mass-laplacian")
+    del ctx   # frees the graph's and the collapse's analyses, and both adjacency matrices
+    spectrum = eigen.sym_eigen(tilde)
+    del tilde   # lowers peak memory: only the solve's columns are read from here on
+    if spectrum.n >= 2:
+        _require_finite(g, spectrum.values[1], spectrum.vectors[:, 1])
+    values = np.concatenate((spectrum.values, [value for value, q in removed for _ in range(q)]))
+    order = np.argsort(values, kind="stable")
+    if k != "auto":
+        k_val = int(k)
+    elif g.n >= 2:
+        k_val = eigen.spectral_gap_index(values[order])
+    else:
+        k_val = 1
+    if k_val < 2:
+        return 1, None
+    picked = order[:k_val]
+    lifted = picked < spectrum.n
+    rows = np.zeros((g.n, k_val))
+    rows[:, lifted] = _k_times(r, spectrum.vectors[:, picked[lifted]])
+    first = spectrum.n   # each star's local columns follow the collapsed graph's in `values`
+    for info in r.star_info:
+        hit = (picked >= first) & (picked < first + info.q)
+        if hit.any():
+            block = star_complement(info.star.m, info.star.m - info.q)
+            rows[np.ix_(sorted(info.star.v1), np.flatnonzero(hit))] = block[:, picked[hit] - first]
+        first += info.q
+    return k_val, rows
+
+
 def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     """Cluster the rows of the k smallest-eigenvector embedding.
 
     The eigenvectors are those of the graph's mass Laplacian, whose second
-    one `fiedler` reads (L's when every mass is 1).  Lloyd iterations with
+    one `fiedler` reads (L's when every mass is 1), read off the graph with
+    every reducible star collapsed (see _embedding): one eigh of an
+    (n - q) x (n - q) matrix, q the vertices the collapse removes, and each
+    star's local eigenvectors in closed form.  Lloyd iterations with
     farthest-first seeding from vertex 0's row; squared Euclidean distances
     on unnormalized embedding rows.  k="auto" places the cluster count at
     the largest gap anywhere in that spectrum, so it can choose k close to n
@@ -300,15 +375,16 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     chooses one cluster on a graph with fewer than two vertices.
 
     An integer k below 2 or above n raises BadKError before the eigensolve;
-    a NaN or infinite second eigenpair raises NonFiniteSpectrumError.
+    a NaN or infinite second eigenpair of the collapsed graph raises
+    NonFiniteSpectrumError.
 
     Distances are screened in expanded form, |r|^2 - 2 r.c + |c|^2, with
     one BLAS product per Lloyd iteration (rows times centroids) and one
     matrix-vector product per seed.  Where another candidate lies within
     the rounding bound of that form, 4*(k+2)*eps*(|r| + |c|)^2, of the
     best, the direct distances sum((r - c)**2) decide, so the labels are
-    those of the direct computation bit for bit.  Memory is O(n*k) beyond the n*n
-    eigensolve: no Gram matrix and no n*k*k tensor.
+    those of the direct computation bit for bit.  Memory is O(n*k) beyond
+    the collapsed graph's eigensolve: no Gram matrix and no n*k*k tensor.
     """
     _require_connected(g)
     if k != "auto":
@@ -319,28 +395,11 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
             raise BadKError(
                 k_val, g.n, f"the graph has fewer vertices ({g.n}) than the k={k_val} clusters"
             )
-    # the analysis is dropped once L~ is built, so that its A is freed before the solve
-    spectrum = eigen.sym_eigen(analyze(g).matrix("mass-laplacian"))
-    if g.n >= 2:
-        _require_finite(g, spectrum.values[1], spectrum.vectors[:, 1])
-    if k == "auto":
-        k_val = eigen.spectral_gap_index(spectrum.values) if g.n >= 2 else 1
-        if k_val < 2:
-            return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
-    rows = np.ascontiguousarray(spectrum.vectors[:, :k_val])
-    centroids = rows[_farthest_first_seeds(rows, k_val)]
-    labels = np.full(g.n, -1)
-    for _ in range(max_iter):
-        new_labels = _nearest(rows, centroids)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        centroids = _cluster_means(rows, labels, centroids)
-    blocks: dict[int, list[int]] = {}
-    for v, lbl in enumerate(labels):
-        blocks.setdefault(int(lbl), []).append(v)
+    k_val, rows = _embedding(g, k)
+    if rows is None:
+        return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
     return _relabel_by_smallest_member(
-        list(blocks.values()), g.n, f"kway(k={k_val}, requested={k})"
+        _lloyd(rows, max_iter), g.n, f"kway(k={k_val}, requested={k})"
     )
 
 

@@ -7,6 +7,10 @@ between original and reduced operators is an n x (n - q) matrix K with
 orthonormal columns satisfying K^T A K = M^(1/2) B M^(1/2) and A K =
 K M^(1/2) B M^(1/2): identity rows on untouched vertices and, on each star
 block, an orthonormal frame whose columns all sum to sqrt(m / (m - q)).
+The q columns that complete a star's frame to an orthogonal matrix
+(`star_complement`) are the star's local eigenvectors, of A at 0 and of L
+at the star weight, so the reduced graph's eigenvectors lifted through K
+and these make a complete eigenbasis of the original.
 
 K is held implicitly, as the vertex map and one m x p frame per reduced
 star (O(n + sum m p) numbers), and every check and lift works through the
@@ -155,6 +159,27 @@ def star_frame(m: int, p: int) -> np.ndarray:
     if p == 1:
         return np.full((m, 1), 1.0 / np.sqrt(m))
     return _swap_columns(m, p) @ _swap_columns(p, p)
+
+
+def star_complement(m: int, p: int) -> np.ndarray:
+    """The m x (m - p) columns p..m-1 of H_m, orthonormal and orthogonal to star_frame(m, p).
+
+    star_frame(m, p) spans the first p columns of the orthogonal H_m, so
+    [star_frame(m, p) | star_complement(m, p)] is orthogonal.  Placed on the
+    sorted members of a star with a weight, each column is one of the
+    paper's star-local eigenvectors: it sums to 0 over twins of one mass, so
+    the mass Laplacian maps it to the star's mass strength times itself.
+    """
+    return _swap_columns(m, m)[:, p:]
+
+
+def removed_values(g: Graph | GraphAnalysis, r: Reduction) -> tuple[tuple[float, int], ...]:
+    """Each reduced star's (mass strength, q): q copies of that eigenvalue leave L's spectrum.
+
+    The mass strength is the original graph's, at the star's first kept vertex.
+    """
+    ctx = analyze(g)
+    return tuple((float(ctx.mass_strengths[info.kept_v1[0]]), info.q) for info in r.star_info)
 
 
 def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
@@ -476,9 +501,7 @@ def verify_laplacian_reduction(
     radius = eigen.spectral_radius(values_l)
     tol = tol_rel * radius
 
-    removals: list[float] = []
-    for info in r.star_info:
-        removals.extend([float(ctx.mass_strengths[info.kept_v1[0]])] * info.q)
+    removals = [value for value, q in removed_values(ctx, r) for _ in range(q)]
     dev, note = _match_after_removal(values_l, values_t, removals, tol)
     checks = (
         Check("laplacian-spectrum", dev, tol, note),

@@ -160,13 +160,14 @@ def test_partition_and_compare_solve_each_matrix_once(tmp_path, counted, capsys,
 def test_only_kway_makes_a_full_eigensolve(
     tmp_path, counted, capsys, monkeypatch, args, full_solves
 ):
+    # kway's one eigh is of the collapsed graph: q = (4 - 1) + (3 - 1) vertices fewer
     g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
     path = tmp_path / "g.graph"
     save_graph(g, str(path))
     full, lu = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "solve")
     assert cli.run_cli([args[0], str(path), *args[1:], "--json"]) == 0
     capsys.readouterr()
-    assert len(full) == full_solves
+    assert full == [(75, 75)] * full_solves
     # every other solve is a Fiedler pair's values, and its vector one LU solve
     assert len(lu) == len(counted["solves"]) - full_solves
 

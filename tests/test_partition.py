@@ -410,16 +410,23 @@ def test_kway_recovers_planted_blocks():
         assert len(mapping) == n_blocks
 
 
-def _kway_reference(g, k, max_iter=100):
-    """kway as first written: the whole n*k*k difference tensor per Lloyd step."""
+def _full_eigh_embedding(g, k):
+    """k and the k smallest eigenvectors of one full eigh of L, as kway first read them."""
     spectrum = eigen.sym_eigen(analyze(g).matrix("laplacian"))
-    if k == "auto":
-        k_val = eigen.spectral_gap_index(spectrum.values)
-        if k_val < 2:
-            return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
-    else:
-        k_val = k
-    rows = spectrum.vectors[:, :k_val]
+    k_val = eigen.spectral_gap_index(spectrum.values) if k == "auto" else k
+    return k_val, spectrum.vectors[:, :k_val] if k_val >= 2 else None
+
+
+def _kway_reference(g, k, embedding=_full_eigh_embedding, max_iter=100):
+    """kway as first written, on the embedding(g, k) it is given.
+
+    The whole n*k*k difference tensor per Lloyd step and direct distances
+    throughout; the embedding is one full eigh of L by default, kway's own
+    (partition._embedding) where the rows must be the ones kway clusters.
+    """
+    k_val, rows = embedding(g, k)
+    if rows is None:
+        return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
     seeds = [0]
     dist = np.linalg.norm(rows - rows[0], axis=1)
     while len(seeds) < k_val:
@@ -567,18 +574,63 @@ def test_the_exact_recheck_settles_what_the_screen_cannot(monkeypatch):
 
 
 def _reference_cases():
+    # the planted blocks have no star, so kway reads the full eigh there;
+    # the star graphs are clustered on kway's own embedding
     for seed in range(50):
         n_blocks = 2 + seed % 2
-        yield pytest.param(planted_blocks(seed, n_blocks)[0], n_blocks, id=f"blocks{seed}")
-    yield pytest.param(load_graph(str(STARS120)), "auto", id="stars120")
+        yield pytest.param(
+            planted_blocks(seed, n_blocks)[0], n_blocks, _full_eigh_embedding, id=f"blocks{seed}"
+        )
+    embedding = partition_module._embedding
+    yield pytest.param(load_graph(str(STARS120)), "auto", embedding, id="stars120")
     stars = plant_star_graph(5, 60, [(4, 3, 2.0), (3, 2, 1.0), (5, 2, 1.5)], background_p=0.1)
     for k in (2, 5, "auto"):
-        yield pytest.param(stars, k, id=f"stars60-k{k}")
+        yield pytest.param(stars, k, embedding, id=f"stars60-k{k}")
 
 
-@pytest.mark.parametrize("g, k", list(_reference_cases()))
-def test_kway_matches_the_full_tensor_reference(g, k):
-    assert kway(g, k) == _kway_reference(g, k)
+@pytest.mark.parametrize("g, k, embedding", list(_reference_cases()))
+def test_kway_matches_the_full_tensor_reference(g, k, embedding):
+    assert kway(g, k) == _kway_reference(g, k, embedding)
+
+
+def assert_embedding_matches_a_full_eigh(g, k):
+    """kway's embedding against the k smallest eigenpairs of one eigh of the mass Laplacian.
+
+    The same k; Rayleigh quotients within 1e-12 R of the eigenvalues, R the
+    row-sum bound; and, where the k-th and (k+1)-th eigenvalues lie more
+    than tol R apart, the same span: projectors within 1e-8.  Inside a
+    repeated eigenvalue the basis is free, so labels may differ there.
+    """
+    tilde = analyze(g).matrix("mass-laplacian")
+    bound = float(np.abs(tilde).sum(axis=1).max())
+    full = eigen.sym_eigen(tilde)
+    k_full = eigen.spectral_gap_index(full.values) if k == "auto" else k
+    k_val, rows = partition_module._embedding(g, k)
+    assert k_val == k_full
+    if rows is None:
+        return
+    assert rows.shape == (g.n, k_val)
+    assert np.abs(rows.T @ rows - np.eye(k_val)).max() <= 1e-12
+    quotients = np.einsum("ij,ij->j", rows, tilde @ rows)
+    assert np.abs(quotients - full.values[:k_val]).max() <= 1e-12 * bound
+    if k_val == g.n or full.values[k_val] - full.values[k_val - 1] > eigen.DEFAULT_TOL * bound:
+        exact = full.vectors[:, :k_val]
+        assert np.abs(rows @ rows.T - exact @ exact.T).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["f4", "two_triangles", "ldep44", "written_reduction"])
+def test_without_a_reducible_star_the_embedding_is_the_full_eigh_bit_for_bit(name):
+    g = load_graph(str(GOLDEN / f"{name}.graph"))
+    assert reduce_all(g, "collapse").q_total == 0
+    full = eigen.sym_eigen(analyze(g).matrix("mass-laplacian"))
+    for k in (2, g.n):
+        assert partition_module._embedding(g, k)[1].tobytes() == full.vectors[:, :k].tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, "auto"])
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.graph")), ids=lambda p: p.stem)
+def test_the_embedding_matches_a_full_eigh_on_the_goldens(path, k):
+    assert_embedding_matches_a_full_eigh(load_graph(str(path)), k)
 
 
 def test_kway_memory_is_order_n_k():

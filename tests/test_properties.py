@@ -31,10 +31,11 @@ from starlap import (
     write_graph_file,
 )
 from starlap.eigen import DEFAULT_TOL
+from starlap import partition
 from starlap.errors import ConditionViolatedError, NoCommonStrengthError
 from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
 
-from test_partition import _kway_reference
+from test_partition import _kway_reference, assert_embedding_matches_a_full_eigh
 
 
 def _load_sweep():
@@ -395,7 +396,13 @@ def star_graphs_and_cluster_counts(draw):
 @settings(max_examples=100, deadline=None)
 def test_kway_matches_the_direct_reference_on_planted_stars(case):
     g, k = case
-    assert kway(g, k) == _kway_reference(g, k)
+    assert kway(g, k) == _kway_reference(g, k, partition._embedding)
+
+
+@given(star_graphs_and_cluster_counts())
+@settings(max_examples=100, deadline=None)
+def test_the_embedding_matches_a_full_eigh_on_planted_stars(case):
+    assert_embedding_matches_a_full_eigh(*case)
 
 
 def _scaled(g, factor):

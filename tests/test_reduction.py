@@ -25,6 +25,7 @@ from starlap import (
     verify_laplacian_reduction,
 )
 from starlap.cli import run_cli
+from starlap.reduction import _k_times, removed_values, star_complement
 from starlap.stars import analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
@@ -615,3 +616,55 @@ class TestGraphsWithMasses:
             reduce_all(g, [1])
         with pytest.raises(StructuralStarOnlyError):
             reduce_star(g, star, 1)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_frame_and_complement_make_an_orthogonal_matrix(m):
+    for p in range(1, m + 1):
+        square = np.hstack([star_frame(m, p), star_complement(m, p)])
+        assert square.shape == (m, m)
+        assert np.abs(square.T @ square - np.eye(m)).max() <= 1e-14
+
+
+GOLDEN_GRAPHS = sorted((Path(__file__).parent / "golden").glob("*.graph"))
+
+
+def _collapse_case(source):
+    """A golden graph, or a planted one; odd seeds are keep-pair reductions, with masses."""
+    if isinstance(source, Path):
+        return load_graph(str(source))
+    rng = np.random.default_rng(source)
+    specs = [
+        (int(rng.integers(2, 6)), int(rng.integers(1, 4)), float(rng.choice([0.5, 1.0, 2.0])))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    g = plant_star_graph(source, sum(m + k for m, k, _ in specs) + 8, specs, background_p=0.2)
+    return reduce_all(g, "keep-pair").reduced if source % 2 else g
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(p, id=p.stem) for p in GOLDEN_GRAPHS]
+    + [pytest.param(seed, id=f"planted{seed}") for seed in range(20)],
+)
+def test_the_collapse_gives_every_eigenvector_of_the_mass_laplacian(source):
+    # the paper's result: the collapsed graph's eigenvectors, lifted by K,
+    # and each star's local vectors, orthogonal to its frame, are together a
+    # complete orthonormal eigenbasis of the original mass Laplacian
+    ctx = analyze(_collapse_case(source))
+    r = reduce_all(ctx, "collapse")
+    tilde = ctx.matrix("mass-laplacian")
+    bound = float(np.abs(tilde).sum(axis=1).max())
+    spectrum = sym_eigen(ctx.reduced(r).matrix("mass-laplacian"))
+    lifted = _k_times(r, spectrum.vectors)
+    residuals = [np.linalg.norm(tilde @ lifted - lifted * spectrum.values, axis=0)]
+    columns = [lifted]
+    for (value, q), info in zip(removed_values(ctx, r), r.star_info):
+        local = np.zeros((ctx.graph.n, q))
+        local[sorted(info.star.v1)] = star_complement(info.star.m, info.star.m - q)
+        residuals.append(np.linalg.norm(tilde @ local - value * local, axis=0))
+        columns.append(local)
+    basis = np.hstack(columns)
+    assert basis.shape == (ctx.graph.n, ctx.graph.n)
+    assert np.abs(basis.T @ basis - np.eye(ctx.graph.n)).max() <= 1e-12
+    assert np.concatenate(residuals).max() <= 1e-12 * bound
