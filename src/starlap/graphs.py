@@ -240,16 +240,18 @@ def component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return root
 
 
-def neighbor_lists(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every vertex's neighbors in ascending order, as (bounds, neighbors).
+def neighbor_lists(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex's neighbors in ascending order, as (bounds, neighbors, weights).
 
-    The neighbors of x are neighbors[bounds[x]:bounds[x + 1]].
+    The neighbors of x are neighbors[bounds[x]:bounds[x + 1]], and the
+    weights of those edges are weights[bounds[x]:bounds[x + 1]].
     """
     src = np.concatenate((g.u, g.v))
     dst = np.concatenate((g.v, g.u))
     bounds = np.zeros(g.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=g.n), out=bounds[1:])
-    return bounds, dst[np.lexsort((dst, src))]
+    order = np.lexsort((dst, src))
+    return bounds, dst[order], np.concatenate((g.w, g.w))[order]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:

@@ -39,7 +39,7 @@ from .errors import (
 from .graphs import (
     Graph,
     adjacency,
-    build_graph,
+    build_graph_from_columns,
     component_roots,
     connected_components,
     neighbor_lists,
@@ -410,19 +410,19 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     smallest vertex index in v1.
     """
     ctx = analyze(g)
-    bounds, neighbors = neighbor_lists(ctx.graph)
+    bounds, neighbors, weights = neighbor_lists(ctx.graph)
     by_neighborhood: dict[bytes, list[int]] = {}
     for v, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if stop > start:
             by_neighborhood.setdefault(neighbors[start:stop].tobytes(), []).append(v)
-    a = ctx.adjacency
     stars = []
     for members in by_neighborhood.values():
         if len(members) < 2:
             continue
         v1 = tuple(members)
         v2 = tuple(neighbors[bounds[v1[0]] : bounds[v1[0] + 1]].tolist())
-        rows = a[np.ix_(list(v1), list(v2))]
+        # row i is v1[i]'s weights toward v2, in v2's ascending order
+        rows = weights[bounds[list(v1)][:, None] + np.arange(len(v2))]
         equal_masses = len({ctx.graph.mass[v] for v in v1}) == 1
         weight = _uniform_weight(rows) if equal_masses else None
         stars.append(MkStar(v1=v1, v2=v2, weight_uniform=weight))
@@ -610,8 +610,23 @@ def plant_star_graph(
     Each spec (m, k, w) claims a disjoint block of m + k vertices: m star
     vertices attached to all k hub vertices with a shared weight vector
     summing to w.  Remaining vertices and hubs are wired with a spanning path
-    plus random extra edges, never touching star vertices, so every planted
-    class keeps its identical-neighborhood property.
+    plus random extra edges, never touching star vertices.  A background
+    vertex whose neighbours are exactly some star's hubs would join that
+    star's class, so it gets one more edge, to the first background vertex
+    that is neither itself nor one of those hubs.
+
+    Limit: such a vertex can be rewired only when the background holds at
+    least two vertices besides that star's hubs (n - sum(m) - k >= 2).
+    Otherwise it keeps its edges and joins the star's class, which is then
+    one vertex larger than planted (seed 441332, n = 4, [(2, 1, 1.0)],
+    background_p = 0.1 gives the class (0, 1, 3)).
+
+    The same seed and arguments give the same graph, bit for bit.  The
+    draws of np.random.default_rng(seed) come in this order: each star's k
+    hub weights (none when k = 1); one weight per path edge; for each
+    candidate background pair (i, j >= i + 2), in row-major order, one draw
+    d, and when d < background_p one more for the pair's weight; then one
+    weight per fix-up edge.  Every weight draw is uniform(0.5, 1.5).
     """
     rng = np.random.default_rng(seed)
     total = sum(m + k for m, k, _ in star_specs)
@@ -621,51 +636,111 @@ def plant_star_graph(
         if m < 2 or k < 1 or w <= 0:
             raise InfeasibleSpecError(f"invalid star spec (m={m}, k={k}, w={w})")
 
-    edges: list[tuple[int, int, float]] = []
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    ws: list[np.ndarray] = []
+    in_star = np.zeros(n, dtype=bool)
+    hub_sets: list[set[int]] = []
     cursor = 0
-    v1_all: set[int] = set()
-    v2_sets: list[set[int]] = []
     for m, k, w in star_specs:
-        v1 = list(range(cursor, cursor + m))
-        v2 = list(range(cursor + m, cursor + m + k))
-        cursor += m + k
-        v1_all.update(v1)
-        v2_sets.append(set(v2))
+        in_star[cursor : cursor + m] = True
+        hubs = np.arange(cursor + m, cursor + m + k)
+        hub_sets.append(set(hubs.tolist()))
         if k == 1:
-            weights = [w]
+            weights = np.array([w], dtype=float)
         else:
             raw = rng.uniform(0.5, 1.5, size=k)
-            weights = (raw * (w / raw.sum())).tolist()
-        for i in v1:
-            for j, wj in zip(v2, weights):
-                edges.append((i, j, wj))
+            weights = raw * (w / raw.sum())
+        us.append(np.repeat(np.arange(cursor, cursor + m), k))
+        vs.append(np.tile(hubs, m))
+        ws.append(np.tile(weights, m))
+        cursor += m + k
 
-    background = [v for v in range(n) if v not in v1_all]
-    existing = {(min(u, v), max(u, v)) for u, v, _ in edges}
-    for a, b in zip(background, background[1:]):
-        edges.append((a, b, float(rng.uniform(0.5, 1.5))))
-        existing.add((min(a, b), max(a, b)))
-    for i in range(len(background)):
-        for j in range(i + 2, len(background)):
-            u, v = background[i], background[j]
-            if rng.random() < background_p and (u, v) not in existing:
-                edges.append((u, v, float(rng.uniform(0.5, 1.5))))
-                existing.add((u, v))
+    background = np.flatnonzero(~in_star)
+    b = background.size
+    us.append(background[:-1])
+    vs.append(background[1:])
+    ws.append(rng.uniform(0.5, 1.5, size=max(b - 1, 0)))
+    picked, picked_w = _background_pairs(rng, (b - 1) * (b - 2) // 2 if b > 2 else 0, background_p)
+    # row i holds the pairs (i, i + 2), ..., (i, b - 1), the first of them at index first[i]
+    first = np.concatenate(([0], np.cumsum(np.arange(b - 2, 1, -1))))
+    rows = np.searchsorted(first, picked, side="right") - 1
+    us.append(background[rows])
+    vs.append(background[picked - first[rows] + rows + 2])
+    ws.append(picked_w)
+    u, v = np.concatenate(us), np.concatenate(vs)
 
-    # keep planted classes exact: no outside vertex may replicate a hub set
-    neighborhoods: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v, _ in edges:
-        neighborhoods[u].add(v)
-        neighborhoods[v].add(u)
-    for u in background:
-        for v2 in v2_sets:
-            if neighborhoods[u] == v2:
-                targets = [x for x in background if x != u and x not in v2 and x not in neighborhoods[u]]
-                if targets:
-                    edges.append((u, targets[0], float(rng.uniform(0.5, 1.5))))
-                    neighborhoods[u].add(targets[0])
-                    neighborhoods[targets[0]].add(u)
-    return build_graph(n, edges)
+    # keep planted classes exact: no background vertex may replicate a hub set.
+    # Neighbourhoods only grow here, so only a vertex of degree at most the
+    # largest k can ever equal a hub set, and only those are kept.
+    degree = np.bincount(np.concatenate((u, v)), minlength=n)
+    small = degree <= max((len(h) for h in hub_sets), default=0)
+    hoods: dict[int, set[int]] = {x: set() for x in np.flatnonzero(small).tolist()}
+    touching = small[u] | small[v]
+    for x, y in zip(u[touching].tolist(), v[touching].tolist()):
+        for a, c in ((x, y), (y, x)):
+            if a in hoods:
+                hoods[a].add(c)
+    extra: list[tuple[int, int, float]] = []
+    order = background.tolist()
+    for x in order:
+        hood = hoods.get(x)
+        if hood is None:
+            continue
+        for hubs in hub_sets:
+            if hood == hubs:
+                target = next((y for y in order if y != x and y not in hubs), None)
+                if target is not None:
+                    extra.append((x, target, float(rng.uniform(0.5, 1.5))))
+                    hood.add(target)
+                    if target in hoods:
+                        hoods[target].add(x)
+    if extra:
+        eu, ev, ew = zip(*extra)
+        us.append(np.array(eu))
+        vs.append(np.array(ev))
+        ws.append(np.array(ew))
+    return build_graph_from_columns(n, np.concatenate(us), np.concatenate(vs), np.concatenate(ws))
+
+
+# draws read per round by _background_pairs, which bounds its temporaries
+_PAIR_BLOCK = 1 << 16
+
+
+def _background_pairs(rng: np.random.Generator, count: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs that draw d < p, among `count`, and their uniform(0.5, 1.5) weights.
+
+    Replays the per-pair stream: pair t draws d, and an accepted pair one
+    more double d' for its weight 0.5 + 1.0 * d'.  Each round reads only
+    draws the stream is sure to make (one per pair left, and the weight of
+    an accepted pair that ended the last round), so exactly as many are
+    consumed as the per-pair loop makes.  A draw after one of at least p is
+    a pair's; inside a run of draws below p, pair and weight draws alternate
+    from the run's first.
+    """
+    picked = [np.zeros(0, dtype=np.intp)]
+    draws = [np.zeros(0)]
+    done = 0            # pairs whose draw has been read
+    pending = False     # the last pair read was accepted; its weight draw comes next
+    while done < count or pending:
+        x = rng.random(min(count - done, _PAIR_BLOCK) + pending)
+        if pending:
+            draws.append(x[:1])
+            x = x[1:]
+        below = x < p
+        start = below.copy()
+        start[1:] &= ~below[:-1]
+        at = np.arange(x.size)
+        run_start = np.maximum.accumulate(np.where(start, at, 0))
+        accepted = below & ((at - run_start) % 2 == 0)
+        is_pair = np.ones(x.size, dtype=bool)
+        is_pair[1:] = ~accepted[:-1]
+        hits = np.flatnonzero(accepted)
+        pending = bool(hits.size and hits[-1] == x.size - 1)
+        picked.append(done + np.cumsum(is_pair)[hits] - 1)
+        draws.append(x[hits[: hits.size - pending] + 1])
+        done += int(is_pair.sum())
+    return np.concatenate(picked), 0.5 + 1.0 * np.concatenate(draws)
 
 
 def plant_ldependent_graph(
@@ -676,22 +751,23 @@ def plant_ldependent_graph(
     sizes = (|v1|, |v2|, l); vertices are laid out as v1, then v2, then v3.
     v1 rows are random positive weights over all of v2 rescaled to the common
     strength; each v3 row is a random convex combination of the v1 rows, so
-    its strength matches by construction.
+    its strength matches by construction.  The same seed and arguments give
+    the same graph, bit for bit: np.random.default_rng(seed) draws the v1
+    rows, then each v3 row's coefficients in turn.
     """
     m1, k, l = sizes
     if m1 < 1 or k < 1 or l < 0 or wtilde <= 0:
         raise InfeasibleSpecError(f"invalid dependent-row spec (sizes={sizes}, w={wtilde})")
     rng = np.random.default_rng(seed)
     n = m1 + k + l
-    v1 = list(range(m1))
-    v2 = list(range(m1, m1 + k))
-    v3 = list(range(m1 + k, n))
     rows = rng.uniform(0.5, 1.5, size=(m1, k))
     rows *= wtilde / rows.sum(axis=1, keepdims=True)
-    edges = [(i, j, float(rows[a, b])) for a, i in enumerate(v1) for b, j in enumerate(v2)]
-    for i in v3:
+    combos = np.empty((l, k))
+    for a in range(l):
         coeffs = rng.uniform(0.2, 1.0, size=m1)
         coeffs /= coeffs.sum()
-        combo = coeffs @ rows
-        edges.extend((i, j, float(combo[b])) for b, j in enumerate(v2))
-    return build_graph(n, edges)
+        combos[a] = coeffs @ rows
+    hubs = np.arange(m1, m1 + k)
+    u = np.concatenate((np.repeat(np.arange(m1), k), np.repeat(np.arange(m1 + k, n), k)))
+    v = np.tile(hubs, m1 + l)
+    return build_graph_from_columns(n, u, v, np.concatenate((rows.ravel(), combos.ravel())))

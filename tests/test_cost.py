@@ -205,3 +205,21 @@ def test_each_graph_adjacency_is_built_once(capsys, monkeypatch, command):
     capsys.readouterr()
     # the graph and its reduction
     assert sorted(builds.values()) == [1, 1]
+
+
+def test_kway_never_builds_the_original_adjacency(monkeypatch):
+    # star detection reads the weight rows off the edge columns; only the
+    # collapsed graph, whose masses are not all 1, builds its A
+    built = []
+    real = stars.GraphAnalysis.adjacency.func
+
+    def adjacency(self):
+        built.append(self.graph)
+        return real(self)
+
+    cached = functools.cached_property(adjacency)
+    cached.__set_name__(stars.GraphAnalysis, "adjacency")
+    monkeypatch.setattr(stars.GraphAnalysis, "adjacency", cached)
+    g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
+    assert partition.kway(g, "auto").n_clusters >= 2
+    assert built and all(h is not g and h.n == 75 for h in built)

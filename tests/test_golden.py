@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from starlap import load_graph, verify_graph
+from starlap import load_graph, verify_graph, write_graph_file
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -33,6 +33,12 @@ def test_index_covers_every_graph_and_command():
     graphs = sorted(p.stem for p in GOLDEN.glob("*.graph"))
     assert graphs == sorted(writer.golden_graphs())
     assert set(INDEX) == {f"{g}.{c}" for g in graphs for c in writer.COMMANDS}
+
+
+def test_golden_inputs_replant_byte_for_byte():
+    # the planted inputs pin the planting functions' random stream
+    for name, g in writer.golden_graphs().items():
+        assert write_graph_file(g) == (GOLDEN / f"{name}.graph").read_text(encoding="utf-8"), name
 
 
 @pytest.mark.parametrize("key", sorted(INDEX))
