@@ -123,8 +123,8 @@ def kway_embedding(g):
     quotients = np.einsum("ij,ij->j", rows, product)
     if np.linalg.norm(product - rows * quotients, axis=0).max() > 1e-12 * bound:
         return False, ""
-    labels = _relabel_by_smallest_member(_lloyd(rows, 100), g.n, "").labels
-    reference = _relabel_by_smallest_member(_lloyd(full.vectors[:, :k], 100), g.n, "").labels
+    labels = _relabel_by_smallest_member(_lloyd(rows), g.n, "").labels
+    reference = _relabel_by_smallest_member(_lloyd(full.vectors[:, :k]), g.n, "").labels
     if labels == reference:
         return True, ""
     twin_class = list(range(g.n))

@@ -296,7 +296,12 @@ def _cmd_reduce(args) -> int:
     ]
     _emit(payload, args.json, lines)
     if not payload["reduction"]["passed"]:
-        failed = [c["name"] for c in payload["reduction"]["checks"] if not c["passed"]]
+        failed = [
+            c.name + (f" ({c.note})" if c.note else "")
+            for record in records
+            for c in record.checks
+            if not c.passed
+        ]
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return 2
     return 0

@@ -24,18 +24,12 @@ import numpy as np
 from . import eigen
 from .errors import BadKError, DisconnectedError, NonFiniteSpectrumError, TooFewValuesError
 from .graphs import Graph, induced_subgraph
-from .reduction import (
-    Reduction,
-    _k_times,
-    lift_vector,
-    reduce_all,
-    removed_values,
-    star_complement,
-)
+from .reduction import Reduction, lift_vector, reduce_all, removed_values, star_complement
 from .stars import GraphAnalysis, analyze
 
 ZERO_ENTRY_EPS = 1e-12
 SIGN_COMPARE_EPS = 1e-9
+LLOYD_MAX_ITER = 100     # Lloyd iterations before k-means stops unconverged
 
 
 @dataclass(frozen=True)
@@ -143,23 +137,16 @@ def _relabel_by_smallest_member(blocks: list[list[int]], n: int, provenance: str
     return Partition(labels=tuple(labels), provenance=provenance)
 
 
-def recursive_bisection(
-    g: Graph,
-    max_clusters: int | None = None,
-    lambda2_threshold: float | None = None,
-) -> Partition:
-    """Repeatedly bisect the loosest block until the stop criterion holds.
+def recursive_bisection(g: Graph, max_clusters: int) -> Partition:
+    """Repeatedly bisect the loosest block until there are max_clusters blocks.
 
     The block with the smallest second eigenvalue splits next (ties to the
     block containing the smallest vertex); induced subgraphs keep original
     weights.  A block that falls apart into components splits along its first
-    component.  Stops at max_clusters blocks, or when every block's second
-    eigenvalue exceeds lambda2_threshold, or when only singletons remain.
-    Each block's split is computed once; an empty graph has no blocks.
+    component.  Stops early when only singletons remain.  Each block's split
+    is computed once; an empty graph has no blocks.
     """
-    if (max_clusters is None) == (lambda2_threshold is None):
-        raise ValueError("give exactly one of max_clusters, lambda2_threshold")
-    if max_clusters is not None and max_clusters < 1:
+    if max_clusters < 1:
         raise BadKError(
             max_clusters, g.n, f"max_clusters must be at least 1, got {max_clusters}"
         )
@@ -188,13 +175,10 @@ def recursive_bisection(
         return splits[block]
 
     blocks = [tuple(range(g.n))] if g.n else []
-    while blocks and (max_clusters is None or len(blocks) < max_clusters):
+    while blocks and len(blocks) < max_clusters:
         keys = [(split(b)[0], b[0]) for b in blocks]
         order = keys.index(min(keys))
-        lam = keys[order][0]
-        if lam == float("inf"):
-            break
-        if lambda2_threshold is not None and lam > lambda2_threshold:
+        if keys[order][0] == float("inf"):
             break
         block = blocks.pop(order)
         _, side0, side1 = split(block)
@@ -204,12 +188,9 @@ def recursive_bisection(
             break
         blocks.extend([side0, side1])
 
-    stop = (
-        f"max_clusters={max_clusters}"
-        if max_clusters is not None
-        else f"lambda2_threshold={lambda2_threshold}"
+    return _relabel_by_smallest_member(
+        blocks, g.n, f"recursive-bisection(max_clusters={max_clusters})"
     )
-    return _relabel_by_smallest_member(blocks, g.n, f"recursive-bisection({stop})")
 
 
 def _direct(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
@@ -298,11 +279,11 @@ def _cluster_means(rows: np.ndarray, labels: np.ndarray, centroids: np.ndarray) 
     return means
 
 
-def _lloyd(rows: np.ndarray, max_iter: int) -> list[list[int]]:
+def _lloyd(rows: np.ndarray) -> list[list[int]]:
     """The clusters of Lloyd's k-means on the rows, k their width, seeded farthest-first."""
     centroids = rows[_farthest_first_seeds(rows, rows.shape[1])]
     labels = np.full(rows.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         new_labels = _nearest(rows, centroids)
         if np.array_equal(new_labels, labels):
             break
@@ -349,7 +330,7 @@ def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
     picked = order[:k_val]
     lifted = picked < spectrum.n
     rows = np.zeros((g.n, k_val))
-    rows[:, lifted] = _k_times(r, spectrum.vectors[:, picked[lifted]])
+    rows[:, lifted] = lift_vector(r, spectrum.vectors[:, picked[lifted]])
     first = spectrum.n   # each star's local columns follow the collapsed graph's in `values`
     for info in r.star_info:
         hit = (picked >= first) & (picked < first + info.q)
@@ -360,19 +341,20 @@ def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
     return k_val, rows
 
 
-def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
+def kway(g: Graph, k: int | str = "auto") -> Partition:
     """Cluster the rows of the k smallest-eigenvector embedding.
 
     The eigenvectors are those of the graph's mass Laplacian, whose second
     one `fiedler` reads (L's when every mass is 1), read off the graph with
     every reducible star collapsed (see _embedding): one eigh of an
     (n - q) x (n - q) matrix, q the vertices the collapse removes, and each
-    star's local eigenvectors in closed form.  Lloyd iterations with
-    farthest-first seeding from vertex 0's row; squared Euclidean distances
-    on unnormalized embedding rows.  k="auto" places the cluster count at
-    the largest gap anywhere in that spectrum, so it can choose k close to n
-    (k=n-1 when the gap below the largest eigenvalue is the widest), and
-    chooses one cluster on a graph with fewer than two vertices.
+    star's local eigenvectors in closed form.  At most LLOYD_MAX_ITER Lloyd
+    iterations with farthest-first seeding from vertex 0's row; squared
+    Euclidean distances on unnormalized embedding rows.  k="auto" places the
+    cluster count at the largest gap anywhere in that spectrum, so it can
+    choose k close to n (k=n-1 when the gap below the largest eigenvalue is
+    the widest), and chooses one cluster on a graph with fewer than two
+    vertices.
 
     An integer k below 2 or above n raises BadKError before the eigensolve;
     a NaN or infinite second eigenpair of the collapsed graph raises
@@ -398,9 +380,7 @@ def kway(g: Graph, k: int | str = "auto", max_iter: int = 100) -> Partition:
     k_val, rows = _embedding(g, k)
     if rows is None:
         return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
-    return _relabel_by_smallest_member(
-        _lloyd(rows, max_iter), g.n, f"kway(k={k_val}, requested={k})"
-    )
+    return _relabel_by_smallest_member(_lloyd(rows), g.n, f"kway(k={k_val}, requested={k})")
 
 
 def _inconclusive(reason: str) -> SignAgreementReport:
@@ -458,8 +438,9 @@ def compare_signs(
     labels = list(_labels_from_signs(signed)[0])
     for info in r.star_info:
         twin_label = labels[info.kept_v1[0]]
-        for v in sorted(info.star.v1)[info.star.m - info.q:]:
-            labels[v] = twin_label
+        for v in info.star.v1:
+            if r.vertex_map[v] is None:
+                labels[v] = twin_label
     return SignAgreementReport(
         pairs=pairs,
         global_flip=flip,

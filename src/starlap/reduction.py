@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,25 +195,23 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
 
     keep = np.ones(g.n, dtype=bool)
     keep[list(removed)] = False
-    kept = np.flatnonzero(keep).tolist()
-    new_of_old: dict[int, int] = {old: new for new, old in enumerate(kept)}
-    vertex_map = tuple(new_of_old.get(v) for v in range(g.n))
+    renumber = np.cumsum(keep) - 1   # each kept vertex's reduced index
+    vertex_map = tuple(new if k else None for new, k in zip(renumber.tolist(), keep.tolist()))
 
-    mass = [g.mass[v] for v in kept]
+    mass = [g.mass[v] for v in np.flatnonzero(keep).tolist()]
     infos = []
     for star, q in assignments:
         kept_v1 = tuple(sorted(star.v1)[: star.m - q])
         factor = star.m / (star.m - q)
         for v in kept_v1:
-            mass[new_of_old[v]] *= factor
+            mass[renumber[v]] *= factor
         frame = star_frame(star.m, len(kept_v1))
         frame.setflags(write=False)
         infos.append(ReducedStarInfo(star=star, q=q, kept_v1=kept_v1, frame=frame))
     if removed:
-        renumber = np.cumsum(keep) - 1
         both_kept = keep[g.u] & keep[g.v]
         reduced = build_graph_from_columns(
-            len(kept), renumber[g.u[both_kept]], renumber[g.v[both_kept]], g.w[both_kept], mass
+            len(mass), renumber[g.u[both_kept]], renumber[g.v[both_kept]], g.w[both_kept], mass
         )
     else:   # the identity: the original graph, edges and masses as they are
         reduced = g
@@ -299,27 +297,24 @@ def _kt_times(r: Reduction, y: np.ndarray) -> np.ndarray:
 Columns = Callable[[np.ndarray], np.ndarray]
 
 
-def _over_column_blocks(
-    r: Reduction, x: Columns, f: Callable[[np.ndarray, np.ndarray], float]
-) -> list[float]:
-    """f(c, X K[:, c]) for each block c of K's columns, read off X's columns.
+def _column_blocks(r: Reduction, x: Columns) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(c, X K[:, c]) for each block c of K's columns, read off X's columns in one pass.
 
-    `x(idx)` returns X[:, idx].  No block reads more than an eighth of K's
-    width of X's columns at once, and each block is freed before the next is
-    read, so the blocks and their products stay below the size of a dense K.
+    `x(idx)` returns X[:, idx], and each column of X is read once.  No block
+    reads more than an eighth of K's width of X's columns at once, so the
+    blocks and their products stay below the size of a dense K.  Each
+    yielded block is the caller's to overwrite.
     """
     step = max(1, r.reduced.n // 8)
-    results = []
     for rows, cols, frame in r._blocks:
         if frame is None:
             for start in range(0, rows.size, step):
-                results.append(f(cols[start:start + step], x(rows[start:start + step])))
+                yield cols[start:start + step], x(rows[start:start + step])
             continue
         xk = x(rows[:step]) @ frame[:step]
         for start in range(step, rows.size, step):
             xk += x(rows[start:start + step]) @ frame[start:start + step]
-        results.append(f(cols, xk))
-    return results
+        yield cols, xk
 
 
 def _columns(x: np.ndarray) -> Columns:
@@ -343,53 +338,41 @@ def _laplacian_columns(ctx: GraphAnalysis) -> Columns:
     return columns
 
 
+def _lift_squares(r: Reduction, cols: np.ndarray, xk: np.ndarray, reduced: np.ndarray) -> float:
+    """The squared Frobenius norm of (X K - K R)[:, cols], made in place from X K[:, cols].
+
+    X K - K R is the intertwining defect of K.  For every unit eigenvector v
+    of R with eigenvalue t, the lifted pair (t, K v) has X K v - t K v =
+    (X K - K R) v, so the defect's norm, the square root of these block sums
+    added in block order, bounds the eigen-equation residual of every
+    lifted eigenvector at once.  NaN and inf propagate.
+    """
+    xk -= _k_times(r, reduced[:, cols])
+    return float(np.vdot(xk, xk))
+
+
 def lift_vector(r: Reduction, v: np.ndarray) -> np.ndarray:
-    """Map a reduced-graph eigenvector to an original-graph eigenvector, as K v.
+    """Map a reduced-graph eigenvector, or an (n - q) x k array of them, through K.
 
     An eigenvector of the reduced graph's symmetric mass Laplacian L~ (or of
     M^(1/2) B M^(1/2)) lifts to one of the original graph's at the same
     eigenvalue, by the intertwining L K = K L~ (A K = K M^(1/2) B M^(1/2)).
     K has orthonormal columns, so K v keeps v's norm.  A right eigenvector
     of the nonsymmetric L(MB) is M^(1/2) times one of L~; M^(1/2) is a
-    positive diagonal, so the two have the same signs.
+    positive diagonal, so the two have the same signs.  Columns are lifted
+    together; where every frame has one column, as after a collapse, each
+    is its lift alone bit for bit, and wider frames may round differently.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (r.reduced.n,):
+    if v.ndim not in (1, 2) or v.shape[0] != r.reduced.n:
         raise DimensionMismatchError(
-            f"vector has shape {v.shape}, reduced graph has {r.reduced.n} vertices"
+            f"array has shape {v.shape}, reduced graph has {r.reduced.n} vertices"
         )
     return _k_times(r, v)
 
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def _largest(values: list[float]) -> float:
-    """The largest value, NaN if any is NaN, 0 for none."""
-    return float(np.max(values)) if values else 0.0
-
-
-def _structural_checks(r: Reduction, a: np.ndarray, s: np.ndarray) -> list[Check]:
-    """K^T K = I from the frames, and K^T A K = S one block of K's columns at a time.
-
-    The identity block and the disjoint row supports of the blocks make
-    K^T K - I zero outside the frames' F^T F - I.
-    """
-    # the largest |entry| of A, without an n x n |A|
-    scale = float(max(a.max(), -a.min())) if a.size else 0.0
-    ortho = _largest(
-        [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
-    )
-
-    def congruence(cols: np.ndarray, ak: np.ndarray) -> float:
-        return _maxabs(_kt_times(r, ak) - s[:, cols])
-
-    congr = _largest(_over_column_blocks(r, _columns(a), congruence))
-    return [
-        Check("k-orthonormality", ortho, 1e-10),
-        Check("adjacency-congruence", congr, WEIGHT_TOL * scale),
-    ]
 
 
 def _match_after_removal(
@@ -420,23 +403,6 @@ def _match_after_removal(
     return deviation, ""
 
 
-def _lift_residual(r: Reduction, x: Columns, reduced: np.ndarray) -> float:
-    """Frobenius norm of X K - K R, the intertwining defect of K.
-
-    For every unit eigenvector v of R with eigenvalue t, the lifted pair
-    (t, K v) has X K v - t K v = (X K - K R) v, so this norm bounds the
-    eigen-equation residual of every lifted eigenvector at once.  `x(idx)`
-    returns X[:, idx]; the squared norm is summed one block of K's columns
-    at a time.  NaN and inf propagate.
-    """
-
-    def squares(cols: np.ndarray, defect: np.ndarray) -> float:
-        defect -= _k_times(r, reduced[:, cols])
-        return float(np.vdot(defect, defect))
-
-    return math.sqrt(sum(_over_column_blocks(r, x, squares)))
-
-
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
 def verify_adjacency_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
@@ -452,18 +418,31 @@ def verify_adjacency_reduction(
     red = ctx.reduced(r)
     a = ctx.matrix("mass-adjacency")
     s = red.matrix("mass-adjacency")
-    checks = _structural_checks(r, a, s)
-    lift = _lift_residual(r, _columns(a), s)
+    # K^T K - I is zero outside the frames' F^T F - I: the identity block
+    # and the blocks' disjoint row supports hold by construction
+    ortho = [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
+    congruence, squares = [], 0.0
+    for cols, ak in _column_blocks(r, _columns(a)):
+        congruence.append(_maxabs(_kt_times(r, ak) - s[:, cols]))   # before the lift overwrites ak
+        squares += _lift_squares(r, cols, ak, s)
     values_s = red.values("mass-adjacency", s)
     del s  # lowers peak memory: only the eigenvalues are used below
     values_a = ctx.values("mass-adjacency", a)
     radius = eigen.spectral_radius(values_a)
     tol = tol_rel * radius
+    # the largest |entry| of A, without an n x n |A|
+    scale = float(max(a.max(), -a.min())) if a.size else 0.0
+    lift = math.sqrt(squares)
 
     dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
-    checks.append(Check("adjacency-spectrum", dev, tol, note))
-    checks.append(Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel))
-    return VerificationRecord(checks=tuple(checks))
+    checks = (
+        # np.max, unlike max, keeps a NaN wherever it stands
+        Check("k-orthonormality", float(np.max(ortho, initial=0.0)), 1e-10),
+        Check("adjacency-congruence", float(np.max(congruence, initial=0.0)), WEIGHT_TOL * scale),
+        Check("adjacency-spectrum", dev, tol, note),
+        Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel),
+    )
+    return VerificationRecord(checks=checks)
 
 
 def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
@@ -494,7 +473,10 @@ def verify_laplacian_reduction(
     red = ctx.reduced(r)
     tilde = red.matrix("mass-laplacian")
     sim = _similarity_deviation(red, tilde)
-    lift = _lift_residual(r, _laplacian_columns(ctx), tilde)
+    squares = 0.0
+    for cols, lk in _column_blocks(r, _laplacian_columns(ctx)):
+        squares += _lift_squares(r, cols, lk, tilde)
+    lift = math.sqrt(squares)
     values_t = red.values("mass-laplacian", tilde)
     del tilde  # lowers peak memory: only the eigenvalues are used below
     values_l = ctx.values("mass-laplacian")

@@ -88,7 +88,8 @@ def verify_graph(
         reduction.verify_laplacian_reduction(ctx, r, tol),
     )
     for c in records[0].checks + records[1].checks:
-        add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}")
+        note = f"; {c.note}" if c.note else ""
+        add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}{note}")
     add("reduction-interlacing", reduction.interlacing_check(ctx, r, tol))
     try:
         signs, failure = partition.compare_signs(ctx, r, tol), ""

@@ -559,4 +559,9 @@ class TestInfiniteStrengthsRunQuietly:
             ("laplacian-lift-residual", False),
         ]
         assert code == 2
-        assert err == f"failed checks: {', '.join(c['name'] for c in checks[1:])}\n"
+        # a spectrum check's note follows its name
+        assert err == (
+            "failed checks: adjacency-congruence, adjacency-spectrum (no eigenvalue near 0 to "
+            "remove), adjacency-lift-residual, laplacian-spectrum, mass-laplacian-similarity, "
+            "laplacian-lift-residual\n"
+        )

@@ -1,11 +1,13 @@
 """The public names and the README's library example stay in step with the code."""
 
+import ast
 import re
 from pathlib import Path
 
 import starlap
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -19,3 +21,19 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["result"].passed
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name with a leading underscore belongs to its own module
+    found = []
+    for path in sorted((ROOT / "src" / "starlap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "starlap"
+            ):
+                found += [
+                    f"{path.name}:{alias.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert found == []

@@ -232,17 +232,6 @@ class TestRecursiveBisection:
         part = recursive_bisection(f4, max_clusters=4)
         assert sorted(part.labels) == [0, 1, 2, 3]
 
-    def test_threshold_stop(self, two_triangles):
-        # triangles are tight (second eigenvalue 3); the bridge is loose
-        part = recursive_bisection(two_triangles, lambda2_threshold=1.0)
-        assert labels_as_sets(part) == [{0, 1, 2}, {3, 4, 5}]
-
-    def test_requires_exactly_one_stop(self, f4):
-        with pytest.raises(ValueError):
-            recursive_bisection(f4)
-        with pytest.raises(ValueError):
-            recursive_bisection(f4, max_clusters=2, lambda2_threshold=0.5)
-
     def test_deterministic(self, two_triangles):
         a = recursive_bisection(two_triangles, max_clusters=3)
         b = recursive_bisection(two_triangles, max_clusters=3)

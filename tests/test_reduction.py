@@ -22,10 +22,12 @@ from starlap import (
     star_frame,
     sym_eigen,
     verify_adjacency_reduction,
+    verify_graph,
     verify_laplacian_reduction,
 )
+from starlap import reduction
 from starlap.cli import run_cli
-from starlap.reduction import _k_times, removed_values, star_complement
+from starlap.reduction import removed_values, star_complement
 from starlap.stars import analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
@@ -230,10 +232,28 @@ class TestLift:
         v = np.array([0.1, 0.2, 0.3, 0.4])
         assert np.array_equal(lift_vector(r, v), v)
 
-    def test_dimension_mismatch(self, f1):
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (4, 3, 2), ()])
+    def test_dimension_mismatch(self, f1, shape):
         r = reduce_star(f1, first_star(f1), 1)
         with pytest.raises(DimensionMismatchError):
-            lift_vector(r, np.zeros(5))
+            lift_vector(r, np.zeros(shape))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_columns_lift_as_each_column_alone(self, seed):
+        # one-column frames (collapse) make every lifted entry one product,
+        # so the columns lift bit for bit; two-column frames (keep-pair) sum
+        # two products, which a matrix and a vector product may round apart
+        g = plant_star_graph(seed, 30, [(4, 2, 1.0), (5, 3, 2.0), (3, 2, 0.5)], background_p=0.2)
+        for policy in ("collapse", "keep-pair"):
+            r = reduce_all(g, policy)
+            columns = np.random.default_rng(seed).standard_normal((r.reduced.n, 7))
+            lifted = lift_vector(r, columns)
+            one_by_one = np.column_stack([lift_vector(r, c) for c in columns.T])
+            assert lifted.shape == (g.n, 7)
+            if policy == "collapse":
+                assert lifted.tobytes() == one_by_one.tobytes()
+            else:
+                assert np.abs(lifted - one_by_one).max() <= 1e-15 * np.abs(columns).max()
 
 
 class TestVerification:
@@ -271,6 +291,20 @@ class TestVerification:
             r, reduced=build_graph(4, r.reduced.edges, mass=[2.0, 2.0, 1.0, 1.0])
         )
         assert not verify_adjacency_reduction(f1, tampered).passed
+
+    def test_a_spectrum_failure_reports_its_note(self, f1, tmp_path, monkeypatch, capsys):
+        # ask the Laplacian spectrum check to remove a value L does not have
+        monkeypatch.setattr(
+            reduction, "removed_values", lambda g, r: tuple((1e6, i.q) for i in r.star_info)
+        )
+        note = "no eigenvalue near 1e+06 to remove"
+        details = {c.name: c.detail for c in verify_graph(f1).checks}
+        assert details["reduction-laplacian-spectrum"].endswith(f"; {note}")
+        path = tmp_path / "f1.graph"
+        save_graph(f1, str(path))
+        assert run_cli(["reduce", str(path), "-o", str(tmp_path / "out.graph")]) == 2
+        err = capsys.readouterr().err
+        assert f"failed checks: laplacian-spectrum ({note})" in err
 
     def test_interlacing_fixture(self, f1):
         assert interlacing_check(f1, reduce_star(f1, first_star(f1), 1))
@@ -363,6 +397,41 @@ class TestIntertwiningLiftCheck:
         checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered).checks}
         assert checks["k-orthonormality"].residual == pytest.approx(3.0)
         assert not checks["k-orthonormality"].passed
+
+    def test_a_nan_frame_fails_every_check_through_k(self):
+        # the NaN frame is not the first block read, so a maximum that drops
+        # a NaN standing after a number would let these checks pass
+        g = plant_star_graph(2, 40, [(3, 2, 1.0), (4, 2, 2.0), (3, 3, 1.5)], background_p=0.2)
+        r = reduce_all(g, "keep-pair")
+        assert len(r.star_info) == 3
+        frames = [info.frame for info in r.star_info]
+        frames[1] = np.full(frames[1].shape, np.nan)
+        tampered = _with_frames(r, frames)
+        records = (verify_adjacency_reduction(g, tampered), verify_laplacian_reduction(g, tampered))
+        checks = {c.name: c for record in records for c in record.checks}
+        for name in ("k-orthonormality", "adjacency-congruence") + LIFTS:
+            assert np.isnan(checks[name].residual), name
+            assert not checks[name].passed, name
+
+    @pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
+    def test_adjacency_checks_read_each_column_of_a_once(self, monkeypatch, policy):
+        # the congruence and the lift residual share one pass of A K
+        gathered = []
+        columns = reduction._columns
+
+        def counted(x):
+            read = columns(x)
+
+            def gather(idx):
+                gathered.extend(idx.tolist())
+                return read(idx)
+
+            return gather
+
+        monkeypatch.setattr(reduction, "_columns", counted)
+        g = _planted_or_golden("stars120")
+        assert verify_adjacency_reduction(g, reduce_all(g, policy)).passed
+        assert sorted(gathered) == list(range(g.n))
 
 
 def _with_frames(r, frames):
@@ -656,7 +725,7 @@ def test_the_collapse_gives_every_eigenvector_of_the_mass_laplacian(source):
     tilde = ctx.matrix("mass-laplacian")
     bound = float(np.abs(tilde).sum(axis=1).max())
     spectrum = sym_eigen(ctx.reduced(r).matrix("mass-laplacian"))
-    lifted = _k_times(r, spectrum.vectors)
+    lifted = lift_vector(r, spectrum.vectors)
     residuals = [np.linalg.norm(tilde @ lifted - lifted * spectrum.values, axis=0)]
     columns = [lifted]
     for (value, q), info in zip(removed_values(ctx, r), r.star_info):
