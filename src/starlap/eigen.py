@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ SIGN_EPS = 1e-12
 # e_i - e_j, needs a second
 STEP_TOL = 1e-13
 MAX_STEPS = 3
+# an n x n scan goes through at most this many blocks of rows, so that its
+# temporaries stay a small fraction of one dense matrix
+ROW_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,13 @@ class MultiplicityTable:
         return sum(g.multiplicity for g in self.groups)
 
 
+def row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of range(n), at most ROW_BLOCKS of them, of equal size but the last."""
+    step = max(1, -(-n // ROW_BLOCKS))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     """A copy with each column negated whose first entry above SIGN_EPS is negative.
 
@@ -88,7 +98,8 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    peak = float(np.abs(a).max()) if a.size else 0.0   # NaN when any entry is
+    # the largest |entry| without an n x n |a|; NaN when any entry is
+    peak = float(max(a.max(), -a.min())) if a.size else 0.0
     # a matrix symmetric bit for bit (every one starlap builds) skips the scan
     if (
         a.size
@@ -132,8 +143,11 @@ def eigenvector_at(a: np.ndarray, value: float) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
+    sums = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.abs(a).sum(axis=1).max(initial=0.0)) or 1.0
+        for rows in row_blocks(n):   # no n x n |a|
+            np.abs(a[rows]).sum(axis=1, out=sums[rows])
+        bound = float(sums.max(initial=0.0)) or 1.0
     if not (math.isfinite(value) and math.isfinite(bound)):
         return np.full(n, np.nan)
     work = a if a.flags.writeable else a.copy()

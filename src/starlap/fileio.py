@@ -10,6 +10,7 @@ decimal digits.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,54 +28,85 @@ def _fmt(x: float) -> str:
 def parse_graph_file(text: str) -> Graph:
     """Parse the text graph format; masses default to 1.
 
-    The fields of all lines are converted in bulk, by Python's own int() and
-    float().  When the bulk pass meets a line it cannot take, the lines are
-    checked one by one and the first bad line's ParseError is raised.
+    Comment and mass lines are set aside first, mass lines read with
+    Python's int() and float().  The edge lines go to numpy's C text reader
+    (np.loadtxt into int64, int64 and float64 columns), which makes no
+    Python object per field.  It takes exactly the fields int() and float()
+    take, to the same values, but for a few it rejects: `1_0`, non-ASCII
+    digits and ids beyond int64.  When anything is rejected, the lines are
+    read one by one and the first bad line's ParseError is raised.
     """
-    lines = text.splitlines()
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    del lines
-    # every line break is whitespace, so each line's fields are a run of these
-    fields = np.array(text.split(), dtype=object)
-    starts = np.cumsum(counts) - counts
-    content = np.flatnonzero(counts)   # 0-based indices of lines with fields
-    if "#" in text:
-        content = content[np.array([not f.startswith("#") for f in fields[starts[content]]], bool)]
-    if not content.size:
+    text = _newline_breaks(text)
+    header = _CONTENT_LINE.search(text)
+    if header is None:
         raise ParseError(1, "missing header line 'n <count>'")
-    header = int(content[0])
-    n = _parse_header(text, header + 1, fields[starts[header] : starts[header] + counts[header]])
-    body = content[1:]
-    bulk = _bulk_body(fields, counts[body], starts[body], n)
-    del fields   # freed before the graph is built, which lowers the peak
+    lineno = text.count("\n", 0, header.start()) + 1
+    n = _parse_header(text, lineno, header[0].split())
+    bulk = _bulk_body(text[header.end() :], n)
     if bulk is None:
-        return _parse_body_by_line(text, (body + 1).tolist(), n)
+        return _parse_body_by_line(text, lineno, n)
     u, v, w, masses = bulk
     return build_graph_from_columns(n, u, v, w, mass=[masses.get(x, 1.0) for x in range(n)])
 
 
+# str.splitlines breaks lines at these besides \n and \r; each is whitespace to str.split
+_ODD_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_NEWLINE = str.maketrans(dict.fromkeys(_ODD_BREAKS, "\n"))
+
+
+def _newline_breaks(text: str) -> str:
+    """`text` with every line break of str.splitlines made one \\n.
+
+    Each line keeps its fields, so line numbers and fields are unchanged.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if any(c in text for c in _ODD_BREAKS):
+        text = text.translate(_TO_NEWLINE)
+    return text
+
+
+# a line with a field, the first not a comment
+_CONTENT_LINE = re.compile(r"^[^\S\n]*[^#\s].*", re.M)
+# a line whose first field starts with '#' (a comment) or 'm' (a mass line),
+# from the line break before it
+_SET_ASIDE = re.compile(r"\n[^\S\n]*[#m].*")
+_EDGE_LINE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
 def _bulk_body(
-    fields: np.ndarray, counts: np.ndarray, heads: np.ndarray, n: int
+    body: str, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, float]] | None:
     """Edge columns and masses of the body lines, or None when a line is bad.
 
-    `counts` and `heads` give each body line's number of fields and the
-    index of its first field in `fields`.
+    `body` is the text after the header line, from the line break that
+    ends it, with \\n as its only line break.
     """
-    if (counts != 3).any():
-        return None
-    is_mass = fields[heads] == "m"
-    edge_heads, mass_heads = heads[~is_mass], heads[is_mass]
+    edges, masses, at = [], {}, 0
+    for line in _SET_ASIDE.finditer(body):
+        edges.append(body[at : line.start()])
+        at = line.end()
+        fields = line[0].split()
+        if fields[0].startswith("#"):
+            continue
+        if fields[0] != "m" or len(fields) != 3:
+            return None
+        try:
+            x, mass = int(fields[1]), float(fields[2])
+        except ValueError:
+            return None
+        if not 0 <= x < n:
+            return None
+        masses[x] = mass
+    edges.append(body[at:])
+    lines = "".join(edges).splitlines()
+    if not any(map(str.strip, lines)):   # loadtxt warns on input with no data
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), masses
     try:
-        u = np.fromiter(map(int, fields[edge_heads]), np.int64, edge_heads.size)
-        v = np.fromiter(map(int, fields[edge_heads + 1]), np.int64, edge_heads.size)
-        w = np.fromiter(map(float, fields[edge_heads + 2]), float, edge_heads.size)
-        masses = dict(zip(map(int, fields[mass_heads + 1]), map(float, fields[mass_heads + 2])))
-    except (ValueError, OverflowError):   # a field int() or float() rejects, or an id beyond int64
+        columns = np.loadtxt(lines, dtype=_EDGE_LINE, comments=None, ndmin=1)
+    except ValueError:   # a field int() or float() rejects, `1_0`, a non-ASCII digit or an id beyond int64
         return None
-    if not all(0 <= x < n for x in masses):
-        return None
-    return u, v, w, masses
+    return columns["u"], columns["v"], columns["w"], masses
 
 
 def _parse_header(text: str, lineno: int, fields: Sequence[str]) -> int:
@@ -90,18 +122,20 @@ def _parse_header(text: str, lineno: int, fields: Sequence[str]) -> int:
     return n
 
 
-def _parse_body_by_line(text: str, linenos: list[int], n: int) -> Graph:
-    """The graph of the body lines at `linenos`, read one line at a time.
+def _parse_body_by_line(text: str, header: int, n: int) -> Graph:
+    """The graph of the lines after line `header`, read one line at a time.
 
     Raises the ParseError of the first bad line.  When no line is bad, the
-    bulk pass stopped at an id beyond int64, which build_graph rejects.
+    bulk pass stopped at a field only Python reads (such as `1_0`) or at an
+    id beyond int64, which build_graph rejects.
     """
-    lines = text.splitlines()
     edges: list[tuple[int, int, float]] = []
     masses: dict[int, float] = {}
-    for lineno in linenos:
-        line = lines[lineno - 1].strip()
+    for lineno, raw in enumerate(text.splitlines()[header:], start=header + 1):
+        line = raw.strip()
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if fields[0] == "m":
             if len(fields) != 3:
                 raise ParseError(lineno, f"expected 'm <vertex> <mass>', got {line!r}")
@@ -122,12 +156,27 @@ def _parse_body_by_line(text: str, linenos: list[int], n: int) -> Graph:
     return build_graph(n, edges, mass=[masses.get(v, 1.0) for v in range(n)])
 
 
+# edges formatted per % operation: the chunk's fields as Python objects
+# stay a small part of the text
+_WRITE_CHUNK = 4096
+
+
 def write_graph_file(g: Graph) -> str:
-    """Canonical text form: header, edges sorted by (u, v), non-unit masses."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {_fmt(w)}" for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
-    lines.extend(f"m {v} {_fmt(m)}" for v, m in enumerate(g.mass) if m != 1.0)
-    return "\n".join(lines) + "\n"
+    """Canonical text form: header, edges sorted by (u, v), non-unit masses.
+
+    Edges are formatted a chunk at a time, by one '%d %d %.12g' % operation
+    per chunk ('%.12g' % x is f'{x:.12g}' for every float).
+    """
+    parts = [f"n {g.n}\n"]
+    for start in range(0, g.w.size, _WRITE_CHUNK):
+        stop = min(start + _WRITE_CHUNK, g.w.size)
+        fields: list = [None] * (3 * (stop - start))
+        fields[0::3] = g.u[start:stop].tolist()
+        fields[1::3] = g.v[start:stop].tolist()
+        fields[2::3] = g.w[start:stop].tolist()
+        parts.append("%d %d %.12g\n" * (stop - start) % tuple(fields))
+    parts.extend(f"m {v} {_fmt(m)}\n" for v, m in enumerate(g.mass) if m != 1.0)
+    return "".join(parts)
 
 
 def load_graph(path: str) -> Graph:

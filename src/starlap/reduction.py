@@ -266,15 +266,10 @@ def reduce_all(
 
 def mass_laplacian(r: Reduction) -> np.ndarray:
     """Nonsymmetric mass-weighted Laplacian L(MB) = diag(column sums of M B) - M B."""
-    return _mass_laplacian(GraphAnalysis(r.reduced))
-
-
-def _mass_laplacian(red: GraphAnalysis) -> np.ndarray:
-    """L(MB) of a reduced graph, from its analysis's cached B and mass strengths."""
+    red = GraphAnalysis(r.reduced)
     with np.errstate(over="ignore", invalid="ignore"):
-        mb = np.asarray(red.graph.mass)[:, None] * red.adjacency
         lmb = np.diag(red.mass_strengths)
-        lmb -= mb
+        lmb -= np.asarray(red.graph.mass)[:, None] * red.adjacency
     return lmb
 
 
@@ -421,11 +416,11 @@ def verify_adjacency_reduction(
     # K^T K - I is zero outside the frames' F^T F - I: the identity block
     # and the blocks' disjoint row supports hold by construction
     ortho = [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
+    values_s = red.values("mass-adjacency", s)
     congruence, squares = [], 0.0
     for cols, ak in _column_blocks(r, _columns(a)):
         congruence.append(_maxabs(_kt_times(r, ak) - s[:, cols]))   # before the lift overwrites ak
         squares += _lift_squares(r, cols, ak, s)
-    values_s = red.values("mass-adjacency", s)
     del s  # lowers peak memory: only the eigenvalues are used below
     values_a = ctx.values("mass-adjacency", a)
     radius = eigen.spectral_radius(values_a)
@@ -446,14 +441,26 @@ def verify_adjacency_reduction(
 
 
 def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
-    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde, from the reduced graph's cached B."""
-    if not red.graph.n:
+    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde, from the reduced graph's cached B.
+
+    Made a block of rows at a time, so no n x n temporary is held next to B
+    and tilde; the blocks' maxima are those of the whole difference.
+    """
+    n = red.graph.n
+    if not n:
         return 0.0
-    root = np.sqrt(np.asarray(red.graph.mass))
-    similar = _mass_laplacian(red)
-    similar *= np.outer(1.0 / root, root)
-    similar -= tilde
-    return _maxabs(similar)
+    mass = np.asarray(red.graph.mass)
+    root = np.sqrt(mass)
+    inv_root = 1.0 / root
+    peaks = []
+    for rows in eigen.row_blocks(n):
+        similar = np.zeros((rows.stop - rows.start, n))   # rows of L(MB) = diag(d) - M B
+        np.fill_diagonal(similar[:, rows], red.mass_strengths[rows])
+        similar -= mass[rows, None] * red.adjacency[rows]
+        similar *= np.outer(inv_root[rows], root)
+        similar -= tilde[rows]
+        peaks.append(_maxabs(similar))
+    return float(np.max(peaks))   # np.max, unlike max, keeps a NaN wherever it stands
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check

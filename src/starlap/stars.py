@@ -256,31 +256,40 @@ class GraphAnalysis:
         """One family's matrix, built from the cached A, strengths and masses.
 
         This is the one place a family is assembled.  Every family but
-        "adjacency", which is the cached A itself, is built anew on each call.
+        "adjacency", which is the cached A itself, is built anew on each call,
+        in one n x n array: the operations of the plain expressions (such as
+        diag(s) - A) are applied to it in their order, the outer products of
+        the scaled families a block of rows at a time, so each entry comes
+        out bit for bit as the expression gives it.
         """
         family = self._family(family)
         a, s = self.adjacency, self.strengths
         if family == "adjacency":
             return a
         if family == "laplacian":
-            return np.diag(s) - a
+            out = np.diag(s)
+            out -= a
+            return out
         if family == "signless":
-            return np.diag(s) + a
+            out = np.diag(s)
+            out += a
+            return out
         if family == "normalized":
             if self.isolated:
                 raise IsolatedVertexError(self.isolated[0])
-            inv_sqrt = 1.0 / np.sqrt(s)
-            lhat = -a * np.outer(inv_sqrt, inv_sqrt)
-            np.fill_diagonal(lhat, 1.0)
-            return lhat
+            out = _times_outer(np.negative(a), 1.0 / np.sqrt(s))   # -A * outer(s^-1/2, s^-1/2)
+            np.fill_diagonal(out, 1.0)
+            return out
         if family not in ("mass-adjacency", "mass-laplacian"):
             raise ValueError(f"unknown matrix family {family!r}")
         root = np.sqrt(np.asarray(self.graph.mass))
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf, and fails checks
-            sym = a * np.outer(root, root)
             if family == "mass-adjacency":
-                return sym
-            return np.diag(self.mass_strengths) - sym
+                return _times_outer(a.copy(), root)   # A * outer(root, root)
+            out = np.diag(self.mass_strengths)   # diag(d) - A * outer(root, root)
+            for rows in eigen.row_blocks(a.shape[0]):
+                out[rows] -= a[rows] * np.outer(root[rows], root)
+            return out
 
     def _family(self, family: str) -> str:
         """The family built and solved for `family`: with unit masses, a mass family's plain one."""
@@ -346,6 +355,13 @@ class GraphAnalysis:
 def analyze(g: Graph | GraphAnalysis) -> GraphAnalysis:
     """The analysis of a graph: `g` itself when it already is one."""
     return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
+
+
+def _times_outer(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out * outer(x, x), made in place a block of rows at a time."""
+    for rows in eigen.row_blocks(out.shape[0]):
+        out[rows] *= np.outer(x[rows], x)
+    return out
 
 
 def _uniform_weight(rows: np.ndarray) -> float | None:

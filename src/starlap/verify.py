@@ -73,6 +73,12 @@ def verify_graph(
             qs[0] = min(q, detected[0].m - 1)
             requested = (True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
     r = reduction.reduce_all(ctx, qs)
+    if ctx.graph.n >= 2 and len(ctx.components) == 1:
+        # the pair the sign comparison reads, solved on the conditions on
+        # which compare_signs solves it, but before the reduced graph's B
+        # exists, so that its LU solve holds A and L only; L's values come
+        # with it
+        ctx.second_vector("mass-laplacian")
 
     star_verification = stars.verify_star_predictions(ctx, tol)
     for c in star_verification.checks:

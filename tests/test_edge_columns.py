@@ -8,6 +8,7 @@ vectors, or raise the same exception type with the same message.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 from starlap import (
     adjacency,
     build_graph,
+    cli,
     connected_components,
     detect_stars,
     graph_summary,
     induced_subgraph,
     parse_graph_file,
     plant_ldependent_graph,
+    plant_star_graph,
     reduce_all,
     strengths,
     verify_ldependent,
@@ -35,7 +38,8 @@ from starlap.errors import (
     ParseError,
     SelfLoopError,
 )
-from starlap.graphs import Graph
+from starlap import fileio
+from starlap.graphs import Graph, build_graph_from_columns
 from starlap.stars import MkStar, _uniform_weight, analyze
 
 from test_properties import graphs, twin_graphs
@@ -121,6 +125,46 @@ def parse_reference(text):
     if n is None:
         raise ParseError(1, "missing header line 'n <count>'")
     return build_graph_reference(n, edges, mass=[masses.get(v, 1.0) for v in range(n)])
+
+
+def bulk_parse_reference(text):
+    """The object-array bulk pass that np.loadtxt replaced; a line it cannot take goes to the loop.
+
+    All fields are split at once and converted by Python's own int() and
+    float(); the loop reference reads any text the bulk pass gives up on,
+    and raises every error.
+    """
+    lines = text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    fields = np.array(text.split(), dtype=object)
+    starts = np.cumsum(counts) - counts
+    content = np.flatnonzero(counts)
+    if "#" in text:
+        content = content[np.array([not f.startswith("#") for f in fields[starts[content]]], bool)]
+    if not content.size:
+        return parse_reference(text)
+    head = fields[starts[content[0]] : starts[content[0]] + counts[content[0]]]
+    try:
+        n = int(head[1]) if head[0] == "n" and len(head) == 2 else -1
+    except ValueError:
+        n = -1
+    if n < 0:
+        return parse_reference(text)
+    body_counts, heads = counts[content[1:]], starts[content[1:]]
+    if (body_counts != 3).any():
+        return parse_reference(text)
+    is_mass = fields[heads] == "m"
+    edge_heads, mass_heads = heads[~is_mass], heads[is_mass]
+    try:
+        u = np.fromiter(map(int, fields[edge_heads]), np.int64, edge_heads.size)
+        v = np.fromiter(map(int, fields[edge_heads + 1]), np.int64, edge_heads.size)
+        w = np.fromiter(map(float, fields[edge_heads + 2]), float, edge_heads.size)
+        masses = dict(zip(map(int, fields[mass_heads + 1]), map(float, fields[mass_heads + 2])))
+    except (ValueError, OverflowError):
+        return parse_reference(text)
+    if not all(0 <= x < n for x in masses):
+        return parse_reference(text)
+    return build_graph_from_columns(n, u, v, w, mass=[masses.get(x, 1.0) for x in range(n)])
 
 
 def adjacency_reference(g):
@@ -453,6 +497,96 @@ def test_parse_matches_the_loop(text):
 )
 def test_parse_errors_match_the_loop(text):
     assert_same_graph_or_error(outcome(parse_graph_file, text), outcome(parse_reference, text))
+
+
+@given(graph_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_bulk_pass(text):
+    assert_same_graph_or_error(outcome(parse_graph_file, text), outcome(bulk_parse_reference, text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 12\n1_0 2 3\n",                     # int() reads 1_0, the C reader does not
+        "n 3\n0 1 1_0\n",
+        "n 3\n+1 2 3\n",
+        "n 3\n1.0 2 3\n",                      # a float as an id
+        "n 3\n0 1 1\n99999999999999999999 2 3\n",
+        "n 3\n0 1 1\n-9223372036854775809 2 3\n",
+        "n 3\n\u0661 2 3\n",                    # an Arabic-Indic digit
+        "n 3\n0 1 \u0663\n",
+        "n 3\n0 1 1\u00a0\u2003\n1\x1f2 1\n",   # whitespace that is no line break
+        "n 3\n1 2 3 # c\n",
+        "n 3\n0 1 1\n1 2 3 #\n",
+        "n 3\n0\t1\t2.5\n\t1\t2\t3\t\n",
+        "n 3\r\n0 1 2\r\n\r\n1 2 3\r\n",
+        "n 3\r0 1 2\r1 2 3",
+        "n 3\n0 1 2\x0c1 2 3\n",
+        "n 3\n0 1 2\n\x1c1 2 3\x85\u2028m 1 2\u2029",
+        "\n\n  \nn 3\n\n0 1 2\n\n\n1 2 3\n\n",
+        "# top\nn 3\n# c\nm 1 2.5\n0 1 2\n  # indented\nm 0 0.5\n1 2 3\n#end\nm 2 4",
+        "n 3\nm 1 2\nm 1 3\n0 1 1\n",
+        "n 3\n  m 1 2\n0 1 1\n",
+        "n 3\n0 1 1\nmm 1 2\n",
+        "n 3\n0 1 1\nm1 2 3\n",
+        "n 3\nm 1 2 # c\n0 1 1\n",
+        "n 3\n0 1 1\nm 5 2\n",
+        "n 3\n0 1 1\nm 1_0 2\n",
+        "n 3\n0 1 1\nm 1 x\n",
+        "n 3\n0 1 nan\n",
+        "n 3\n0 1 -inf\n",
+        "n 3\n0 1 1e999\n",
+        "n 3\n0 1 1e-320\n1 2 -0.0\n",
+        "n 3\n0 1 1\n1 0 2\n",
+        "n 3\n0 1 1\n0 5 2\n",
+        "n 3\n0 1\n",
+        "n 3\n0 1 2 3\n",
+        "n 3\n0 1 \"2\"\n",
+        "n 3",
+        "n 3\n",
+        "n 0\n",
+        "n 2\n0 1 1\x00\n",
+        "",
+    ],
+)
+def test_parse_cases_match_the_bulk_pass(text):
+    found = outcome(parse_graph_file, text)
+    assert_same_graph_or_error(found, outcome(bulk_parse_reference, text))
+    assert_same_graph_or_error(found, outcome(parse_reference, text))
+
+
+def _annotated(text):
+    """`text` with comment lines before its header, between its lines and at its end."""
+    lines = text.splitlines()
+    return "# written by hand\n" + "\n# between\n".join(lines[:3]) + "\n" + "\n".join(lines[3:]) + "\n# end\n"
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_canonical_files_with_masses_and_comments_skip_the_line_by_line_pass(monkeypatch, crlf):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(fileio, "_parse_body_by_line", refuse)
+    g = plant_star_graph(2, 60, [(4, 3, 2.0), (3, 2, 1.5)], background_p=0.2)
+    reduced = reduce_all(g).reduced
+    for graph in (g, reduced):
+        for text in (write_graph_file(graph), _annotated(write_graph_file(graph))):
+            if crlf:
+                text = text.replace("\n", "\r\n")
+            assert_same_graph_or_error(outcome(parse_graph_file, text), ("ok", bulk_parse_reference(text)))
+    assert any(m != 1.0 for m in reduced.mass)
+
+
+@pytest.mark.parametrize("text", ["n 3", "n 3\n", "n 3\n\n  \n", "# c\nn 3\n# d\n", "n 3\nm 1 2\n"])
+def test_a_file_with_no_edges_parses_without_a_warning(tmp_path, capsys, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # np.loadtxt warns on input with no data
+        assert parse_graph_file(text).w.size == 0
+    path = tmp_path / "g.graph"
+    path.write_text(text, encoding="utf-8")
+    assert cli.run_cli(["info", str(path), "--json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- matrices, strengths, components, subgraphs ---------------------------

@@ -14,12 +14,14 @@ from starlap import (
     sym_eigen,
 )
 from starlap.eigen import (
+    ROW_BLOCKS,
     SIGN_EPS,
     STEP_TOL,
     EigenvalueGroup,
     MultiplicityTable,
     _normalize_signs,
     eigenvector_at,
+    row_blocks,
 )
 from starlap.errors import NotSymmetricError, TooFewValuesError
 
@@ -436,3 +438,66 @@ def test_a_start_nearly_orthogonal_to_the_eigenvector_takes_a_second_step(monkey
     x = eigenvector_at(a, value)
     assert len(calls) == 2
     assert np.linalg.norm(a @ x - value * x) <= STEP_TOL * float(np.abs(a).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 33, 1000])
+def test_row_blocks_cover_the_rows_once(n):
+    blocks = list(row_blocks(n))
+    assert len(blocks) <= ROW_BLOCKS
+    assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_sums_by_blocks_are_the_whole_sums(seed):
+    # eigenvector_at sums |a| a block of rows at a time: each row's sum is
+    # the one the whole matrix's sum gives, bit for bit
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, size=(n, n))
+    sums = np.empty(n)
+    for rows in row_blocks(n):
+        np.abs(a[rows]).sum(axis=1, out=sums[rows])
+    assert sums.tobytes() == np.abs(a).sum(axis=1).tobytes()
+
+
+def _late_entry(bad, diagonal):
+    """A 50 x 50 symmetric matrix with one non-finite entry (or pair) in its last row block."""
+    a = np.add.outer(np.arange(50.0), np.arange(50.0)) / 50.0
+    if diagonal:
+        a[47, 47] = bad
+    else:
+        a[47, 3] = a[3, 47] = bad
+    return a
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_one_late_non_finite_entry_gives_a_nan_spectrum(monkeypatch, bad, diagonal, vectors):
+    # the largest |entry| is read as max(a.max(), -a.min()), which keeps
+    # the NaN and sees a -inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    spec = sym_eigen(_late_entry(bad, diagonal), vectors=vectors)
+    assert spec.n == 50 and np.isnan(spec.values).all()
+    assert spec.vectors is None if not vectors else np.isnan(spec.vectors).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_eigenvector_at_a_late_non_finite_row_gives_nan(monkeypatch, bad, diagonal):
+    # 1e308 entries make a row sum overflow in the last row block
+    def refuse(*args, **kwargs):
+        raise AssertionError("LU solve of a non-finite input")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    a = _late_entry(bad, diagonal)
+    if bad == 1e308:
+        a[47, 10] = a[10, 47] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = eigenvector_at(a, 1.0)
+    assert x.shape == (50,) and np.isnan(x).all()

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import struct
 
 import pytest
 
@@ -8,6 +11,9 @@ from starlap import (
     emit_dot,
     graph_summary,
     parse_graph_file,
+    plant_ldependent_graph,
+    plant_star_graph,
+    reduce_all,
     reduce_star,
     sign_bipartition,
     to_json,
@@ -77,6 +83,29 @@ class TestWrite:
     def test_twelve_digit_weights(self):
         g = build_graph(2, [(0, 1, 0.123456789012)])
         assert parse_graph_file(write_graph_file(g)) == g
+
+    @staticmethod
+    def _line_by_line(g):
+        """The writer that formatted one f-string per line."""
+        lines = [f"n {g.n}"]
+        lines.extend(f"{u} {v} {w:.12g}" for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+        lines.extend(f"m {v} {m:.12g}" for v, m in enumerate(g.mass) if m != 1.0)
+        return "\n".join(lines) + "\n"
+
+    def test_chunks_write_the_lines_byte_for_byte(self, f1):
+        dense = plant_ldependent_graph(1, (10, 400, 90), 6.0)   # 40 000 edges, ten chunks
+        planted = plant_star_graph(2, 300, [(4, 3, 2.0), (3, 2, 1.0 / 3.0)], background_p=0.3)
+        odd = build_graph(5, [(0, 1, 1e-320), (1, 2, 1.7976931348623157e308), (2, 3, 0.1),
+                              (3, 4, 123456789012345.0), (0, 4, 2.0 / 3.0)])
+        for g in (dense, planted, reduce_all(planted).reduced, odd, f1, build_graph(0, [])):
+            assert write_graph_file(g) == self._line_by_line(g)
+
+    def test_percent_g_is_the_format_spec_for_every_float(self):
+        rng = random.Random(20)
+        xs = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1e-5, 1e-4, 1e11, 1e12, 999999999999.5, 0.1]
+        xs += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(20_000)]
+        assert "%.12g," * len(xs) % tuple(xs) == "".join(f"{x:.12g}," for x in xs)
 
 
 class TestDot:

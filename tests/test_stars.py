@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from starlap import (
     build_graph,
     detect_stars,
     group_by_weight,
+    load_graph,
     plant_ldependent_graph,
     plant_star_graph,
     predict_multiplicities,
@@ -423,3 +427,54 @@ class TestIdentityReductionReuse:
         assert np.array_equal(red.values("mass-adjacency"), expected)
         assert not np.allclose(red.values("mass-adjacency"), ctx.values("adjacency"))
         assert np.allclose(red.values("mass-laplacian"), np.linalg.eigvalsh(red.matrix("mass-laplacian")))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAMILIES = ("adjacency", "laplacian", "signless", "normalized", "mass-adjacency", "mass-laplacian")
+
+
+def _family_expression(ctx, family):
+    """A family as its plain numpy expression makes it, n x n temporaries and all."""
+    a, s = ctx.adjacency, ctx.strengths
+    if ctx.unit_mass:
+        family = family.removeprefix("mass-")
+    if family == "adjacency":
+        return a
+    if family == "laplacian":
+        return np.diag(s) - a
+    if family == "signless":
+        return np.diag(s) + a
+    if family == "normalized":
+        inv_sqrt = 1.0 / np.sqrt(s)
+        lhat = -a * np.outer(inv_sqrt, inv_sqrt)
+        np.fill_diagonal(lhat, 1.0)
+        return lhat
+    root = np.sqrt(np.asarray(ctx.graph.mass))
+    sym = a * np.outer(root, root)
+    return sym if family == "mass-adjacency" else np.diag(ctx.mass_strengths) - sym
+
+
+def _with_an_inf_weight(g):
+    w = g.w.copy()
+    w[w.size // 2] = np.inf
+    return dataclasses.replace(g, w=w)
+
+
+_unit = plant_star_graph(3, 70, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
+_masses = load_graph(str(GOLDEN / "written_reduction.graph"))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_unit, _masses, _with_an_inf_weight(_unit), _with_an_inf_weight(_masses)],
+    ids=["unit-mass", "written_reduction", "unit-mass-inf", "written_reduction-inf"],
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_is_its_expression_bit_for_bit(g, family):
+    # through int64 views, so signed zeros and NaN bits count; the graphs
+    # span several row blocks
+    ctx = analyze(g)
+    with np.errstate(all="ignore"):
+        built, expected = ctx.matrix(family), _family_expression(ctx, family)
+    assert built.shape == expected.shape
+    assert np.array_equal(built.view(np.int64), expected.view(np.int64))
