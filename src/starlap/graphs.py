@@ -2,11 +2,12 @@
 
 A :class:`Graph` is an immutable edge list over 0-based contiguous vertex
 indices, with a strictly positive per-vertex mass vector (all ones unless the
-graph came out of a reduction).  This module builds the dense adjacency
-matrix and the strengths; every operator (L, Q, the normalized Laplacian and
-the mass families) is assembled from them by ``stars.GraphAnalysis.matrix``.
-The intended scale is n up to a couple of thousand vertices, where exact
-dense eigensolves are cheap.
+graph came out of a reduction).  This module builds the strengths, the
+neighbour lists and, for a caller that wants it, the dense adjacency matrix;
+every operator (A, L, Q, the normalized Laplacian and the mass families) is
+written from the neighbour lists by ``stars.GraphAnalysis.columns``, all its
+columns or only the ones a check reads.  The intended scale is n up to a
+couple of thousand vertices, where exact dense eigensolves are cheap.
 
 A graph keeps its edges once, as three read-only numpy columns: ``u`` and
 ``v`` (intp, u < v) and ``w`` (float64), sorted by (u, v).  Equality and
@@ -246,12 +247,14 @@ def neighbor_lists(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The neighbors of x are neighbors[bounds[x]:bounds[x + 1]], and the
     weights of those edges are weights[bounds[x]:bounds[x + 1]].
     """
-    src = np.concatenate((g.u, g.v))
-    dst = np.concatenate((g.v, g.u))
+    # the edges are sorted by (u, v): a vertex's neighbours below it are
+    # the u of the edges ending at it, in ascending order, and those above
+    # it the v of the edges starting at it, so a stable sort by vertex of
+    # the first run followed by the second keeps every list ascending
     bounds = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=g.n), out=bounds[1:])
-    order = np.lexsort((dst, src))
-    return bounds, dst[order], np.concatenate((g.w, g.w))[order]
+    np.cumsum(np.bincount(g.u, minlength=g.n) + np.bincount(g.v, minlength=g.n), out=bounds[1:])
+    order = np.argsort(np.concatenate((g.v, g.u)), kind="stable")
+    return bounds, np.concatenate((g.u, g.v))[order], np.concatenate((g.w, g.w))[order]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:

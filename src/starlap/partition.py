@@ -312,7 +312,7 @@ def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
     r = reduce_all(ctx, "collapse")
     removed = removed_values(ctx, r)
     tilde = ctx.reduced(r).matrix("mass-laplacian")
-    del ctx   # frees the graph's and the collapse's analyses, with any adjacency matrix they built
+    del ctx   # frees the graph's and the collapse's analyses, with their neighbour lists
     spectrum = eigen.sym_eigen(tilde)
     del tilde   # lowers peak memory: only the solve's columns are read from here on
     if spectrum.n >= 2:

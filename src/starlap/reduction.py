@@ -13,17 +13,22 @@ at the star weight, so the reduced graph's eigenvectors lifted through K
 and these make a complete eigenbasis of the original.
 
 K is held implicitly, as the vertex map and one m x p frame per reduced
-star (O(n + sum m p) numbers), and every check and lift works through the
-star blocks in O(n^2) time; `Reduction.k_matrix` builds the dense matrix
-only for a caller that asks for it.
+star (O(n + sum m p) numbers), the frames of one shape stacked, and every
+check and lift works through the star blocks in O(n^2) time, one stacked
+np.matmul per shape; `Reduction.k_matrix` builds the dense matrix only for
+a caller that asks for it.
 
 The reduced degree matrix is fixed as the column sums of M B, which makes the
 mass-weighted Laplacian identities hold exactly and conserves total weighted
 strength; `GraphAnalysis.mass_strengths` computes them.  The symmetric
-operators M^(1/2) B M^(1/2) and L~ come from `GraphAnalysis.matrix`, and
-`mass_laplacian` builds the nonsymmetric L(MB).  The original graph's
-operators are its own mass families, A and L when every mass is 1, so a
-graph read back from a reduction is reduced and checked the same way.
+operators M^(1/2) B M^(1/2) and L~ come from `GraphAnalysis.matrix`, dense
+only while their values are solved, and the checks read the blocks of
+their columns, and of the original graph's, that they need from
+`GraphAnalysis.columns`, which writes them from the edges; no check holds
+a dense A or B.  `mass_laplacian` builds the nonsymmetric L(MB).  The
+original graph's operators are its own mass families, A and L when every
+mass is 1, so a graph read back from a reduction is reduced and checked the
+same way.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .errors import (
     StructuralStarOnlyError,
 )
 from .graphs import Graph, build_graph_from_columns
-from .stars import WEIGHT_TOL, GraphAnalysis, MkStar, analyze
+from .stars import WEIGHT_TOL, GraphAnalysis, MkStar, analyze, overflow_pairs
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,8 @@ class Reduction:
     """A reduced graph together with the map back to the original.
 
     K is the identity from each untouched vertex to its reduced index plus
-    one frame per entry of `star_info`; `k_matrix` builds it densely on
-    each access.
+    one frame per entry of `star_info`, stacked by shape (`_stacks`);
+    `k_matrix` builds it densely on each access.
     """
 
     original: Graph
@@ -78,44 +83,64 @@ class Reduction:
         return self.original.n - self.reduced.n
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]:
-        """(original rows, reduced columns, frame) of each block of K.
-
-        The first block, with frame None, is the identity on the untouched
-        vertices; every other block is one reduced star's frame.
-        """
+    def _identity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(original rows, reduced columns) of K's identity block, the untouched vertices."""
         in_star = {v for info in self.star_info for v in info.star.v1}
         untouched = [
             v for v, new in enumerate(self.vertex_map) if new is not None and v not in in_star
         ]
-        blocks = [
-            (
-                np.array(untouched, dtype=np.intp),
-                np.array([self.vertex_map[v] for v in untouched], dtype=np.intp),
-                None,
-            )
-        ]
-        for info in self.star_info:
-            blocks.append(
-                (
-                    np.array(sorted(info.star.v1), dtype=np.intp),
-                    np.array([self.vertex_map[v] for v in info.kept_v1], dtype=np.intp),
-                    info.frame,
+        return (
+            np.array(untouched, dtype=np.intp),
+            np.array([self.vertex_map[v] for v in untouched], dtype=np.intp),
+        )
+
+    @cached_property
+    def _stacks(self) -> tuple[_Stack, ...]:
+        """K's star blocks, those of one (m, p) shape stacked, shapes in order of first use."""
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, info in enumerate(self.star_info):
+            by_shape.setdefault(info.frame.shape, []).append(i)
+        stacks = []
+        for members in by_shape.values():
+            infos = [self.star_info[i] for i in members]
+            stacks.append(
+                _Stack(
+                    stars=np.array(members, dtype=np.intp),
+                    rows=np.array([sorted(info.star.v1) for info in infos], dtype=np.intp),
+                    cols=np.array(
+                        [[self.vertex_map[v] for v in info.kept_v1] for info in infos],
+                        dtype=np.intp,
+                    ),
+                    frames=np.stack([info.frame for info in infos]),
                 )
             )
-        return tuple(blocks)
+        return tuple(stacks)
 
     @property
     def k_matrix(self) -> np.ndarray:
         """The dense, read-only n x (n - q) K, built anew on each access."""
         k = np.zeros((self.original.n, self.reduced.n))
-        for rows, cols, frame in self._blocks:
-            if frame is None:
-                k[rows, cols] = 1.0
-            else:
-                k[np.ix_(rows, cols)] = frame
+        rows, cols = self._identity
+        k[rows, cols] = 1.0
+        for stack in self._stacks:
+            k[stack.rows[:, :, None], stack.cols[:, None, :]] = stack.frames
         k.setflags(write=False)
         return k
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """The blocks of K on the reduced stars of one shape.
+
+    The i-th is star_info[stars[i]]'s: rows[i] are its m original rows in
+    ascending order, cols[i] its p reduced columns and frames[i] its m x p
+    frame.
+    """
+
+    stars: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    frames: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -265,85 +290,117 @@ def reduce_all(
 
 
 def mass_laplacian(r: Reduction) -> np.ndarray:
-    """Nonsymmetric mass-weighted Laplacian L(MB) = diag(column sums of M B) - M B."""
+    """Nonsymmetric mass-weighted Laplacian L(MB) = diag(column sums of M B) - M B.
+
+    Written from the reduced graph's edge columns: entry (i, j) of an edge
+    is 0.0 - m_i * w, the expression's at B's entry w.
+    """
     red = GraphAnalysis(r.reduced)
+    g, mass = red.graph, np.asarray(red.graph.mass)
     with np.errstate(over="ignore", invalid="ignore"):
         lmb = np.diag(red.mass_strengths)
-        lmb -= np.asarray(red.graph.mass)[:, None] * red.adjacency
+        lmb[g.u, g.v] = 0.0 - mass[g.u] * g.w
+        lmb[g.v, g.u] = 0.0 - mass[g.v] * g.w
     return lmb
 
 
+def _frames_times(frames: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """frames[i] @ x[i] for each i, x of shape (c, p, *rest): the c x m x *rest product.
+
+    One stacked np.matmul: each product is the m x p frame times a p-row
+    slice of x[i], one per index of the axes between p and the last, so
+    every entry is the one the frame's own product gives, bit for bit.
+    """
+    if x.ndim == 2:
+        return np.matmul(frames, x[:, :, None])[:, :, 0]
+    stacked = np.expand_dims(frames, tuple(range(1, x.ndim - 2)))
+    return np.moveaxis(np.matmul(stacked, np.moveaxis(x, 1, -2)), -2, 1)
+
+
 def _k_times(r: Reduction, m: np.ndarray) -> np.ndarray:
-    """K m for an array m of n - q rows, one block of K at a time."""
+    """K m for an array m of n - q rows, one stacked product per shape of K's star blocks."""
     out = np.zeros((r.original.n,) + m.shape[1:])
-    for rows, cols, frame in r._blocks:
-        out[rows] = m[cols] if frame is None else frame @ m[cols]
+    rows, cols = r._identity
+    out[rows] = m[cols]
+    for stack in r._stacks:
+        out[stack.rows] = _frames_times(stack.frames, m[stack.cols])
     return out
 
 
 def _kt_times(r: Reduction, y: np.ndarray) -> np.ndarray:
-    """K^T y for an array y of n rows, one block of K at a time."""
+    """K^T y for an array y of n rows, one stacked product per shape of K's star blocks."""
     out = np.zeros((r.reduced.n,) + y.shape[1:])
-    for rows, cols, frame in r._blocks:
-        out[cols] = y[rows] if frame is None else frame.T @ y[rows]
+    rows, cols = r._identity
+    out[cols] = y[rows]
+    for stack in r._stacks:
+        out[stack.cols] = _frames_times(stack.frames.transpose(0, 2, 1), y[stack.rows])
     return out
 
 
 Columns = Callable[[np.ndarray], np.ndarray]
 
 
-def _column_blocks(r: Reduction, x: Columns) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(c, X K[:, c]) for each block c of K's columns, read off X's columns in one pass.
+def _column_blocks(
+    r: Reduction, x: Columns
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(slots, cols, X K[:, cols]) for blocks of K's columns, read off X's columns in one pass.
 
-    `x(idx)` returns X[:, idx], and each column of X is read once.  No block
+    `x(idx)` returns X[:, idx], and each column of X is read once.  cols is
+    c x w and X K[:, cols] n x c x w: c of K's blocks side by side, slots
+    their places in K's order (the identity block's chunks first, then the
+    stars in star_info order).  The identity block comes a chunk at a time,
+    and the stars of one shape c at a time, their products taken in one
+    stacked np.matmul, each bit for bit the product of its star alone.  A
+    star wider than a chunk reads its rows a chunk at a time.  No block
     reads more than an eighth of K's width of X's columns at once, so the
     blocks and their products stay below the size of a dense K.  Each
     yielded block is the caller's to overwrite.
     """
     step = max(1, r.reduced.n // 8)
-    for rows, cols, frame in r._blocks:
-        if frame is None:
-            for start in range(0, rows.size, step):
-                yield cols[start:start + step], x(rows[start:start + step])
+    rows, cols = r._identity
+    starts = range(0, rows.size, step)
+    for slot, start in enumerate(starts):
+        part = slice(start, start + step)
+        yield np.array([slot]), cols[None, part], x(rows[part])[:, None, :]
+    for stack in r._stacks:
+        count, m, p = stack.frames.shape
+        slots = len(starts) + stack.stars
+        if m > step:
+            for i, (star_rows, frame) in enumerate(zip(stack.rows, stack.frames)):
+                xk = x(star_rows[:step]) @ frame[:step]
+                for start in range(step, m, step):
+                    xk += x(star_rows[start:start + step]) @ frame[start:start + step]
+                yield slots[i:i + 1], stack.cols[i:i + 1], xk[:, None, :]
             continue
-        xk = x(rows[:step]) @ frame[:step]
-        for start in range(step, rows.size, step):
-            xk += x(rows[start:start + step]) @ frame[start:start + step]
-        yield cols, xk
+        per = step // m
+        for start in range(0, count, per):
+            part = slice(start, start + per)
+            xs = x(stack.rows[part].ravel())
+            c = xs.shape[1] // m
+            xk = np.empty((xs.shape[0], c, p))
+            np.matmul(
+                xs.reshape(-1, c, m).transpose(1, 0, 2),
+                stack.frames[part],
+                out=xk.transpose(1, 0, 2),
+            )
+            yield slots[part], stack.cols[part], xk
 
 
-def _columns(x: np.ndarray) -> Columns:
-    """Columns of a dense X, gathered C-ordered so that block arithmetic needs no buffer."""
-    return lambda idx: np.take(x, idx, axis=1)
+def _lift_squares(
+    r: Reduction, slots: np.ndarray, xk: np.ndarray, reduced: np.ndarray
+) -> dict[int, float]:
+    """Each slot's squared Frobenius norm of (X K - K R)[:, cols], made in place from X K[:, cols].
 
-
-def _laplacian_columns(ctx: GraphAnalysis) -> Columns:
-    """Columns of the mass Laplacian diag(d) - M^(1/2) A M^(1/2), d the mass strengths.
-
-    With unit masses that is L, read off the cached A and strengths.
+    `reduced` is R[:, cols], and xk and it hold one slot's columns per
+    index of their middle axis.  X K - K R is the intertwining defect of
+    K.  For every unit eigenvector v of R with eigenvalue t, the lifted
+    pair (t, K v) has X K v - t K v = (X K - K R) v, so the defect's norm,
+    the square root of these sums added in slot order, bounds the
+    eigen-equation residual of every lifted eigenvector at once.  NaN and
+    inf propagate.
     """
-    a, s = ctx.matrix("mass-adjacency"), ctx.mass_strengths
-
-    def columns(idx: np.ndarray) -> np.ndarray:
-        out = np.take(a, idx, axis=1)
-        np.negative(out, out=out)
-        out[idx, np.arange(idx.size)] += s[idx]
-        return out
-
-    return columns
-
-
-def _lift_squares(r: Reduction, cols: np.ndarray, xk: np.ndarray, reduced: np.ndarray) -> float:
-    """The squared Frobenius norm of (X K - K R)[:, cols], made in place from X K[:, cols].
-
-    X K - K R is the intertwining defect of K.  For every unit eigenvector v
-    of R with eigenvalue t, the lifted pair (t, K v) has X K v - t K v =
-    (X K - K R) v, so the defect's norm, the square root of these block sums
-    added in block order, bounds the eigen-equation residual of every
-    lifted eigenvector at once.  NaN and inf propagate.
-    """
-    xk -= _k_times(r, reduced[:, cols])
-    return float(np.vdot(xk, xk))
+    xk -= _k_times(r, reduced)
+    return {slot: float(np.vdot(xk[:, i], xk[:, i])) for i, slot in enumerate(slots.tolist())}
 
 
 def lift_vector(r: Reduction, v: np.ndarray) -> np.ndarray:
@@ -408,30 +465,40 @@ def verify_adjacency_reduction(
     spectrum preservation up to q zeros, and the intertwining A K = K S with
     S = M^(1/2) B M^(1/2), relative to the spectral radius of A.  A stands
     for the original graph's mass adjacency, A itself when every mass is 1.
+    A and S are dense only while their values are solved, one after the
+    other; the congruence and the lift read the columns of A and S that
+    each block of K needs off the edges.
     """
     ctx = analyze(g)
     red = ctx.reduced(r)
-    a = ctx.matrix("mass-adjacency")
-    s = red.matrix("mass-adjacency")
-    # K^T K - I is zero outside the frames' F^T F - I: the identity block
-    # and the blocks' disjoint row supports hold by construction
-    ortho = [_maxabs(frame.T @ frame - np.eye(frame.shape[1])) for _, _, frame in r._blocks[1:]]
-    values_s = red.values("mass-adjacency", s)
-    congruence, squares = [], 0.0
-    for cols, ak in _column_blocks(r, _columns(a)):
-        congruence.append(_maxabs(_kt_times(r, ak) - s[:, cols]))   # before the lift overwrites ak
-        squares += _lift_squares(r, cols, ak, s)
-    del s  # lowers peak memory: only the eigenvalues are used below
-    values_a = ctx.values("mass-adjacency", a)
+    values_a = ctx.values("mass-adjacency")
+    values_s = red.values("mass-adjacency")
     radius = eigen.spectral_radius(values_a)
     tol = tol_rel * radius
-    # the largest |entry| of A, without an n x n |A|
-    scale = float(max(a.max(), -a.min())) if a.size else 0.0
-    lift = math.sqrt(squares)
+    # K^T K - I is zero outside the frames' F^T F - I: the identity block
+    # and the blocks' disjoint row supports hold by construction
+    ortho = [
+        _maxabs(stack.frames.transpose(0, 2, 1) @ stack.frames - np.eye(stack.frames.shape[2]))
+        for stack in r._stacks
+    ]
+    peaks = []
+
+    def columns_of_a(idx: np.ndarray) -> np.ndarray:
+        block = ctx.columns("mass-adjacency", idx)
+        peaks.append(max(block.max(), -block.min()))   # the largest |entry|, without a |block|
+        return block
+
+    congruence, squares = [], {}
+    for slots, cols, ak in _column_blocks(r, columns_of_a):
+        s_cols = red.columns("mass-adjacency", cols.ravel()).reshape((-1,) + cols.shape)
+        congruence.append(_maxabs(_kt_times(r, ak) - s_cols))   # before the lift overwrites ak
+        squares.update(_lift_squares(r, slots, ak, s_cols))
+    # np.max, unlike max, keeps a NaN wherever it stands
+    scale = float(np.max(peaks, initial=0.0))
+    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
 
     dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
     checks = (
-        # np.max, unlike max, keeps a NaN wherever it stands
         Check("k-orthonormality", float(np.max(ortho, initial=0.0)), 1e-10),
         Check("adjacency-congruence", float(np.max(congruence, initial=0.0)), WEIGHT_TOL * scale),
         Check("adjacency-spectrum", dev, tol, note),
@@ -440,11 +507,14 @@ def verify_adjacency_reduction(
     return VerificationRecord(checks=checks)
 
 
-def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
-    """Largest entry of M^(-1/2) L(MB) M^(1/2) - tilde, from the reduced graph's cached B.
+def _similarity_deviation(red: GraphAnalysis) -> float:
+    """Largest entry of M^(-1/2) L(MB) M^(1/2) - L~, from the reduced graph's edges.
 
-    Made a block of rows at a time, so no n x n temporary is held next to B
-    and tilde; the blocks' maxima are those of the whole difference.
+    Made a block of L(MB)'s rows at a time, each row held as a column next
+    to the same column of L~, which is symmetric bit for bit; the blocks'
+    maxima are those of the whole difference.  Every entry is the one the
+    dense expression gives: off the edges and the diagonal that is 0.0, or
+    NaN where the scale overflows.
     """
     n = red.graph.n
     if not n:
@@ -453,12 +523,19 @@ def _similarity_deviation(red: GraphAnalysis, tilde: np.ndarray) -> float:
     root = np.sqrt(mass)
     inv_root = 1.0 / root
     peaks = []
-    for rows in eigen.row_blocks(n):
-        similar = np.zeros((rows.stop - rows.start, n))   # rows of L(MB) = diag(d) - M B
-        np.fill_diagonal(similar[:, rows], red.mass_strengths[rows])
-        similar -= mass[rows, None] * red.adjacency[rows]
-        similar *= np.outer(inv_root[rows], root)
-        similar -= tilde[rows]
+    for block in eigen.row_blocks(n):
+        idx = np.arange(block.start, block.stop)
+        similar = np.zeros((n, idx.size))   # column c is row idx[c] of L(MB) = diag(d) - M B, scaled
+        for rows, at, weights in (
+            (*overflow_pairs(root, inv_root[idx]), 0.0),   # 0.0 times an overflowed scale
+            red.column_entries(idx),
+        ):
+            i = idx[at]
+            similar[rows, at] = (0.0 - mass[i] * weights) * (inv_root[i] * root[rows])
+        similar[idx, np.arange(idx.size)] = (
+            (red.mass_strengths[idx] - mass[idx] * 0.0) * (inv_root[idx] * root[idx])
+        )
+        similar -= red.columns("mass-laplacian", idx)
         peaks.append(_maxabs(similar))
     return float(np.max(peaks))   # np.max, unlike max, keeps a NaN wherever it stands
 
@@ -474,21 +551,22 @@ def verify_laplacian_reduction(
     mass Laplacians, and the intertwining L K = K L~ with the symmetric mass
     Laplacian L~, relative to the spectral radius of L.  L stands for the
     original graph's mass Laplacian, L itself when every mass is 1, and a
-    star's weight for its members' mass strength there.
+    star's weight for its members' mass strength there.  L and L~ are dense
+    only while their values are solved; the similarity and the lift read
+    the rows and columns they need off the edges.
     """
     ctx = analyze(g)
     red = ctx.reduced(r)
-    tilde = red.matrix("mass-laplacian")
-    sim = _similarity_deviation(red, tilde)
-    squares = 0.0
-    for cols, lk in _column_blocks(r, _laplacian_columns(ctx)):
-        squares += _lift_squares(r, cols, lk, tilde)
-    lift = math.sqrt(squares)
-    values_t = red.values("mass-laplacian", tilde)
-    del tilde  # lowers peak memory: only the eigenvalues are used below
     values_l = ctx.values("mass-laplacian")
+    values_t = red.values("mass-laplacian")
     radius = eigen.spectral_radius(values_l)
     tol = tol_rel * radius
+    sim = _similarity_deviation(red)
+    squares = {}
+    for slots, cols, lk in _column_blocks(r, lambda idx: ctx.columns("mass-laplacian", idx)):
+        t_cols = red.columns("mass-laplacian", cols.ravel()).reshape((-1,) + cols.shape)
+        squares.update(_lift_squares(r, slots, lk, t_cols))
+    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
 
     removals = [value for value, q in removed_values(ctx, r) for _ in range(q)]
     dev, note = _match_after_removal(values_l, values_t, removals, tol)

@@ -22,6 +22,7 @@ normalized Laplacian fixes D^(1/2) x (Merris, "Laplacian graph eigenvectors",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    adjacency,
     build_graph_from_columns,
     component_roots,
     connected_components,
@@ -51,6 +51,7 @@ if TYPE_CHECKING:
 
 WEIGHT_TOL = 1e-9
 COEFF_EPS = 1e-12
+FAMILIES = ("adjacency", "laplacian", "signless", "normalized", "mass-adjacency", "mass-laplacian")
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,14 @@ class StarVerification:
 class GraphAnalysis:
     """Lazily filled, per-graph record of the work that several checks share.
 
-    The adjacency matrix and the strengths (both read-only), the isolated
+    The neighbour lists and the strengths (both read-only), the isolated
     vertices, the connected components, the detected stars and the
-    dependent-row partitions are computed once, on first use.  A family is
-    solved through ``eigen.sym_eigen`` for its eigenvalues only.  The second
+    dependent-row partitions are computed once, on first use.  No dense
+    matrix is kept: a family's matrix is written from the edge columns when
+    it is solved and dropped after the solve, and a check that reads some
+    of a family's columns, or a block of A, builds only those from the
+    neighbour lists.  A family is solved through ``eigen.sym_eigen`` for
+    its eigenvalues only.  The second
     eigenvector, which every Fiedler pair reads off the mass Laplacian, comes
     from inverse iteration at the second eigenvalue
     (``eigen.eigenvector_at``), and no other eigenvector is computed.
@@ -149,10 +154,12 @@ class GraphAnalysis:
         self._reduced: GraphAnalysis | None = None
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = adjacency(self.graph)
-        a.setflags(write=False)
-        return a
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only (bounds, neighbors, weights) of graphs.neighbor_lists."""
+        lists = neighbor_lists(self.graph)
+        for column in lists:
+            column.setflags(write=False)
+        return lists
 
     @cached_property
     def strengths(self) -> np.ndarray:
@@ -171,14 +178,18 @@ class GraphAnalysis:
 
         Column sums conserve each vertex's mass-weighted strength, which is
         what makes the lifted eigen-identities of a reduction hold; row sums
-        do not.  With unit masses they are the strengths: np.add.at adds each
-        vertex's weights in ascending neighbour order, and so does the sum
-        down a column of A.
+        do not.  Each vertex adds m_i * w_ij over its neighbours i in
+        ascending order, from 0.0, as the sum down a column of M A does:
+        np.add.at over the edges' interleaved ends, as for the strengths,
+        which they are with unit masses.
         """
         if self.unit_mass:
             return self.strengths
+        g, mass = self.graph, np.asarray(self.graph.mass)
+        d = np.zeros(g.n)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = (np.asarray(self.graph.mass)[:, None] * self.adjacency).sum(axis=0)
+            terms = np.column_stack((mass[g.v] * g.w, mass[g.u] * g.w))
+            np.add.at(d, np.column_stack((g.u, g.v)).ravel(), terms.ravel())
         d.setflags(write=False)
         return d
 
@@ -211,7 +222,7 @@ class GraphAnalysis:
         piece it rejects, whose rows are dependent only within tolerance, is
         left out.
         """
-        g, a, s = self.graph, self.adjacency, self.strengths
+        g, s = self.graph, self.strengths
         cls = _strength_classes(s)
         member = (cls >= 0) & (np.bincount(cls + 1)[cls + 1] >= 2)
         # members joined through their (class, neighbour) pairs, numbered past n
@@ -241,8 +252,10 @@ class GraphAnalysis:
             if not near.all():
                 pieces += [piece[near], piece[~near]]
                 continue
-            nbrs = np.flatnonzero(a[piece].any(axis=0))
-            basis = _independent_columns(a[np.ix_(nbrs, piece)], tol)
+            touched = np.zeros(g.n, dtype=bool)
+            touched[self.column_entries(piece)[0]] = True
+            nbrs = np.flatnonzero(touched)
+            basis = _independent_columns(self.adjacency_block(nbrs, piece), tol)
             if basis.all():
                 continue
             v1, v3 = piece[basis].tolist(), piece[~basis].tolist()
@@ -253,43 +266,111 @@ class GraphAnalysis:
         return tuple(sorted(found, key=lambda p: p.v1))
 
     def matrix(self, family: str) -> np.ndarray:
-        """One family's matrix, built from the cached A, strengths and masses.
+        """One family's matrix, built anew on each call: all its columns."""
+        return self.columns(family)
 
-        This is the one place a family is assembled.  Every family but
-        "adjacency", which is the cached A itself, is built anew on each call,
-        in one n x n array: the operations of the plain expressions (such as
-        diag(s) - A) are applied to it in their order, the outer products of
-        the scaled families a block of rows at a time, so each entry comes
-        out bit for bit as the expression gives it.
+    def columns(self, family: str, idx: np.ndarray | None = None) -> np.ndarray:
+        """The columns idx of one family's matrix (all of them by default), written from the edges.
+
+        This is the one place a family is assembled.  Each entry is the one
+        its plain expression over a dense A gives, bit for bit: diag(s) - A
+        ("laplacian"), diag(s) + A ("signless"), -A * outer(s^-1/2, s^-1/2)
+        with 1 on the diagonal ("normalized"), A * outer(root, root)
+        ("mass-adjacency") and diag(d) - A * outer(root, root)
+        ("mass-laplacian"), root the square roots of the masses and d the
+        mass strengths.  One zeroed n x len(idx) array (-0.0 for the
+        normalized Laplacian, whose expression negates A's zeros) takes the
+        edges' entries and the diagonal's; an entry off both is the
+        expression at A's 0.0, which is that zero unless the outer product
+        overflows there (0.0 times inf), and is written too.  The whole
+        matrix takes each edge's entry, the same at (u, v) and (v, u), from
+        the edge columns; a block of columns reads the neighbour lists.
         """
         family = self._family(family)
-        a, s = self.adjacency, self.strengths
-        if family == "adjacency":
-            return a
-        if family == "laplacian":
-            out = np.diag(s)
-            out -= a
-            return out
-        if family == "signless":
-            out = np.diag(s)
-            out += a
-            return out
+        if family not in FAMILIES:
+            raise ValueError(f"unknown matrix family {family!r}")
+        g = self.graph
+        whole = idx is None
+        idx = np.arange(g.n) if whole else np.asarray(idx, dtype=np.intp)
+        scale = self._scale(family)
+        out = np.zeros((g.n, idx.size))
+        if family == "normalized":
+            out.fill(-0.0)
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf or NaN, and fails checks
+            if scale is not None:   # off the edges, 0.0 times an overflowed scale
+                rows, at = overflow_pairs(scale, scale[idx])
+                out[rows, at] = self._entries(family, scale, 0.0, rows, idx[at])
+            if whole:
+                out[g.u, g.v] = out[g.v, g.u] = self._entries(family, scale, g.w, g.u, g.v)
+            else:
+                rows, at, weights = self.column_entries(idx)
+                out[rows, at] = self._entries(family, scale, weights, rows, idx[at])
+            out[idx, np.arange(idx.size)] = self._entries(family, scale, 0.0, idx, idx, diagonal=True)
+        return out
+
+    def _scale(self, family: str) -> np.ndarray | None:
+        """The vector whose outer product scales A in a family, None for a family with none."""
         if family == "normalized":
             if self.isolated:
                 raise IsolatedVertexError(self.isolated[0])
-            out = _times_outer(np.negative(a), 1.0 / np.sqrt(s))   # -A * outer(s^-1/2, s^-1/2)
-            np.fill_diagonal(out, 1.0)
-            return out
-        if family not in ("mass-adjacency", "mass-laplacian"):
-            raise ValueError(f"unknown matrix family {family!r}")
-        root = np.sqrt(np.asarray(self.graph.mass))
-        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf, and fails checks
-            if family == "mass-adjacency":
-                return _times_outer(a.copy(), root)   # A * outer(root, root)
-            out = np.diag(self.mass_strengths)   # diag(d) - A * outer(root, root)
-            for rows in eigen.row_blocks(a.shape[0]):
-                out[rows] -= a[rows] * np.outer(root[rows], root)
-            return out
+            return 1.0 / np.sqrt(self.strengths)
+        if family in ("mass-adjacency", "mass-laplacian"):
+            return np.sqrt(np.asarray(self.graph.mass))
+        return None
+
+    def _entries(
+        self,
+        family: str,
+        x: np.ndarray | None,
+        a: np.ndarray | float,
+        i: np.ndarray,
+        j: np.ndarray,
+        diagonal: bool = False,
+    ) -> np.ndarray | float:
+        """A family's entries at (i[t], j[t]), where A holds a[t] (or a), by its expression.
+
+        x is the family's scale (see _scale).  The entries are off the
+        diagonal, or with `diagonal` on it (i == j, where A holds 0.0).
+        """
+        if family == "adjacency":
+            return a
+        if family == "normalized":
+            return 1.0 if diagonal else np.negative(a) * (x[i] * x[j])
+        if family in ("laplacian", "signless"):
+            base = self.strengths[i] if diagonal else 0.0
+            return base - a if family == "laplacian" else base + a
+        scaled = a * (x[i] * x[j])
+        if family == "mass-adjacency":
+            return scaled
+        return (self.mass_strengths[i] if diagonal else 0.0) - scaled
+
+    def column_entries(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of A[:, idx] as (rows, positions in idx, weights).
+
+        Column by column in idx's order, each column's rows ascending.
+        """
+        bounds, nbrs, weights = self.neighbors
+        idx = np.asarray(idx, dtype=np.intp)
+        starts = bounds[idx]
+        counts = bounds[idx + 1] - starts
+        at = np.repeat(np.arange(idx.size), counts)
+        if idx.size and idx[-1] - idx[0] == idx.size - 1 and (np.diff(idx) == 1).all():
+            # a run of consecutive vertices: their lists lie side by side
+            run = slice(starts[0], starts[0] + at.size)
+            return nbrs[run], at, weights[run]
+        pos = np.arange(at.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return nbrs[pos], at, weights[pos]
+
+    def adjacency_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """A[np.ix_(rows, cols)] for distinct rows, written from the neighbour lists."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        at_row = np.full(self.graph.n, -1)
+        at_row[rows] = np.arange(rows.size)
+        r, c, w = self.column_entries(cols)
+        kept = at_row[r] >= 0
+        out = np.zeros((rows.size, cols.size))
+        out[at_row[r[kept]], c[kept]] = w[kept]
+        return out
 
     def _family(self, family: str) -> str:
         """The family built and solved for `family`: with unit masses, a mass family's plain one."""
@@ -357,11 +438,19 @@ def analyze(g: Graph | GraphAnalysis) -> GraphAnalysis:
     return g if isinstance(g, GraphAnalysis) else GraphAnalysis(g)
 
 
-def _times_outer(out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out * outer(x, x), made in place a block of rows at a time."""
-    for rows in eigen.row_blocks(out.shape[0]):
-        out[rows] *= np.outer(x[rows], x)
-    return out
+def overflow_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (i, j) of outer(x, y), x and y nonnegative, that overflow to inf.
+
+    There are none unless the largest product does, so on almost every
+    graph the answer costs two maxima.
+    """
+    with np.errstate(over="ignore"):
+        top = y.max(initial=0.0)
+        if math.isfinite(x.max(initial=0.0) * top):
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        rows = np.flatnonzero(np.isinf(x * top)).tolist()
+        cols = [np.flatnonzero(np.isinf(x[i] * y)) for i in rows]
+    return np.repeat(rows, [c.size for c in cols]).astype(np.intp), np.concatenate(cols)
 
 
 def _uniform_weight(rows: np.ndarray) -> float | None:
@@ -426,7 +515,7 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
     smallest vertex index in v1.
     """
     ctx = analyze(g)
-    bounds, neighbors, weights = neighbor_lists(ctx.graph)
+    bounds, neighbors, _ = ctx.neighbors
     by_neighborhood: dict[bytes, list[int]] = {}
     for v, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if stop > start:
@@ -437,13 +526,17 @@ def detect_stars(g: Graph | GraphAnalysis) -> list[MkStar]:
             continue
         v1 = tuple(members)
         v2 = tuple(neighbors[bounds[v1[0]] : bounds[v1[0] + 1]].tolist())
-        # row i is v1[i]'s weights toward v2, in v2's ascending order
-        rows = weights[bounds[list(v1)][:, None] + np.arange(len(v2))]
         equal_masses = len({ctx.graph.mass[v] for v in v1}) == 1
-        weight = _uniform_weight(rows) if equal_masses else None
+        weight = _uniform_weight(_star_rows(ctx, v1, len(v2))) if equal_masses else None
         stars.append(MkStar(v1=v1, v2=v2, weight_uniform=weight))
     stars.sort(key=lambda s: s.v1[0])
     return stars
+
+
+def _star_rows(ctx: GraphAnalysis, v1: Sequence[int], k: int) -> np.ndarray:
+    """A[np.ix_(v1, v2)] of a star of k neighbours v2: row i is v1[i]'s weights, v2 ascending."""
+    bounds, _, weights = ctx.neighbors
+    return weights[bounds[list(v1)][:, None] + np.arange(k)]
 
 
 def unreducible_reason(g: Graph | GraphAnalysis, s: MkStar) -> str | None:
@@ -508,7 +601,7 @@ def verify_star_predictions(
     claims = predict_multiplicities(ctx)
     warn = []
     for s in ctx.stars:
-        rows = ctx.adjacency[np.ix_(list(s.v1), list(s.v2))]
+        rows = _star_rows(ctx, s.v1, s.k)
         reason = unreducible_reason(ctx, s)
         if reason:
             warn.append(f"star class v1={list(s.v1)} has {reason} and cannot be reduced")
@@ -555,11 +648,11 @@ def verify_ldependent(
     # a repeated v3 vertex would count twice in l
     if len(set(listed)) != len(listed):
         raise ConditionViolatedError(0, -1, "v1, v2, v3 must be disjoint, each vertex listed once")
-    a, s = ctx.adjacency, ctx.strengths
+    s = ctx.strengths
 
     # condition 1: every v1 vertex attaches into v2 and vice versa
-    v1_i, v2_i = np.array(v1_t, dtype=np.intp), np.array(v2_t, dtype=np.intp)
-    attached = a[np.ix_(v1_i, v2_i)] > 0
+    v1_rows = ctx.adjacency_block(v1_t, v2_t)
+    attached = v1_rows > 0
     reaches = attached.any(axis=1)
     if not reaches.all():
         i = v1_t[int(np.argmin(reaches))]
@@ -569,22 +662,23 @@ def verify_ldependent(
         j = v2_t[int(np.argmin(reached))]
         raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
 
-    # condition 2: v1 and v3 have neighbors only inside v2
-    outside = np.ones(ctx.graph.n, dtype=bool)
-    outside[v2_i] = False
-    outside = np.flatnonzero(outside)
+    # condition 2: v1 and v3 have neighbors only inside v2; the first row
+    # in this order with an edge leaving v2 is reported, with its smallest
+    # neighbour outside
+    inside = np.zeros(ctx.graph.n, dtype=bool)
+    inside[list(v2_t)] = True
     rows = v1_t + v3_t
-    leaving = a[np.ix_(np.array(rows, dtype=np.intp), outside)] > 0
-    if leaving.any():
-        r = int(np.argmax(leaving.any(axis=1)))
-        x = int(outside[np.argmax(leaving[r])])
-        raise ConditionViolatedError(2, rows[r], f"edge to {x} leaves v2")
+    nbrs, at, _ = ctx.column_entries(rows)
+    leaving = np.flatnonzero(~inside[nbrs])
+    if leaving.size:
+        k = leaving[0]
+        raise ConditionViolatedError(2, rows[at[k]], f"edge to {nbrs[k]} leaves v2")
 
     wtilde = float(s[v1_t[0]]) if v1_t else 0.0
 
     # condition 3: each v3 row is a combination of the v1 rows on v2
-    basis = a[np.ix_(v1_i, v2_i)].T
-    targets = a[np.ix_(np.array(v3_t, dtype=np.intp), v2_i)].T
+    basis = v1_rows.T
+    targets = ctx.adjacency_block(v3_t, v2_t).T
     coeffs = np.linalg.lstsq(basis, targets, rcond=None)[0]
     residual = np.abs(basis @ coeffs - targets).max(axis=0, initial=0.0)
     tol = WEIGHT_TOL * wtilde

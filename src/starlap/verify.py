@@ -73,11 +73,14 @@ def verify_graph(
             qs[0] = min(q, detected[0].m - 1)
             requested = (True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
     r = reduction.reduce_all(ctx, qs)
-    if ctx.graph.n >= 2 and len(ctx.components) == 1:
-        # the pair the sign comparison reads, solved on the conditions on
-        # which compare_signs solves it, but before the reduced graph's B
-        # exists, so that its LU solve holds A and L only; L's values come
-        # with it
+    # the Fiedler pairs the sign comparison reads are solved on the
+    # conditions on which compare_signs solves them, each from one build of
+    # its matrix for the values and the LU solve: the graph's first, before
+    # the claims read L's values, and the reduced graph's before the
+    # Laplacian checks read L~'s, so neither those checks nor the sign
+    # comparison build a matrix
+    fiedler_pairs = ctx.graph.n >= 2 and len(ctx.components) == 1
+    if fiedler_pairs:
         ctx.second_vector("mass-laplacian")
 
     star_verification = stars.verify_star_predictions(ctx, tol)
@@ -89,10 +92,10 @@ def verify_graph(
         )
     if q is not None:
         add(f"reduction-requested(q={q})", *requested)
-    records = (
-        reduction.verify_adjacency_reduction(ctx, r, tol),
-        reduction.verify_laplacian_reduction(ctx, r, tol),
-    )
+    adjacency_record = reduction.verify_adjacency_reduction(ctx, r, tol)
+    if fiedler_pairs:
+        ctx.reduced(r).second_vector("mass-laplacian")
+    records = (adjacency_record, reduction.verify_laplacian_reduction(ctx, r, tol))
     for c in records[0].checks + records[1].checks:
         note = f"; {c.note}" if c.note else ""
         add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}{note}")

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from starlap import (
     build_graph,
     cli,
     eigen,
-    graphs,
     plant_ldependent_graph,
     partition,
     plant_star_graph,
@@ -192,47 +192,70 @@ def test_reduce_computes_no_eigenvector(tmp_path, counted, capsys, monkeypatch):
     assert 0 < len(counted["solves"]) <= 4
 
 
-@pytest.mark.parametrize("command", ["verify", "compare"])
-def test_each_graph_adjacency_is_built_once(capsys, monkeypatch, command):
-    builds = {}
-    real_adjacency = graphs.adjacency
-
-    def adjacency(g):
-        builds[id(g)] = builds.get(id(g), 0) + 1
-        return real_adjacency(g)
-
-    for module in (graphs, stars):
-        monkeypatch.setattr(module, "adjacency", adjacency)
-    assert cli.run_cli([command, str(GOLDEN / "stars120.graph"), "--json"]) == 0
-    capsys.readouterr()
-    # the graph and its reduction
-    assert sorted(builds.values()) == [1, 1]
-
-
-def test_kway_never_builds_the_original_adjacency(monkeypatch):
-    # star detection reads the weight rows off the edge columns; only the
-    # collapsed graph, whose masses are not all 1, builds its A
+@pytest.fixture
+def builds(monkeypatch):
+    """(graph id, family built, n) of every GraphAnalysis.matrix call, in call order."""
     built = []
-    real = stars.GraphAnalysis.adjacency.func
+    real = stars.GraphAnalysis.matrix
 
-    def adjacency(self):
-        built.append(self.graph)
-        return real(self)
+    def matrix(self, family):
+        built.append((id(self.graph), self._family(family), self.graph.n))
+        return real(self, family)
 
-    cached = functools.cached_property(adjacency)
-    cached.__set_name__(stars.GraphAnalysis, "adjacency")
-    monkeypatch.setattr(stars.GraphAnalysis, "adjacency", cached)
+    monkeypatch.setattr(stars.GraphAnalysis, "matrix", matrix)
+    return built
+
+
+@pytest.mark.parametrize(
+    "args, adjacency_builds",
+    [(["verify"], [1, 1]), (["compare"], []), (["partition", "--bisect"], [])],
+    ids=["verify", "compare", "bisect"],
+)
+def test_each_graph_adjacency_is_built_once(builds, capsys, args, adjacency_builds):
+    # no check reads a dense A: verify builds the graph's A and its
+    # reduction's M^1/2 B M^1/2 once each, for their spectra, and compare
+    # and bisect build neither
+    assert cli.run_cli([args[0], str(GOLDEN / "stars120.graph"), *args[1:], "--json"]) == 0
+    capsys.readouterr()
+    adjacency = [g for g, family, _ in builds if family in ("adjacency", "mass-adjacency")]
+    assert sorted(Counter(adjacency).values()) == adjacency_builds
+
+
+def test_verify_builds_each_matrix_once_for_its_solve(builds, counted, capsys, monkeypatch):
+    # the graph's L, Q, normalized Laplacian and A, the reduction's L~ and
+    # M^1/2 B M^1/2: each built once and solved, L and L~ for their Fiedler
+    # vectors too, so the sign comparison builds nothing
+    real_compare = partition.compare_signs
+    during_compare = []
+
+    def compare_signs(*args, **kwargs):
+        before = len(builds)
+        result = real_compare(*args, **kwargs)
+        during_compare.append(len(builds) - before)
+        return result
+
+    monkeypatch.setattr(partition, "compare_signs", compare_signs)
+    assert cli.run_cli(["verify", str(GOLDEN / "stars120.graph"), "--json"]) == 0
+    capsys.readouterr()
+    assert len(builds) == len(set(builds)) == len(counted["solves"]) == 6
+    assert sorted(n for _, _, n in builds) == [110, 110, 120, 120, 120, 120]
+    assert during_compare == [0]
+
+
+def test_kway_never_builds_the_original_adjacency(builds):
+    # star detection reads the weight rows off the edge columns; the one
+    # matrix built is the collapsed graph's L~, for its eigh
     g = plant_star_graph(4, 80, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
     assert partition.kway(g, "auto").n_clusters >= 2
-    assert built and all(h is not g and h.n == 75 for h in built)
+    assert [(family, n) for _, family, n in builds] == [("mass-laplacian", 75)]
 
 
 @pytest.mark.parametrize("seed, n", [(1, 300), (2, 400), (3, 600)])
 def test_verify_holds_few_dense_matrices_at_once(seed, n):
-    # the dense arrays live at once are at most A, B, one family matrix and
-    # one built from B, plus temporaries a block of rows wide (LAPACK's own
-    # copies are not traced); with n x n temporaries next to them, and L's
-    # LU solve run while B was held, the peak read 4.57 to 4.81 n^2 doubles
+    # no dense A or B is kept: the dense arrays live at once are one family
+    # matrix plus temporaries a block of rows or columns wide (LAPACK's own
+    # copies are not traced), 1.3 to 1.5 n^2 doubles; with A and B cached
+    # next to it the peak read 3.27 to 3.42
     g = plant_star_graph(seed, n, [(4, 3, 2.0)] * (n // 40), background_p=0.05)
     tracemalloc.start()
     try:
@@ -240,4 +263,4 @@ def test_verify_holds_few_dense_matrices_at_once(seed, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 8 * n * n
+    assert peak <= 3.0 * 8 * n * n

@@ -9,6 +9,7 @@ from starlap import (
     induced_subgraph,
     strengths,
 )
+from starlap.graphs import neighbor_lists
 from starlap.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -147,3 +148,24 @@ def test_induced_subgraph_rejects_out_of_range_vertices(vertices, bad):
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)], mass=[1, 1, 5])
     with pytest.raises(IndexOutOfRangeError, match=f"vertex index {bad} out of range for 3 vertices"):
         induced_subgraph(g, vertices)
+
+
+def _neighbor_lists_reference(g):
+    """Every vertex's neighbors by a two-key sort on (vertex, neighbor)."""
+    src, dst = np.concatenate((g.u, g.v)), np.concatenate((g.v, g.u))
+    bounds = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=g.n), out=bounds[1:])
+    order = np.lexsort((dst, src))
+    return bounds, dst[order], np.concatenate((g.w, g.w))[order]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbor_lists_are_sorted_by_vertex_then_neighbor(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    draws = 3 * n if n > 1 else 0
+    pairs = {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(draws)}
+    # each edge given as (larger, smaller), in no order
+    g = build_graph(n, [(v, u, float(rng.uniform(0.5, 1.5))) for u, v in pairs])
+    for got, expected in zip(neighbor_lists(g), _neighbor_lists_reference(g)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -25,10 +26,10 @@ from starlap import (
     verify_graph,
     verify_laplacian_reduction,
 )
-from starlap import reduction
+from starlap import eigen, reduction
 from starlap.cli import run_cli
 from starlap.reduction import removed_values, star_complement
-from starlap.stars import analyze
+from starlap.stars import GraphAnalysis, analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
 
@@ -415,23 +416,22 @@ class TestIntertwiningLiftCheck:
 
     @pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
     def test_adjacency_checks_read_each_column_of_a_once(self, monkeypatch, policy):
-        # the congruence and the lift residual share one pass of A K
+        # the congruence and the lift residual share one pass of A K, whose
+        # columns of A are written from the edges; A's values come first
+        ctx = analyze(_planted_or_golden("stars120"))
+        r = reduce_all(ctx, policy)
+        ctx.values("adjacency"), ctx.reduced(r).values("mass-adjacency")
         gathered = []
-        columns = reduction._columns
+        columns = GraphAnalysis.columns
 
-        def counted(x):
-            read = columns(x)
+        def counted(self, family, idx):
+            if self is ctx:
+                gathered.extend((self._family(family), v) for v in idx.tolist())
+            return columns(self, family, idx)
 
-            def gather(idx):
-                gathered.extend(idx.tolist())
-                return read(idx)
-
-            return gather
-
-        monkeypatch.setattr(reduction, "_columns", counted)
-        g = _planted_or_golden("stars120")
-        assert verify_adjacency_reduction(g, reduce_all(g, policy)).passed
-        assert sorted(gathered) == list(range(g.n))
+        monkeypatch.setattr(GraphAnalysis, "columns", counted)
+        assert verify_adjacency_reduction(ctx, r).passed
+        assert sorted(gathered) == [("adjacency", v) for v in range(ctx.graph.n)]
 
 
 def _with_frames(r, frames):
@@ -527,6 +527,149 @@ class TestImplicitK:
         dense_k = g.n * r.reduced.n * 8
         assert r.reduced.n == 36
         assert peak < dense_k, (peak, dense_k)
+
+
+def _per_star(r):
+    """(sorted original rows, reduced columns, frame) of each reduced star, in star_info order."""
+    return [
+        (sorted(info.star.v1), [r.vertex_map[v] for v in info.kept_v1], info.frame)
+        for info in r.star_info
+    ]
+
+
+def _mixed_shapes():
+    # star shapes interleaved, so that stacking by shape reorders the stars
+    specs = [(3, 2, 1.0), (4, 3, 2.0), (3, 2, 1.5), (5, 1, 1.0), (4, 3, 1.0), (3, 2, 0.5)]
+    return plant_star_graph(6, 60, specs, background_p=0.2)
+
+
+def _interleaved_shapes():
+    # twelve stars of four shapes in shuffled order: with random frames,
+    # adding their squares stacked by shape rounds otherwise than in K's order
+    shapes = [(3, 2), (4, 3), (5, 1), (6, 2)]
+    order = np.random.default_rng(0).permutation(12)
+    return plant_star_graph(0, 110, [(*shapes[i % 4], float(1 + i % 3)) for i in order],
+                            background_p=0.2)
+
+
+@pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
+@pytest.mark.parametrize("make", [_mixed_shapes, _star_heavy_graph], ids=["mixed", "wide"])
+def test_stacked_products_are_each_stars_own_bit_for_bit(make, policy):
+    # one np.matmul per shape of K's star blocks gives, star by star, the
+    # bits of that star's own frame product
+    g = make()
+    r = reduce_all(g, policy)
+    assert len({frame.shape for _, _, frame in _per_star(r)}) > 1 or make is _star_heavy_graph
+    rng = np.random.default_rng(0)
+    for m in (rng.standard_normal(r.reduced.n), rng.standard_normal((r.reduced.n, 3))):
+        kx = reduction._k_times(r, m)
+        for rows, cols, frame in _per_star(r):
+            assert (kx[rows] == frame @ m[cols]).all()
+    y = rng.standard_normal((g.n, 4))
+    kty = reduction._kt_times(r, y)
+    for rows, cols, frame in _per_star(r):
+        assert (kty[cols] == frame.T @ y[rows]).all()
+    x = rng.standard_normal((g.n, g.n))
+    read = []
+    blocks = {}
+    for slots, cols, xk in reduction._column_blocks(r, lambda idx: np.take(x, idx, axis=1)):
+        for i, slot in enumerate(slots.tolist()):
+            blocks[slot] = (cols[i], xk[:, i])
+    chunks = len(blocks) - len(r.star_info)
+    assert sorted(blocks) == list(range(len(blocks)))
+    step = max(1, r.reduced.n // 8)
+    for i, (rows, cols, frame) in enumerate(_per_star(r)):
+        got_cols, xk = blocks[chunks + i]
+        assert got_cols.tolist() == cols
+        if len(rows) <= step:
+            assert (xk == np.take(x, rows, axis=1) @ frame).all()
+        else:
+            assert np.abs(xk - x[:, rows] @ frame).max() <= 1e-12
+
+
+def _lift_residual_reference(g, r, family):
+    """A lift residual as the per-star loop made it, from dense matrices, blocks in K's order."""
+    ctx = analyze(g)
+    x, reduced = ctx.matrix(family), ctx.reduced(r).matrix(family)
+    rows, cols = r._identity
+    step = max(1, r.reduced.n // 8)
+
+    def k_times(m):
+        out = np.zeros((g.n,) + m.shape[1:])
+        out[rows] = m[cols]
+        for star_rows, star_cols, frame in _per_star(r):
+            out[star_rows] = frame @ m[star_cols]
+        return out
+
+    blocks = [(cols[i:i + step], np.take(x, rows[i:i + step], axis=1))
+              for i in range(0, rows.size, step)]
+    for star_rows, star_cols, frame in _per_star(r):
+        xk = np.take(x, star_rows[:step], axis=1) @ frame[:step]
+        for i in range(step, len(star_rows), step):
+            xk += np.take(x, star_rows[i:i + step], axis=1) @ frame[i:i + step]
+        blocks.append((np.array(star_cols), xk))
+    squares = 0.0
+    for block_cols, xk in blocks:
+        xk -= k_times(reduced[:, block_cols])
+        squares += float(np.vdot(xk, xk))
+    return math.sqrt(squares) / eigen.spectral_radius(ctx.values(family))
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["frames", "random-frames"])
+@pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
+@pytest.mark.parametrize(
+    "make", [_mixed_shapes, _interleaved_shapes, _star_heavy_graph],
+    ids=["mixed", "interleaved", "wide"],
+)
+def test_lift_residuals_are_the_per_star_loops_bit_for_bit(make, policy, tampered):
+    # the stacked blocks' squares are added in K's order, as the loop added
+    # them; random orthonormal frames make every star's square count
+    g = make()
+    r = reduce_all(g, policy)
+    if tampered:
+        rng = np.random.default_rng(0)
+        r = _with_frames(
+            r, [np.linalg.qr(rng.standard_normal(info.frame.shape))[0] for info in r.star_info]
+        )
+    for verify, family in ((verify_adjacency_reduction, "mass-adjacency"),
+                           (verify_laplacian_reduction, "mass-laplacian")):
+        lift = next(c for c in verify(g, r).checks if c.name.endswith("lift-residual"))
+        assert repr(lift.residual) == repr(_lift_residual_reference(g, r, family))
+
+
+def _similarity_reference(g):
+    """The similarity check's deviation from the dense L(MB) and L~ expressions."""
+    a, mass = adjacency(g), np.asarray(g.mass)
+    root = np.sqrt(mass)
+    with np.errstate(all="ignore"):
+        lmb = np.diag((mass[:, None] * a).sum(axis=0)) - mass[:, None] * a
+        similar = lmb * np.outer(1.0 / root, root)
+        return float(np.abs(similar - analyze(g).matrix("mass-laplacian")).max())
+
+
+def test_the_similarity_deviation_is_the_dense_one_bit_for_bit():
+    written = load_graph(str(Path(__file__).parent / "golden" / "written_reduction.graph"))
+    cases = [written, reduce_all(_mixed_shapes(), "keep-pair").reduced]
+    # a mass of 5e-324 next to 1e308: 1/sqrt(m_i) * sqrt(m_j) overflows
+    # off the edges, so the dense expression is NaN there
+    extreme = dataclasses.replace(
+        cases[1], mass=tuple(5e-324 if v == 0 else 1e308 if v == 1 else m
+                             for v, m in enumerate(cases[1].mass))
+    )
+    for g in cases + [extreme]:
+        with np.errstate(all="ignore"):
+            got = reduction._similarity_deviation(analyze(g))
+        assert repr(got) == repr(_similarity_reference(g))
+    assert np.isnan(got)
+
+
+def test_mass_laplacian_is_its_expression_bit_for_bit():
+    r = reduce_all(reduce_all(_mixed_shapes(), "keep-pair").reduced, "collapse")
+    a, mass = adjacency(r.reduced), np.asarray(r.reduced.mass)
+    expected = np.diag((mass[:, None] * a).sum(axis=0)) - mass[:, None] * a
+    got = mass_laplacian(r)
+    assert min(mass) < max(mass)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestNonFiniteAndScale:

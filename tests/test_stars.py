@@ -22,6 +22,7 @@ from starlap.errors import (
     ConditionViolatedError,
     IndexOutOfRangeError,
     InfeasibleSpecError,
+    IsolatedVertexError,
     NoCommonStrengthError,
 )
 from starlap.stars import analyze
@@ -433,10 +434,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 FAMILIES = ("adjacency", "laplacian", "signless", "normalized", "mass-adjacency", "mass-laplacian")
 
 
-def _family_expression(ctx, family):
-    """A family as its plain numpy expression makes it, n x n temporaries and all."""
-    a, s = ctx.adjacency, ctx.strengths
-    if ctx.unit_mass:
+def _column_sums_of_ma(g):
+    """The mass strengths as the column sums of the dense M A."""
+    with np.errstate(all="ignore"):
+        return (np.asarray(g.mass)[:, None] * adjacency(g)).sum(axis=0)
+
+
+def _family_expression(g, family):
+    """A family as its plain numpy expression over a dense A makes it, n x n temporaries and all."""
+    a, s = adjacency(g), strengths(g)
+    if all(m == 1.0 for m in g.mass):
         family = family.removeprefix("mass-")
     if family == "adjacency":
         return a
@@ -449,9 +456,9 @@ def _family_expression(ctx, family):
         lhat = -a * np.outer(inv_sqrt, inv_sqrt)
         np.fill_diagonal(lhat, 1.0)
         return lhat
-    root = np.sqrt(np.asarray(ctx.graph.mass))
+    root = np.sqrt(np.asarray(g.mass))
     sym = a * np.outer(root, root)
-    return sym if family == "mass-adjacency" else np.diag(ctx.mass_strengths) - sym
+    return sym if family == "mass-adjacency" else np.diag(_column_sums_of_ma(g)) - sym
 
 
 def _with_an_inf_weight(g):
@@ -460,21 +467,62 @@ def _with_an_inf_weight(g):
     return dataclasses.replace(g, w=w)
 
 
+def _with_masses(g, mass):
+    return dataclasses.replace(g, mass=tuple(float(m) for m in mass))
+
+
 _unit = plant_star_graph(3, 70, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.1)
 _masses = load_graph(str(GOLDEN / "written_reduction.graph"))
+# every strength overflows to inf, and every inverse square root is 0
+_cycle_1e308 = build_graph(4, [(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308), (0, 3, 1e308)])
+# subnormal strengths: the normalized scale's outer product overflows, so
+# its zeros off the edges are -0.0 * inf, NaN
+_subnormal = build_graph(5, [(0, 1, 1e-310), (1, 2, 3e-310), (2, 3, 1.0), (3, 4, 2e-311)])
+# masses near the largest double: mass strengths and mass-family entries overflow to inf
+_heavy = _with_masses(_unit, [1.7e308 if v % 3 == 0 else 1.0 + v for v in range(_unit.n)])
+_BIT_GRAPHS = {
+    **{p.stem: load_graph(str(p)) for p in sorted(GOLDEN.glob("*.graph"))},
+    "unit-mass": _unit,
+    "unit-mass-inf": _with_an_inf_weight(_unit),
+    "written_reduction-inf": _with_an_inf_weight(_masses),
+    "cycle-1e308": _cycle_1e308,
+    "subnormal": _subnormal,
+    "heavy-masses": _heavy,
+}
 
 
-@pytest.mark.parametrize(
-    "g",
-    [_unit, _masses, _with_an_inf_weight(_unit), _with_an_inf_weight(_masses)],
-    ids=["unit-mass", "written_reduction", "unit-mass-inf", "written_reduction-inf"],
-)
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("name", list(_BIT_GRAPHS))
 @pytest.mark.parametrize("family", FAMILIES)
-def test_each_family_is_its_expression_bit_for_bit(g, family):
-    # through int64 views, so signed zeros and NaN bits count; the graphs
-    # span several row blocks
+def test_each_family_is_its_expression_bit_for_bit(name, family):
+    # through int64 views, so signed zeros and NaN bits count; written from
+    # the edges, all columns at once and a few at a time
+    g = _BIT_GRAPHS[name]
     ctx = analyze(g)
     with np.errstate(all="ignore"):
-        built, expected = ctx.matrix(family), _family_expression(ctx, family)
-    assert built.shape == expected.shape
-    assert np.array_equal(built.view(np.int64), expected.view(np.int64))
+        expected = _family_expression(g, family)
+        assert _same_bits(ctx.matrix(family), expected)
+        idx = np.arange(g.n)[::-3]
+        assert _same_bits(ctx.columns(family, idx), np.ascontiguousarray(expected[:, idx]))
+
+
+@pytest.mark.parametrize("name", list(_BIT_GRAPHS))
+def test_mass_strengths_are_the_column_sums_bit_for_bit(name):
+    g = _BIT_GRAPHS[name]
+    assert _same_bits(np.asarray(analyze(g).mass_strengths), _column_sums_of_ma(g))
+
+
+def test_adjacency_blocks_are_the_dense_blocks():
+    g = _BIT_GRAPHS["stars120"]
+    rows, cols = [5, 0, 119, 40], [3, 7, 0, 118, 41, 60]
+    assert _same_bits(analyze(g).adjacency_block(rows, cols), adjacency(g)[np.ix_(rows, cols)])
+
+
+def test_an_isolated_vertex_has_no_normalized_matrix():
+    ctx = analyze(build_graph(3, [(0, 1, 1.0)]))
+    for build in (lambda: ctx.matrix("normalized"), lambda: ctx.columns("normalized", [0])):
+        with pytest.raises(IsolatedVertexError):
+            build()
