@@ -17,7 +17,12 @@ them, the graphs whose kway labels differ from k-means on the full eigh's
 columns: by a permutation of twins only, where k cuts through a repeated
 eigenvalue, or otherwise.  On every graph without near ties of strength it
 also checks that the dependent-row claims do not change under one seeded
-relabelling of the vertices.
+relabelling of the vertices.  On every graph, each multiplicity claim of
+the L, Q and normalized families is checked both ways, by the library's
+residual (the claimed l-th nearest eigenvalue within tol of w) and by the
+chain-grouped count (multiplicity_at of group_multiplicities at tol); the
+claim-rule line counts the claims whose verdicts differ, and any such claim
+fails the sweep.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
@@ -40,6 +45,7 @@ from starlap import (
     multiplicity_at,
     plant_ldependent_graph,
     plant_star_graph,
+    predict_multiplicities,
     reduce_all,
     sign_bipartition,
     strengths,
@@ -56,6 +62,23 @@ from starlap.stars import WEIGHT_TOL
 def mult(matrix, value, tol=1e-8):
     values = sym_eigen(matrix, vectors=False).values
     return multiplicity_at(group_multiplicities(values, tol), value)
+
+
+def claim_rule_differences(g):
+    """(claims, claims whose residual verdict differs from the chain-grouped count)."""
+    ctx = analyze(g)
+    claims = predict_multiplicities(ctx)
+    families = [("laplacian", claims), ("signless", claims)]
+    if claims and not ctx.isolated:
+        families.append(("normalized", [(1.0, sum(l for _, l in claims))]))
+    total = differ = 0
+    for family, family_claims in families:
+        table = group_multiplicities(ctx.values(family), DEFAULT_TOL)
+        checks = ctx.check_claims(family, family_claims, DEFAULT_TOL)
+        for (w, l), check in zip(family_claims, checks):
+            total += 1
+            differ += check.passed != (multiplicity_at(table, w) >= l)
+    return total, differ
 
 
 def dependent_row_claims(g):
@@ -164,9 +187,9 @@ def sweep_star(seed, rng, max_extra):
     results["normalized"] = mult(ctx.matrix("normalized"), 1.0) >= sum(c.degree for c in classes)
 
     r = reduce_all(g, "collapse")
-    results["adjacency_reduction"] = verify_adjacency_reduction(g, r).passed
-    results["laplacian_reduction"] = verify_laplacian_reduction(g, r).passed
-    results["interlacing"] = interlacing_check(g, r)
+    results["adjacency_reduction"] = all(c.passed for c in verify_adjacency_reduction(g, r))
+    results["laplacian_reduction"] = all(c.passed for c in verify_laplacian_reduction(g, r))
+    results["interlacing"] = interlacing_check(g, r).passed
     report = compare_signs(g, r)
     results["sign_agreement"] = report.degenerate or report.agreement_fraction == 1.0
     if not report.degenerate:
@@ -204,6 +227,7 @@ def main():
     counts: dict[str, int] = {}
     failures: dict[str, list[int]] = {}
     label_changes: dict[str, int] = {}
+    claims = claim_differences = 0
     sizes = []
     t0 = time.time()
     for i in range(args.graphs):
@@ -221,6 +245,8 @@ def main():
             results["kway_embedding"], kind = embedded
             if kind:
                 label_changes[kind] = label_changes.get(kind, 0) + 1
+        total, differ = claim_rule_differences(g)
+        claims, claim_differences = claims + total, claim_differences + differ
         sizes.append(g.n)
         for name, ok in results.items():
             counts[name] = counts.get(name, 0) + 1
@@ -235,7 +261,10 @@ def main():
         print(f"  {name:<{width}}  {counts[name] - len(bad)}/{counts[name]}  {status}")
     changed = ", ".join(f"{kind} {n}" for kind, n in sorted(label_changes.items())) or "none"
     print(f"  kway labels unlike k-means on a full eigh (not failures): {changed}")
-    if failures:
+    status = "ok" if not claim_differences else "FAIL"
+    print(f"  claim-rule  {claim_differences} of {claims} claims judged otherwise by the grouped "
+          f"count  {status}")
+    if failures or claim_differences:
         raise SystemExit(2)
 
 

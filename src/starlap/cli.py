@@ -151,42 +151,43 @@ def _star_payload(s: stars_mod.MkStar) -> dict[str, Any]:
     }
 
 
+def _check_payload(c: eigen.Check) -> dict[str, Any]:
+    """The one JSON shape of a check, in every command's report."""
+    return {
+        "name": c.name, "passed": c.passed, "residual": c.residual, "tol": c.tol, "note": c.note
+    }
+
+
+def _check_line(c: eigen.Check) -> str:
+    """The one text line of a check: verdict, name, residual and tol, and the note."""
+    note = f"; {c.note}" if c.note else ""
+    status = "PASS" if c.passed else "FAIL"
+    return f"{status} {c.name} (residual {c.residual:.3g} <= {c.tol:.3g}{note})"
+
+
 def _cmd_stars(args) -> int:
     ctx = stars_mod.analyze(fileio.load_graph(args.file))
     detected = ctx.stars
-    verification = stars_mod.verify_star_predictions(ctx, args.tol)
+    checks, warnings = stars_mod.verify_star_predictions(ctx, args.tol)
+    passed = all(c.passed for c in checks)
     lines = []
     if not detected:
         lines.append("no stars detected")
     for s in detected:
         w = f"w={s.weight_uniform:.12g}" if s.weight_uniform is not None else "structural-only"
         lines.append(f"star v1={list(s.v1)} v2={list(s.v2)} ({w})")
-    for c in verification.checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"{status} {c.family} multiplicity at {c.eigenvalue:.12g}: "
-            f"computed {c.computed} >= predicted {c.predicted}"
-        )
-    lines.extend(f"warning: {w}" for w in verification.warnings)
+    lines.extend(_check_line(c) for c in checks)
+    lines.extend(f"warning: {w}" for w in warnings)
     payload = {
         "stars": [_star_payload(s) for s in detected],
-        "checks": [
-            {
-                "family": c.family,
-                "eigenvalue": c.eigenvalue,
-                "predicted": c.predicted,
-                "computed": c.computed,
-                "passed": c.passed,
-            }
-            for c in verification.checks
-        ],
-        "warnings": list(verification.warnings),
-        "passed": verification.passed,
+        "checks": [_check_payload(c) for c in checks],
+        "warnings": warnings,
+        "passed": passed,
         "tolerances": {"relative": args.tol},
         "version": __version__,
     }
     _emit(payload, args.json, lines)
-    return 0 if verification.passed else 2
+    return 0 if passed else 2
 
 
 def _partition_payload(p: stars_mod.LDependentPartition) -> dict[str, Any]:
@@ -223,20 +224,20 @@ def _cmd_ldep(args) -> int:
             lines.append("no dependent-row structures detected")
 
     checks = ctx.check_claims("laplacian", [(p.wtilde, p.l) for p in candidates], args.tol)
+    warnings = stars_mod.strength_warnings(ctx)
     for p, c in zip(candidates, checks):
         lines.append(
-            f"{'PASS' if c.passed else 'FAIL'} dependent rows v3={list(p.v3)} of v1={list(p.v1)}: "
-            f"eigenvalue {p.wtilde:.12g} multiplicity {c.computed} >= {p.l}"
+            f"dependent rows v3={list(p.v3)} of v1={list(p.v1)}"
             + ("" if p.coefficients_nonnegative else " (positivity violated)")
         )
+        lines.append(_check_line(c))
     lines.extend(f"REJECTED: {f}" for f in failures)
+    lines.extend(f"warning: {w}" for w in warnings)
     passed = not failures and all(c.passed for c in checks)
     payload = {
         "partitions": [_partition_payload(p) for p in candidates],
-        "checks": [
-            {"wtilde": c.eigenvalue, "l": c.predicted, "computed": c.computed, "passed": c.passed}
-            for c in checks
-        ],
+        "checks": [_check_payload(c) for c in checks],
+        "warnings": warnings,
         "rejected": failures,
         "passed": passed,
         "tolerances": {"relative": args.tol},
@@ -246,7 +247,7 @@ def _cmd_ldep(args) -> int:
     return 0 if passed else 2
 
 
-def _reduction_payload(r, adj_record, lap_record) -> dict[str, Any]:
+def _reduction_payload(r: reduction.Reduction, checks: Sequence[eigen.Check]) -> dict[str, Any]:
     g = r.original
     return {
         "original_vertices": g.n,
@@ -263,11 +264,8 @@ def _reduction_payload(r, adj_record, lap_record) -> dict[str, Any]:
             for info in r.star_info
         ],
         "masses": {str(v): m for v, m in enumerate(r.reduced.mass) if m != 1.0},
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual, "tol": c.tol}
-            for c in adj_record.checks + lap_record.checks
-        ],
-        "passed": adj_record.passed and lap_record.passed,
+        "checks": [_check_payload(c) for c in checks],
+        "passed": all(c.passed for c in checks),
     }
 
 
@@ -276,12 +274,10 @@ def _cmd_reduce(args) -> int:
     ctx = stars_mod.analyze(g)
     r = reduction.reduce_all(ctx, args.policy)
     fileio.save_graph(r.reduced, args.output)
-    records = (
-        reduction.verify_adjacency_reduction(ctx, r, args.tol),
-        reduction.verify_laplacian_reduction(ctx, r, args.tol),
-    )
+    checks = reduction.verify_adjacency_reduction(ctx, r, args.tol)
+    checks += reduction.verify_laplacian_reduction(ctx, r, args.tol)
     payload = {
-        "reduction": _reduction_payload(r, *records),
+        "reduction": _reduction_payload(r, checks),
         "policy": args.policy,
         "conventions": _CONVENTIONS,
         "tolerances": {"relative": args.tol},
@@ -294,14 +290,10 @@ def _cmd_reduce(args) -> int:
         f"reduced {g.n} -> {r.reduced.n} vertices "
         f"({len(r.star_info)} stars, policy {args.policy}); wrote {args.output}"
     ]
+    lines.extend(_check_line(c) for c in checks)
     _emit(payload, args.json, lines)
     if not payload["reduction"]["passed"]:
-        failed = [
-            c.name + (f" ({c.note})" if c.note else "")
-            for record in records
-            for c in record.checks
-            if not c.passed
-        ]
+        failed = [c.name + (f" ({c.note})" if c.note else "") for c in checks if not c.passed]
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return 2
     return 0
@@ -310,16 +302,13 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = stars_mod.analyze(fileio.load_graph(args.file))
     result = verify_graph(ctx, args.tol, args.q)
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" ({c.detail})" if c.detail else "")
-        for c in result.checks
-    ]
+    lines = [_check_line(c) for c in result.checks]
     lines.extend(f"warning: {w}" for w in result.warnings)
     lines.append(f"{'all checks passed' if result.passed else 'FAILED checks present'}")
     signs = result.signs
     payload = {
         "summary": fileio.graph_summary(ctx),
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in result.checks],
+        "checks": [_check_payload(c) for c in result.checks],
         "passed": result.passed,
         "conventions": _CONVENTIONS,
         "tolerances": {"relative": args.tol, "weight_equality": stars_mod.WEIGHT_TOL},
@@ -331,7 +320,7 @@ def _cmd_verify(args) -> int:
         ],
         "dependent_rows": [_partition_payload(p) for p in result.dependent_rows],
         "warnings": list(result.warnings),
-        "reduction": _reduction_payload(result.reduction, *result.records),
+        "reduction": _reduction_payload(result.reduction, result.reduction_checks),
         "sign_agreement": {} if signs is None else {
             "degenerate": signs.degenerate,
             "reason": signs.reason,

@@ -47,6 +47,26 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
+class Check:
+    """A named check of one claim: it passes when its residual is finite and at most tol.
+
+    Every check starlap reports is one: a multiplicity claim, a reduction
+    identity, interlacing and the Fiedler sign agreement.  `note` says what
+    the residual alone does not (the claimed multiplicity, why a comparison
+    was inconclusive, why a spectrum failed to match).
+    """
+
+    name: str
+    residual: float
+    tol: float
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.residual) and self.residual <= self.tol
+
+
+@dataclass(frozen=True)
 class EigenvalueGroup:
     value: float        # representative: mean of the group's eigenvalues
     multiplicity: int
@@ -225,6 +245,19 @@ def multiplicity_at(table: MultiplicityTable, value: float) -> int:
         if d <= table.tol and (best is None or d < best[0]):
             best = (d, g.multiplicity)
     return best[1] if best is not None else 0
+
+
+def kth_nearest_distance(values: Sequence[float] | np.ndarray, value: float, k: int) -> float:
+    """Distance from `value` to its k-th nearest of `values`, k at least 1.
+
+    At most tol away, it says that k of the values lie within tol of
+    `value`: a multiplicity of at least k there.  It is inf when there are
+    fewer than k values, and NaN when fewer than k of them are numbers.
+    """
+    distance = np.abs(np.asarray(values, dtype=float) - value)
+    if distance.size < k:
+        return math.inf
+    return float(np.partition(distance, k - 1)[k - 1])
 
 
 def spectral_gap_index(values: Sequence[float] | np.ndarray) -> int:

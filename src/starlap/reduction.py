@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import eigen
+from .eigen import Check
 from .errors import (
     DimensionMismatchError,
     InvalidQError,
@@ -143,29 +144,6 @@ class _Stack:
     frames: np.ndarray
 
 
-@dataclass(frozen=True)
-class Check:
-    """A named identity check: it passes when its residual is finite and at most tol."""
-
-    name: str
-    residual: float
-    tol: float
-    note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.residual) and self.residual <= self.tol
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _swap_columns(k: int, p: int) -> np.ndarray:
     """The first p columns of the reflection H_k swapping e_1 and the normalized all-ones vector."""
     w = np.full(k, -1.0 / np.sqrt(k))
@@ -246,11 +224,6 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
         vertex_map=vertex_map,
         star_info=tuple(infos),
     )
-
-
-def reduce_star(g: Graph, s: MkStar, q: int) -> Reduction:
-    """Remove the q largest-index vertices of one star, reweighting the rest."""
-    return _reduce(g, [(s, q)])
 
 
 def reduce_all(
@@ -458,7 +431,7 @@ def _match_after_removal(
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
 def verify_adjacency_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
-) -> VerificationRecord:
+) -> tuple[Check, ...]:
     """Check the adjacency-side reduction identities; failures are recorded.
 
     Checks: K orthonormality, the congruence K^T A K = M^(1/2) B M^(1/2),
@@ -498,13 +471,12 @@ def verify_adjacency_reduction(
     lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
 
     dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
-    checks = (
+    return (
         Check("k-orthonormality", float(np.max(ortho, initial=0.0)), 1e-10),
         Check("adjacency-congruence", float(np.max(congruence, initial=0.0)), WEIGHT_TOL * scale),
         Check("adjacency-spectrum", dev, tol, note),
         Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel),
     )
-    return VerificationRecord(checks=checks)
 
 
 def _similarity_deviation(red: GraphAnalysis) -> float:
@@ -543,7 +515,7 @@ def _similarity_deviation(red: GraphAnalysis) -> float:
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
 def verify_laplacian_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
-) -> VerificationRecord:
+) -> tuple[Check, ...]:
     """Check the Laplacian-side reduction identities; failures are recorded.
 
     Checks: spectrum preservation after removing q copies of each reduced
@@ -570,35 +542,33 @@ def verify_laplacian_reduction(
 
     removals = [value for value, q in removed_values(ctx, r) for _ in range(q)]
     dev, note = _match_after_removal(values_l, values_t, removals, tol)
-    checks = (
+    return (
         Check("laplacian-spectrum", dev, tol, note),
         Check("mass-laplacian-similarity", sim, tol),
         Check("laplacian-lift-residual", lift / radius if radius else lift, tol_rel),
     )
-    return VerificationRecord(checks=checks)
 
 
+@np.errstate(over="ignore")   # an overflowed violation is inf, and fails
 def interlacing_check(
     g: Graph | GraphAnalysis, r: Reduction, tol: float = eigen.DEFAULT_TOL
-) -> bool:
+) -> Check:
     """Eigenvalues of K^T A K interlace those of A (descending convention).
 
     A is the original graph's mass adjacency, as in verify_adjacency_reduction.
-    The K^T A K spectrum is read off M^(1/2) B M^(1/2), its value once the
-    adjacency-congruence check of verify_adjacency_reduction passes.  The
-    tolerance is tol times the spectral radius of A, and a non-finite
-    eigenvalue fails.
+    The K^T A K spectrum beta is read off M^(1/2) B M^(1/2), its value once
+    the adjacency-congruence check of verify_adjacency_reduction passes.
+    With alpha A's n values and beta's n - q, both descending, interlacing
+    asks alpha_i >= beta_i >= alpha_(q+i); the residual is the largest
+    violation of either inequality (0 when there is none), NaN when a value
+    is not finite, and the tolerance is tol times the spectral radius of A.
     """
     ctx = analyze(g)
     alpha = np.sort(ctx.values("mass-adjacency"))[::-1]
     beta = np.sort(ctx.reduced(r).values("mass-adjacency"))[::-1]
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-        return False
-    tol = tol * eigen.spectral_radius(alpha)
-    n_a, n_b = alpha.size, beta.size
-    for i in range(n_b):
-        if alpha[i] < beta[i] - tol:
-            return False
-        if beta[i] < alpha[n_a - n_b + i] - tol:
-            return False
-    return True
+    residual = math.nan
+    if np.isfinite(alpha).all() and np.isfinite(beta).all():
+        q = alpha.size - beta.size
+        violations = np.concatenate((beta - alpha[: beta.size], alpha[q:] - beta))
+        residual = float(violations.max(initial=0.0))
+    return Check("interlacing", residual, tol * eigen.spectral_radius(alpha))

@@ -107,22 +107,6 @@ class LDependentPartition:
         return len(self.v3)
 
 
-@dataclass(frozen=True)
-class PredictionCheck:
-    family: str
-    eigenvalue: float
-    predicted: int
-    computed: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class StarVerification:
-    checks: tuple[PredictionCheck, ...]
-    warnings: tuple[str, ...]
-    passed: bool
-
-
 class GraphAnalysis:
     """Lazily filled, per-graph record of the work that several checks share.
 
@@ -405,20 +389,29 @@ class GraphAnalysis:
 
     def check_claims(
         self, family: str, claims: Sequence[tuple[float, int]], tol_rel: float
-    ) -> list[PredictionCheck]:
-        """Each (value, bound) claim against the multiplicity at value in one family.
+    ) -> list[eigen.Check]:
+        """Each (value, bound) claim as a check of one family's computed spectrum.
 
-        Multiplicities are read off the family's spectrum grouped at tol_rel;
-        with no claims nothing is solved.
+        The residual is the distance from value to its bound-th nearest
+        eigenvalue (eigen.kth_nearest_distance), and the tol is tol_rel
+        times the family's spectral radius, the gap at which
+        eigen.group_multiplicities groups: the check passes when bound
+        eigenvalues lie within tol of value.  With no claims nothing is
+        solved.
         """
         if not claims:
             return []
-        table = eigen.group_multiplicities(self.values(family), tol_rel)
-        checks = []
-        for value, bound in claims:
-            computed = eigen.multiplicity_at(table, value)
-            checks.append(PredictionCheck(family, value, bound, computed, computed >= bound))
-        return checks
+        values = self.values(family)
+        tol = tol_rel * eigen.spectral_radius(values)
+        return [
+            eigen.Check(
+                f"{family}-multiplicity(w={value:.12g})",
+                eigen.kth_nearest_distance(values, value, bound),
+                tol,
+                note=f"l={bound}",
+            )
+            for value, bound in claims
+        ]
 
     def reduced(self, r: Reduction) -> GraphAnalysis:
         """Analysis of a reduction's reduced graph, kept for the latest reduction.
@@ -585,21 +578,34 @@ def predict_multiplicities(g: Graph | GraphAnalysis) -> tuple[tuple[float, int],
     )
 
 
+def strength_warnings(g: Graph | GraphAnalysis) -> list[str]:
+    """A warning naming the vertices whose strength is not finite, when there are any.
+
+    An overflowed strength belongs to no strength class, so no claim is
+    made on those vertices.
+    """
+    bad = np.flatnonzero(~np.isfinite(analyze(g).strengths)).tolist()
+    if not bad:
+        return []
+    return [f"vertices {bad} have a strength that is not finite; no claim is made on them"]
+
+
 def verify_star_predictions(
     g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL
-) -> StarVerification:
-    """Check every dependent-row prediction against computed multiplicities.
+) -> tuple[list[eigen.Check], list[str]]:
+    """Check every dependent-row prediction against computed spectra: (checks, warnings).
 
     Each claim (w, l) is checked in L and in Q, and their total l at 1 in
-    the normalized Laplacian.  With no claims the result is a vacuous pass.
-    Stars that cannot be reduced, with their reason, and stars whose weight
+    the normalized Laplacian (see GraphAnalysis.check_claims).  With no
+    claims there is no check.  Vertices whose strength is not finite, stars
+    that cannot be reduced, with their reason, and stars whose weight
     vectors are equal only within tolerance are reported as warnings.  The
     normalized-Laplacian claim is skipped, with a warning, when the graph
     has an isolated vertex.
     """
     ctx = analyze(g)
     claims = predict_multiplicities(ctx)
-    warn = []
+    warn = strength_warnings(ctx)
     for s in ctx.stars:
         rows = _star_rows(ctx, s.v1, s.k)
         reason = unreducible_reason(ctx, s)
@@ -620,11 +626,7 @@ def verify_star_predictions(
             )
         else:
             checks += ctx.check_claims("normalized", [(1.0, sum(l for _, l in claims))], tol_rel)
-    return StarVerification(
-        checks=tuple(checks),
-        warnings=tuple(warn),
-        passed=all(c.passed for c in checks),
-    )
+    return checks, warn
 
 
 def verify_ldependent(

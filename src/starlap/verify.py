@@ -13,28 +13,27 @@ call made from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from . import eigen, graphs, partition, reduction, stars
+from .eigen import Check
 from .errors import NonFiniteSpectrumError
 
 
 @dataclass(frozen=True)
-class NamedCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class GraphVerification:
-    """The named checks in report order and the results they were read from."""
+    """The checks in report order and the results they were read from.
 
-    checks: tuple[NamedCheck, ...]
+    `reduction_checks` are the reduction identity checks as ``reduce``
+    reports them; `checks` holds each again with a "reduction-" prefix.
+    """
+
+    checks: tuple[Check, ...]
     warnings: tuple[str, ...]
     dependent_rows: tuple[stars.LDependentPartition, ...]
     reduction: reduction.Reduction
-    records: tuple[reduction.VerificationRecord, reduction.VerificationRecord]
+    reduction_checks: tuple[Check, ...]
     signs: partition.SignAgreementReport | None
 
     @property
@@ -49,29 +48,28 @@ def verify_graph(
 
     With q (at least 1) only the first detected star is reduced, by
     min(q, m - 1) vertices; without it every reducible star is collapsed.
-    The sign comparison is an inconclusive pass on a graph with fewer than
-    two vertices or more than one component.
+    The request is a check of tol 0 whose residual is 1 when the first star
+    cannot be reduced.  The sign agreement is a check of tol 0 whose
+    residual is the fraction of compared vertices whose signs disagree: 0,
+    with the reason in its note, when the comparison is inconclusive (on a
+    graph with fewer than two vertices or more than one component, among
+    others), and NaN, with the error, when a Fiedler pair is not finite.
     """
     if q is not None and q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     ctx = stars.analyze(g)
-    checks: list[NamedCheck] = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(NamedCheck(name, bool(passed), detail))
-
     detected = ctx.stars
     qs: str | list[int] = "collapse"
     if q is not None:
         qs = [0] * len(detected)
         if not detected:
-            requested = (True, "no stars to reduce; identity reduction")
+            unreduced, note = 0.0, "no stars to reduce; identity reduction"
         elif reason := stars.unreducible_reason(ctx, detected[0]):
-            requested = (False, f"first star v1={list(detected[0].v1)} has {reason} "
-                         "and cannot be reduced")
+            unreduced, note = 1.0, (f"first star v1={list(detected[0].v1)} has {reason} "
+                                    "and cannot be reduced")
         else:
             qs[0] = min(q, detected[0].m - 1)
-            requested = (True, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}")
+            unreduced, note = 0.0, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}"
     r = reduction.reduce_all(ctx, qs)
     # the Fiedler pairs the sign comparison reads are solved on the
     # conditions on which compare_signs solves them, each from one build of
@@ -83,39 +81,30 @@ def verify_graph(
     if fiedler_pairs:
         ctx.second_vector("mass-laplacian")
 
-    star_verification = stars.verify_star_predictions(ctx, tol)
-    for c in star_verification.checks:
-        add(
-            f"{c.family}-multiplicity(w={c.eigenvalue:.12g})",
-            c.passed,
-            f"computed {c.computed} >= predicted {c.predicted}",
-        )
+    checks, warnings = stars.verify_star_predictions(ctx, tol)
     if q is not None:
-        add(f"reduction-requested(q={q})", *requested)
-    adjacency_record = reduction.verify_adjacency_reduction(ctx, r, tol)
+        checks.append(Check(f"reduction-requested(q={q})", unreduced, 0.0, note))
+    reduction_checks = reduction.verify_adjacency_reduction(ctx, r, tol)
     if fiedler_pairs:
         ctx.reduced(r).second_vector("mass-laplacian")
-    records = (adjacency_record, reduction.verify_laplacian_reduction(ctx, r, tol))
-    for c in records[0].checks + records[1].checks:
-        note = f"; {c.note}" if c.note else ""
-        add(f"reduction-{c.name}", c.passed, f"residual {c.residual:.3g} <= {c.tol:.3g}{note}")
-    add("reduction-interlacing", reduction.interlacing_check(ctx, r, tol))
+    reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
+    checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
+    checks.append(replace(reduction.interlacing_check(ctx, r, tol), name="reduction-interlacing"))
     try:
-        signs, failure = partition.compare_signs(ctx, r, tol), ""
+        signs = partition.compare_signs(ctx, r, tol)
     except NonFiniteSpectrumError as exc:
-        signs, failure = None, str(exc)
-    if signs is None:
-        add("sign-agreement", False, failure)
-    elif signs.degenerate:
-        add("sign-agreement", True, f"inconclusive: {signs.reason}")
+        signs, disagreement, note = None, math.nan, str(exc)
     else:
-        add("sign-agreement", signs.passed, f"agreement fraction {signs.agreement_fraction}")
+        disagreement, note = 0.0, f"inconclusive: {signs.reason}"
+        if not signs.degenerate:
+            disagreement, note = 1.0 - signs.agreement_fraction, ""
+    checks.append(Check("sign-agreement", disagreement, 0.0, note))
 
     return GraphVerification(
         checks=tuple(checks),
-        warnings=star_verification.warnings,
+        warnings=tuple(warnings),
         dependent_rows=ctx.dependent_rows,
         reduction=r,
-        records=records,
+        reduction_checks=reduction_checks,
         signs=signs,
     )

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from starlap import build_graph
+from starlap import build_graph, detect_stars, reduce_all
 
 # The recurring fixtures f1, f2, f3, f4, two_triangles and varied_supports
 # are the graphs of FIXTURES in scripts/write_fixtures.py, where each is
@@ -34,3 +34,11 @@ def _graph_fixture(name):
 f1, f2, f3, f4, two_triangles, varied_supports = map(
     _graph_fixture, ("f1", "f2", "f3", "f4", "two_triangles", "varied_supports")
 )
+
+
+def reduce_one(g, star, q):
+    """Reduce one detected star by q and leave every other: reduce_all with their q 0."""
+    stars = detect_stars(g)
+    qs = [0] * len(stars)
+    qs[stars.index(star)] = q
+    return reduce_all(g, qs)

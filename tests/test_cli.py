@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -82,7 +83,8 @@ class TestLdep:
         part = tmp_path / "part.json"
         part.write_text(json.dumps({"v1": [0, 1], "v2": [2, 3, 4], "v3": [5]}))
         code, out, _ = run(capsys, "ldep", fixture_files["f3"], "--partition", str(part))
-        assert code == 0 and "multiplicity 2 >= 1" in out
+        assert code == 0
+        assert "dependent rows v3=[5] of v1=[0, 1]\nPASS laplacian-multiplicity(w=6)" in out
 
     def test_rejected_partition(self, capsys, tmp_path, fixture_files):
         part = tmp_path / "part.json"
@@ -193,8 +195,9 @@ class TestVerify:
         save_graph(g, str(path))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
-        assert "laplacian-multiplicity(w=3) (computed 2 >= predicted 2)" in out
-        assert "signless-multiplicity(w=3) (computed 2 >= predicted 2)" in out
+        for family in ("laplacian", "signless"):
+            (line,) = [s for s in out.splitlines() if f"{family}-multiplicity(w=3)" in s]
+            assert line.startswith("PASS") and line.endswith("; l=2)")
 
 
 class TestPartitionCommand:
@@ -340,7 +343,7 @@ class TestIsolatedVertex:
         assert code == 0
         payload = json.loads(out)
         assert any("isolated vertices [30]" in w for w in payload["warnings"])
-        assert not any(c.get("family") == "normalized" for c in payload["checks"])
+        assert not any(c["name"].startswith("normalized") for c in payload["checks"])
 
     def test_normalized_spectrum_of_isolated_vertex_is_undefined(self, capsys, tmp_path):
         path = tmp_path / "pendant.graph"
@@ -454,11 +457,14 @@ class TestOverflowingStrengths:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 2
         assert not checks["sign-agreement"]["passed"]
-        assert "not finite" in checks["sign-agreement"]["detail"]
+        assert "not finite" in checks["sign-agreement"]["note"]
+        assert math.isnan(checks["sign-agreement"]["residual"])
 
 
 class TestInfiniteStrengthsRunQuietly:
     """Four edges of weight 1e308 overflow every strength to inf: the reported answer, not noise."""
+
+    WARNING = "vertices [0, 1, 2, 3] have a strength that is not finite; no claim is made on them"
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -510,6 +516,7 @@ class TestInfiniteStrengthsRunQuietly:
         payload = json.loads(out)
         assert (code, err) == (0, "")
         assert (payload["partitions"], payload["rejected"], payload["passed"]) == ([], [], True)
+        assert payload["warnings"] == [self.WARNING]
 
     def test_ldep_partition(self, capsys, files):
         code, out, err = self.run_quietly(capsys, "ldep", files[0], "--partition", files[1])
@@ -517,6 +524,7 @@ class TestInfiniteStrengthsRunQuietly:
         assert (code, err) == (2, "")
         assert payload["rejected"] == ["vertices do not share a common strength: {0: inf, 1: inf}"]
         assert (payload["partitions"], payload["passed"]) == ([], False)
+        assert payload["warnings"] == [self.WARNING]
 
     def test_stars(self, capsys, files):
         code, out, err = self.run_quietly(capsys, "stars", files[0])
@@ -527,7 +535,8 @@ class TestInfiniteStrengthsRunQuietly:
             {"k": 2, "m": 2, "v1": [0, 1], "v2": [2, 3], "weight": inf},
             {"k": 2, "m": 2, "v1": [2, 3], "v2": [0, 1], "weight": inf},
         ]
-        assert (payload["checks"], payload["warnings"], payload["passed"]) == ([], [], True)
+        assert (payload["checks"], payload["passed"]) == ([], True)
+        assert payload["warnings"] == [self.WARNING]
 
     def test_compare(self, capsys, files):
         code, out, err = self.run_quietly(capsys, "compare", files[0])
@@ -544,6 +553,10 @@ class TestInfiniteStrengthsRunQuietly:
         assert (code, payload["passed"]) == (2, False)
         assert err == f"failed checks: {', '.join(failed)}\n"
         assert payload["reduction"]["masses"] == {"0": 2.0, "1": 2.0}
+        assert payload["warnings"] == [self.WARNING]
+        # the reduced graph's spectrum is NaN, so interlacing has no residual
+        (interlacing,) = [c for c in payload["checks"] if c["name"] == "reduction-interlacing"]
+        assert math.isnan(interlacing["residual"]) and not interlacing["passed"]
 
     def test_reduce(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "reduced.graph")

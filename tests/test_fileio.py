@@ -14,12 +14,13 @@ from starlap import (
     plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
-    reduce_star,
     sign_bipartition,
     to_json,
     write_graph_file,
 )
 from starlap.errors import NonPositiveWeightError, ParseError
+
+from conftest import reduce_one
 
 
 class TestParse:
@@ -68,7 +69,7 @@ class TestWrite:
         assert write_graph_file(build_graph(3, [])) == "n 3\n"
 
     def test_reduced_masses_serialized(self, f1):
-        r = reduce_star(f1, detect_stars(f1)[0], 1)
+        r = reduce_one(f1, detect_stars(f1)[0], 1)
         text = write_graph_file(r.reduced)
         assert "m 0 1.5" in text and "m 1 1.5" in text
 
@@ -77,7 +78,7 @@ class TestWrite:
             assert parse_graph_file(write_graph_file(g)) == g
 
     def test_round_trip_with_masses(self, f1):
-        r = reduce_star(f1, detect_stars(f1)[0], 2)
+        r = reduce_one(f1, detect_stars(f1)[0], 2)
         assert parse_graph_file(write_graph_file(r.reduced)) == r.reduced
 
     def test_twelve_digit_weights(self):

@@ -6,6 +6,7 @@ in scripts/write_golden.py's COMMANDS on each, written by that script.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,20 @@ def test_verify_graph_matches_the_verify_golden_output():
         (c["name"], c["passed"]) for c in expected["checks"]
     ]
     assert result.passed == expected["passed"]
+
+
+CHECK_KEYS = ["name", "note", "passed", "residual", "tol"]
+
+
+@pytest.mark.parametrize("command", ["stars", "ldep", "reduce", "verify"])
+def test_every_check_entry_is_one_record(command):
+    # each check is written with the five keys of eigen.Check, and passes
+    # exactly when its residual is finite and at most its tol
+    entries = []
+    for path in sorted(GOLDEN.glob(f"*.{command}.json")):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        entries += payload.get("checks", []) + payload.get("reduction", {}).get("checks", [])
+    assert entries
+    for c in entries:
+        assert sorted(c) == CHECK_KEYS, c
+        assert c["passed"] == (math.isfinite(c["residual"]) and c["residual"] <= c["tol"]), c

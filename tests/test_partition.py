@@ -18,7 +18,6 @@ from starlap import (
     plant_star_graph,
     recursive_bisection,
     reduce_all,
-    reduce_star,
     save_graph,
     sign_bipartition,
 )
@@ -32,6 +31,8 @@ from starlap.partition import (
     _nearest,
     _relabel_by_smallest_member,
 )
+
+from conftest import reduce_one
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 STARS120 = GOLDEN / "stars120.graph"
@@ -267,7 +268,7 @@ class TestKway:
 
 class TestReducedFiedler:
     def test_degeneracy_drops_after_reduction(self, f1):
-        r = reduce_star(f1, detect_stars(f1)[0], 1)
+        r = reduce_one(f1, detect_stars(f1)[0], 1)
         result = fiedler(r.reduced)
         assert result.lambda2 == pytest.approx(2.0, abs=1e-10)
         assert not result.degenerate
@@ -310,7 +311,7 @@ class TestCompareSigns:
         assert "removed the original second eigenvalue" in report.reason
 
     def test_degenerate_original_inconclusive(self, f1):
-        report = compare_signs(f1, reduce_star(f1, detect_stars(f1)[0], 1))
+        report = compare_signs(f1, reduce_one(f1, detect_stars(f1)[0], 1))
         assert report.degenerate
         assert report.agreement_fraction is None
         assert not report.passed

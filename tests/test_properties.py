@@ -176,6 +176,40 @@ def test_planted_star_invariants(seed):
         assert multiplicity_at(lap_table, w) >= m - 1
 
 
+def _planted_stars(seed):
+    rng = np.random.default_rng(seed)
+    specs = [
+        (int(rng.integers(2, 5)), int(rng.integers(1, 4)), float(rng.choice([0.5, 1.0, 2.0])))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    return plant_star_graph(seed, sum(m + k for m, k, _ in specs) + int(rng.integers(0, 8)), specs)
+
+
+@given(
+    st.one_of(graphs(), st.integers(min_value=0, max_value=10_000).map(_planted_stars)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_multiplicity_checks_verdict_is_the_grouped_count(g, data):
+    # the residual rule (the l-th nearest eigenvalue within tol of w) gives
+    # the verdict of the count of the group nearest w, grouped at tol; the
+    # claims are the graph's own and some at, or next to, a computed value
+    ctx = analyze(g)
+    claims = list(predict_multiplicities(ctx))
+    values = ctx.values("laplacian")
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        at = values[data.draw(st.integers(min_value=0, max_value=g.n - 1))]
+        shift = data.draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+        claims.append((float(at + shift), data.draw(st.integers(min_value=1, max_value=g.n + 1))))
+    families = ["laplacian", "signless"] + ([] if ctx.isolated else ["normalized"])
+    for family in families:
+        table = group_multiplicities(ctx.values(family), DEFAULT_TOL)
+        checks = ctx.check_claims(family, claims, DEFAULT_TOL)
+        assert len(checks) == len(claims)
+        for (w, l), check in zip(claims, checks):
+            assert check.passed == (multiplicity_at(table, w) >= l), (family, w, l, check)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 def test_planted_reduction_invariants(seed):
@@ -183,9 +217,9 @@ def test_planted_reduction_invariants(seed):
     m, k = int(rng.integers(2, 5)), int(rng.integers(1, 3))
     g = plant_star_graph(seed=seed, n=m + k + int(rng.integers(0, 6)), star_specs=[(m, k, 2.0)])
     r = reduce_all(g, "collapse")
-    assert verify_adjacency_reduction(g, r).passed
-    assert verify_laplacian_reduction(g, r).passed
-    assert interlacing_check(g, r)
+    assert all(c.passed for c in verify_adjacency_reduction(g, r))
+    assert all(c.passed for c in verify_laplacian_reduction(g, r))
+    assert interlacing_check(g, r).passed
 
 
 # --- the detectors the dependent-row partitions replaced ---------------------
@@ -441,5 +475,5 @@ def test_overflowing_triangle_has_no_partition_and_fails_verify():
 def test_edgeless_graph_passes_verify_with_zero_lift_residuals():
     result = verify_graph(build_graph(3, []))
     assert result.passed
-    lifts = [c.residual for rec in result.records for c in rec.checks if "lift" in c.name]
+    lifts = [c.residual for c in result.checks if "lift" in c.name]
     assert lifts == [0.0, 0.0]

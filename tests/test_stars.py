@@ -123,19 +123,19 @@ class TestGrouping:
 
 
 def normalized_claims(g):
-    """The (value, bound) claims verify_star_predictions checks in the normalized Laplacian."""
-    checks = verify_star_predictions(g).checks
-    return [(c.eigenvalue, c.predicted) for c in checks if c.family == "normalized"]
+    """The (name, note) of the claims verify_star_predictions checks in the normalized Laplacian."""
+    checks, _ = verify_star_predictions(g)
+    return [(c.name, c.note) for c in checks if c.name.startswith("normalized")]
 
 
 class TestPredictions:
     def test_bipartite(self, f1):
         assert predict_multiplicities(f1) == ((2.0, 2), (3.0, 1))
-        assert normalized_claims(f1) == [(1.0, 3)]
+        assert normalized_claims(f1) == [("normalized-multiplicity(w=1)", "l=3")]
 
     def test_double_star(self, f2):
         assert predict_multiplicities(f2) == ((1.0, 2),)
-        assert normalized_claims(f2) == [(1.0, 2)]
+        assert normalized_claims(f2) == [("normalized-multiplicity(w=1)", "l=2")]
 
     def test_path_empty(self, f4):
         assert predict_multiplicities(f4) == ()
@@ -146,32 +146,37 @@ class TestPredictions:
         # the total at 1 for the normalized Laplacian
         for g, w in ((f3, 6.0), (varied_supports, 3.0)):
             assert predict_multiplicities(g) == ((w, 1),)
-            assert normalized_claims(g) == [(1.0, 1)]
-            record = verify_star_predictions(g)
-            assert record.passed and [c.family for c in record.checks] == [
-                "laplacian", "signless", "normalized"
+            assert normalized_claims(g) == [("normalized-multiplicity(w=1)", "l=1")]
+            checks, _ = verify_star_predictions(g)
+            assert all(c.passed for c in checks) and [c.name for c in checks] == [
+                f"laplacian-multiplicity(w={w:g})", f"signless-multiplicity(w={w:g})",
+                "normalized-multiplicity(w=1)",
             ]
 
     def test_verification_passes(self, f1, f2):
         for g in (f1, f2):
-            record = verify_star_predictions(g)
-            assert record.passed and record.checks
+            checks, _ = verify_star_predictions(g)
+            assert checks and all(c.passed for c in checks)
 
     def test_fixture_multiplicity_is_tight(self, f1):
-        record = verify_star_predictions(f1)
-        lap_check = next(c for c in record.checks if c.family == "laplacian" and c.eigenvalue == 2.0)
-        assert lap_check.computed == 2
+        # two eigenvalues of L lie at 2, and a third does not
+        two, three = analyze(f1).check_claims("laplacian", [(2.0, 2), (2.0, 3)], 1e-8)
+        assert two.passed and two.residual <= 1e-14
+        assert not three.passed
 
     def test_perturbed_is_vacuous_with_warning(self, f1):
         # the broken class claims nothing at its mean strength 7/3 (nor does
         # anything at 3); its members 1 and 2 keep equal rows, one dependent
         # row at strength 2
         g = perturb_edge(f1, (0, 3), 2.0)
-        record = verify_star_predictions(g)
-        assert record.passed
-        assert any("v1=[0, 1, 2]" in w and "cannot be reduced" in w for w in record.warnings)
-        claims = [(c.family, c.eigenvalue, c.predicted) for c in record.checks]
-        assert claims == [("laplacian", 2.0, 1), ("signless", 2.0, 1), ("normalized", 1.0, 1)]
+        checks, warnings = verify_star_predictions(g)
+        assert all(c.passed for c in checks)
+        assert any("v1=[0, 1, 2]" in w and "cannot be reduced" in w for w in warnings)
+        assert [(c.name, c.note) for c in checks] == [
+            ("laplacian-multiplicity(w=2)", "l=1"),
+            ("signless-multiplicity(w=2)", "l=1"),
+            ("normalized-multiplicity(w=1)", "l=1"),
+        ]
 
 
 class TestVerifyLDependent:
@@ -369,7 +374,7 @@ class TestPlantStars:
     def test_multiplicity_bound_holds(self):
         for seed in range(12):
             g = plant_star_graph(seed=seed, n=18, star_specs=[(3, 2, 2.0), (2, 2, 0.5)])
-            assert verify_star_predictions(g).passed
+            assert all(c.passed for c in verify_star_predictions(g)[0])
 
 
 class TestPlantDependent:
