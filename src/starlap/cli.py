@@ -100,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
+def _emit(payload: dict[str, Any] | str, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        sys.stdout.write(fileio.to_json(payload))
+        sys.stdout.write(payload if isinstance(payload, str) else fileio.to_json(payload))
     else:
         for line in lines:
             print(line)
@@ -247,7 +247,7 @@ def _cmd_ldep(args) -> int:
     return 0 if passed else 2
 
 
-def _reduction_payload(r: reduction.Reduction, checks: Sequence[eigen.Check]) -> dict[str, Any]:
+def _reduction_payload(r: reduction.Reduction) -> dict[str, Any]:
     g = r.original
     return {
         "original_vertices": g.n,
@@ -264,8 +264,6 @@ def _reduction_payload(r: reduction.Reduction, checks: Sequence[eigen.Check]) ->
             for info in r.star_info
         ],
         "masses": {str(v): m for v, m in enumerate(r.reduced.mass) if m != 1.0},
-        "checks": [_check_payload(c) for c in checks],
-        "passed": all(c.passed for c in checks),
     }
 
 
@@ -276,23 +274,26 @@ def _cmd_reduce(args) -> int:
     fileio.save_graph(r.reduced, args.output)
     checks = reduction.verify_adjacency_reduction(ctx, r, args.tol)
     checks += reduction.verify_laplacian_reduction(ctx, r, args.tol)
+    passed = all(c.passed for c in checks)
+    checked = {"checks": [_check_payload(c) for c in checks], "passed": passed}
     payload = {
-        "reduction": _reduction_payload(r, checks),
+        "reduction": {**_reduction_payload(r), **checked},
         "policy": args.policy,
         "conventions": _CONVENTIONS,
         "tolerances": {"relative": args.tol},
         "version": __version__,
     }
+    report = fileio.to_json(payload)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(fileio.to_json(payload))
+            fh.write(report)
     lines = [
         f"reduced {g.n} -> {r.reduced.n} vertices "
         f"({len(r.star_info)} stars, policy {args.policy}); wrote {args.output}"
     ]
     lines.extend(_check_line(c) for c in checks)
-    _emit(payload, args.json, lines)
-    if not payload["reduction"]["passed"]:
+    _emit(report, args.json, lines)
+    if not passed:
         failed = [c.name + (f" ({c.note})" if c.note else "") for c in checks if not c.passed]
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return 2
@@ -320,7 +321,7 @@ def _cmd_verify(args) -> int:
         ],
         "dependent_rows": [_partition_payload(p) for p in result.dependent_rows],
         "warnings": list(result.warnings),
-        "reduction": _reduction_payload(result.reduction, result.reduction_checks),
+        "reduction": _reduction_payload(result.reduction),
         "sign_agreement": {} if signs is None else {
             "degenerate": signs.degenerate,
             "reason": signs.reason,

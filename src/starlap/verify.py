@@ -25,15 +25,14 @@ from .errors import NonFiniteSpectrumError
 class GraphVerification:
     """The checks in report order and the results they were read from.
 
-    `reduction_checks` are the reduction identity checks as ``reduce``
-    reports them; `checks` holds each again with a "reduction-" prefix.
+    The reduction identity checks are among `checks`, each named as
+    ``reduce`` names it with a "reduction-" prefix.
     """
 
     checks: tuple[Check, ...]
     warnings: tuple[str, ...]
     dependent_rows: tuple[stars.LDependentPartition, ...]
     reduction: reduction.Reduction
-    reduction_checks: tuple[Check, ...]
     signs: partition.SignAgreementReport | None
 
     @property
@@ -88,8 +87,8 @@ def verify_graph(
     if fiedler_pairs:
         ctx.reduced(r).second_vector("mass-laplacian")
     reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
+    reduction_checks += (reduction.interlacing_check(ctx, r, tol),)
     checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
-    checks.append(replace(reduction.interlacing_check(ctx, r, tol), name="reduction-interlacing"))
     try:
         signs = partition.compare_signs(ctx, r, tol)
     except NonFiniteSpectrumError as exc:
@@ -105,6 +104,5 @@ def verify_graph(
         warnings=tuple(warnings),
         dependent_rows=ctx.dependent_rows,
         reduction=r,
-        reduction_checks=reduction_checks,
         signs=signs,
     )

@@ -60,17 +60,58 @@ def test_verify_graph_matches_the_verify_golden_output():
 
 
 CHECK_KEYS = ["name", "note", "passed", "residual", "tol"]
+CHECK_COMMANDS = ["stars", "ldep", "reduce", "verify"]
 
 
-@pytest.mark.parametrize("command", ["stars", "ldep", "reduce", "verify"])
+def _check_entries(path):
+    """Every check entry of one golden report: its checks, then its reduction's."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    return payload.get("checks", []) + payload.get("reduction", {}).get("checks", [])
+
+
+@pytest.mark.parametrize("command", CHECK_COMMANDS)
 def test_every_check_entry_is_one_record(command):
     # each check is written with the five keys of eigen.Check, and passes
     # exactly when its residual is finite and at most its tol
-    entries = []
-    for path in sorted(GOLDEN.glob(f"*.{command}.json")):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        entries += payload.get("checks", []) + payload.get("reduction", {}).get("checks", [])
+    entries = [c for path in sorted(GOLDEN.glob(f"*.{command}.json")) for c in _check_entries(path)]
     assert entries
     for c in entries:
         assert sorted(c) == CHECK_KEYS, c
         assert c["passed"] == (math.isfinite(c["residual"]) and c["residual"] <= c["tol"]), c
+
+
+@pytest.mark.parametrize("key", [k for k in sorted(INDEX) if k.split(".")[1] in CHECK_COMMANDS])
+def test_no_report_states_a_check_twice(key):
+    # "reduction-X" in verify's checks is reduce's "X".  ldep states each
+    # partition's claim, so the partition is part of an ldep check's identity
+    path = GOLDEN / f"{key}.json"
+    ids = [c["name"].removeprefix("reduction-") for c in _check_entries(path)]
+    if key.endswith(".ldep"):
+        partitions = json.loads(path.read_text(encoding="utf-8"))["partitions"]
+        assert len(partitions) == len(ids)
+        ids = [(name, tuple(p["v1"])) for name, p in zip(ids, partitions)]
+    assert len(ids) == len(set(ids))
+
+
+# the golden graphs whose collapse removes no vertex
+IDENTITY_REDUCTIONS = ["f3", "f4", "ldep44", "two_triangles", "varied_supports", "written_reduction"]
+# the checks read off K, here the identity, and interlacing; mass-laplacian-similarity,
+# M^(-1/2) L(MB) M^(1/2) - L~, rounds apart where a mass is not 1 and is left out
+EXACT_ON_IDENTITY = [
+    "reduction-k-orthonormality",
+    "reduction-adjacency-congruence",
+    "reduction-adjacency-spectrum",
+    "reduction-adjacency-lift-residual",
+    "reduction-laplacian-spectrum",
+    "reduction-laplacian-lift-residual",
+    "reduction-interlacing",
+]
+
+
+@pytest.mark.parametrize("name", IDENTITY_REDUCTIONS)
+def test_identity_reduction_residuals_are_exactly_zero(name):
+    g = load_graph(str(GOLDEN / f"{name}.graph"))
+    result = verify_graph(g, 1e-8)
+    assert result.reduction.reduced.n == g.n
+    residuals = {c.name: c.residual for c in result.checks}
+    assert {c: residuals[c] for c in EXACT_ON_IDENTITY} == dict.fromkeys(EXACT_ON_IDENTITY, 0.0)
