@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Star and dependent-row structure analysis, spectrum-preserving "
         "reduction, and spectral partitioning of weighted graphs.",
     )
-    parser.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default 1e-8)")
+    parser.add_argument(
+        "--tol", type=float, default=eigen.DEFAULT_TOL, help="relative tolerance (default 1e-8)"
+    )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="relative tolerance")
@@ -218,19 +220,21 @@ def _cmd_ldep(args) -> int:
             candidates.append(stars_mod.verify_ldependent(ctx, v1, v2, v3))
         except (ConditionViolatedError, NoCommonStrengthError) as exc:
             failures.append(str(exc))
+        claims = [(p.wtilde, p.l) for p in candidates]
     else:
         candidates.extend(ctx.dependent_rows)
         if not candidates:
             lines.append("no dependent-row structures detected")
+        claims = stars_mod.predict_multiplicities(ctx)
 
-    checks = ctx.check_claims("laplacian", [(p.wtilde, p.l) for p in candidates], args.tol)
+    checks = ctx.check_claims("laplacian", claims, args.tol)
     warnings = stars_mod.strength_warnings(ctx)
-    for p, c in zip(candidates, checks):
-        lines.append(
-            f"dependent rows v3={list(p.v3)} of v1={list(p.v1)}"
-            + ("" if p.coefficients_nonnegative else " (positivity violated)")
-        )
-        lines.append(_check_line(c))
+    lines.extend(
+        f"dependent rows v3={list(p.v3)} of v1={list(p.v1)}"
+        + ("" if p.coefficients_nonnegative else " (positivity violated)")
+        for p in candidates
+    )
+    lines.extend(_check_line(c) for c in checks)
     lines.extend(f"REJECTED: {f}" for f in failures)
     lines.extend(f"warning: {w}" for w in warnings)
     passed = not failures and all(c.passed for c in checks)

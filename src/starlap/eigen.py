@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NotSymmetricError, TooFewValuesError
 
 DEFAULT_TOL = 1e-8
+# an entry of a unit eigenvector at most this large has no sign
 SIGN_EPS = 1e-12
 # inverse iteration stops once the residual is within STEP_TOL of the row-sum
 # bound: one step reached it on 589 planted graphs (at most 5e-14); a start
@@ -78,10 +79,6 @@ class EigenvalueGroup:
 class MultiplicityTable:
     groups: tuple[EigenvalueGroup, ...]
     tol: float = 0.0    # the absolute gap the groups were formed at
-
-    @property
-    def n(self) -> int:
-        return sum(g.multiplicity for g in self.groups)
 
 
 def row_blocks(n: int) -> Iterator[slice]:

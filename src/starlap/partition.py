@@ -27,7 +27,6 @@ from .graphs import Graph, induced_subgraph
 from .reduction import Reduction, lift_vector, reduce_all, removed_values, star_complement
 from .stars import GraphAnalysis, analyze
 
-ZERO_ENTRY_EPS = 1e-12
 SIGN_COMPARE_EPS = 1e-9
 LLOYD_MAX_ITER = 100     # Lloyd iterations before k-means stops unconverged
 
@@ -107,8 +106,8 @@ def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> Fie
 
 def _labels_from_signs(vector: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
     """Cluster 0 for nonnegative entries; near-zero entries go to 0 and are listed."""
-    labels = tuple(0 if x >= -ZERO_ENTRY_EPS else 1 for x in vector)
-    near_zero = [i for i, x in enumerate(vector) if abs(x) <= ZERO_ENTRY_EPS]
+    labels = tuple(0 if x >= -eigen.SIGN_EPS else 1 for x in vector)
+    near_zero = [i for i, x in enumerate(vector) if abs(x) <= eigen.SIGN_EPS]
     return labels, near_zero
 
 

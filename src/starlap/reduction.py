@@ -435,8 +435,9 @@ def verify_adjacency_reduction(
     """Check the adjacency-side reduction identities; failures are recorded.
 
     Checks: K orthonormality, the congruence K^T A K = M^(1/2) B M^(1/2),
-    spectrum preservation up to q zeros, and the intertwining A K = K S with
-    S = M^(1/2) B M^(1/2), relative to the spectral radius of A.  A stands
+    spectrum preservation up to q zeros, the intertwining A K = K S with
+    S = M^(1/2) B M^(1/2), relative to the spectral radius of A, and the
+    interlacing of K^T A K's eigenvalues, read off S, with A's.  A stands
     for the original graph's mass adjacency, A itself when every mass is 1.
     A and S are dense only while their values are solved, one after the
     other; the congruence and the lift read the columns of A and S that
@@ -471,11 +472,20 @@ def verify_adjacency_reduction(
     lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
 
     dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
+    # with alpha A's n values and beta S's n - q, both descending, interlacing
+    # asks alpha_i >= beta_i >= alpha_(q+i); the residual is the largest
+    # violation of either (0 when there is none), NaN when a value is not finite
+    alpha, beta = values_a[::-1], values_s[::-1]
+    interlacing = math.nan
+    if np.isfinite(alpha).all() and np.isfinite(beta).all():
+        violations = np.concatenate((beta - alpha[: beta.size], alpha[r.q_total:] - beta))
+        interlacing = float(violations.max(initial=0.0))
     return (
         Check("k-orthonormality", float(np.max(ortho, initial=0.0)), 1e-10),
         Check("adjacency-congruence", float(np.max(congruence, initial=0.0)), WEIGHT_TOL * scale),
         Check("adjacency-spectrum", dev, tol, note),
         Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel),
+        Check("interlacing", interlacing, tol),
     )
 
 
@@ -547,28 +557,3 @@ def verify_laplacian_reduction(
         Check("mass-laplacian-similarity", sim, tol),
         Check("laplacian-lift-residual", lift / radius if radius else lift, tol_rel),
     )
-
-
-@np.errstate(over="ignore")   # an overflowed violation is inf, and fails
-def interlacing_check(
-    g: Graph | GraphAnalysis, r: Reduction, tol: float = eigen.DEFAULT_TOL
-) -> Check:
-    """Eigenvalues of K^T A K interlace those of A (descending convention).
-
-    A is the original graph's mass adjacency, as in verify_adjacency_reduction.
-    The K^T A K spectrum beta is read off M^(1/2) B M^(1/2), its value once
-    the adjacency-congruence check of verify_adjacency_reduction passes.
-    With alpha A's n values and beta's n - q, both descending, interlacing
-    asks alpha_i >= beta_i >= alpha_(q+i); the residual is the largest
-    violation of either inequality (0 when there is none), NaN when a value
-    is not finite, and the tolerance is tol times the spectral radius of A.
-    """
-    ctx = analyze(g)
-    alpha = np.sort(ctx.values("mass-adjacency"))[::-1]
-    beta = np.sort(ctx.reduced(r).values("mass-adjacency"))[::-1]
-    residual = math.nan
-    if np.isfinite(alpha).all() and np.isfinite(beta).all():
-        q = alpha.size - beta.size
-        violations = np.concatenate((beta - alpha[: beta.size], alpha[q:] - beta))
-        residual = float(violations.max(initial=0.0))
-    return Check("interlacing", residual, tol * eigen.spectral_radius(alpha))

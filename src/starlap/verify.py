@@ -2,9 +2,9 @@
 
 In report order: the multiplicity predictions of the dependent-row
 partitions (every weight-uniform star among them), an optional request to
-reduce the first star, the reduction identities (adjacency, Laplacian,
-interlacing), and the Fiedler sign agreement between the graph and its
-reduction.
+reduce the first star, the reduction identities (adjacency with
+interlacing, then Laplacian), and the Fiedler sign agreement between the
+graph and its reduction.
 
 Layer functions are called through their modules (``reduction.reduce_all``),
 so a rebinding of a module attribute, as a tracer or a test does, sees every
@@ -87,7 +87,6 @@ def verify_graph(
     if fiedler_pairs:
         ctx.reduced(r).second_vector("mass-laplacian")
     reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
-    reduction_checks += (reduction.interlacing_check(ctx, r, tol),)
     checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
     try:
         signs = partition.compare_signs(ctx, r, tol)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from starlap import build_graph, detect_stars, reduce_all
+from starlap import build_graph, detect_stars, reduce_all, verify_adjacency_reduction
 
 # The recurring fixtures f1, f2, f3, f4, two_triangles and varied_supports
 # are the graphs of FIXTURES in scripts/write_fixtures.py, where each is
@@ -42,3 +42,9 @@ def reduce_one(g, star, q):
     qs = [0] * len(stars)
     qs[stars.index(star)] = q
     return reduce_all(g, qs)
+
+
+def interlacing(g, r):
+    """The interlacing check of verify_adjacency_reduction, read by its name."""
+    (check,) = [c for c in verify_adjacency_reduction(g, r) if c.name == "interlacing"]
+    return check

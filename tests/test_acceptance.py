@@ -21,7 +21,6 @@ from starlap import (
     fiedler,
     group_by_weight,
     group_multiplicities,
-    interlacing_check,
     kway,
     lift_vector,
     multiplicity_at,
@@ -39,7 +38,7 @@ from starlap import (
 )
 from starlap.cli import run_cli
 
-from conftest import reduce_one
+from conftest import interlacing, reduce_one
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -220,7 +219,7 @@ def test_criterion_6_interlacing():
         n = min(200, m + k + n_extra)
         g = plant_star_graph(seed=seed, n=n, star_specs=[(m, k, 2.0)])
         r = reduce_all(g, "collapse")
-        if not interlacing_check(g, r, tol=1e-8).passed:
+        if not interlacing(g, r).passed:
             failures.append(seed)
     elapsed = time.time() - start
     report(

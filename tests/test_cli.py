@@ -567,6 +567,7 @@ class TestInfiniteStrengthsRunQuietly:
             ("adjacency-congruence", False),
             ("adjacency-spectrum", False),
             ("adjacency-lift-residual", False),
+            ("interlacing", False),
             ("laplacian-spectrum", False),
             ("mass-laplacian-similarity", False),
             ("laplacian-lift-residual", False),
@@ -575,6 +576,6 @@ class TestInfiniteStrengthsRunQuietly:
         # a spectrum check's note follows its name
         assert err == (
             "failed checks: adjacency-congruence, adjacency-spectrum (no eigenvalue near 0 to "
-            "remove), adjacency-lift-residual, laplacian-spectrum, mass-laplacian-similarity, "
-            "laplacian-lift-residual\n"
+            "remove), adjacency-lift-residual, interlacing, laplacian-spectrum, "
+            "mass-laplacian-similarity, laplacian-lift-residual\n"
         )

@@ -15,12 +15,23 @@ def test_every_exported_name_resolves():
     assert [name for name in starlap.__all__ if not hasattr(starlap, name)] == []
 
 
-def test_readme_library_example_runs():
+def _library_section():
     text = README.read_text(encoding="utf-8")
-    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.M | re.S).group(1)
+    return re.search(r"^## Library\n(.*?)^## ", text, re.M | re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"^```python\n(.*?)^```", _library_section(), re.M | re.S).group(1)
     namespace: dict = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["result"].passed
+
+
+def test_every_function_the_library_section_names_resolves():
+    # a backticked `name(` is a call of a public name
+    names = re.findall(r"`([A-Za-z_]\w*)\(", _library_section())
+    assert names
+    assert [name for name in names if not hasattr(starlap, name)] == []
 
 
 def test_no_module_imports_a_private_name_from_another():

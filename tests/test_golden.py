@@ -82,15 +82,29 @@ def test_every_check_entry_is_one_record(command):
 
 @pytest.mark.parametrize("key", [k for k in sorted(INDEX) if k.split(".")[1] in CHECK_COMMANDS])
 def test_no_report_states_a_check_twice(key):
-    # "reduction-X" in verify's checks is reduce's "X".  ldep states each
-    # partition's claim, so the partition is part of an ldep check's identity
-    path = GOLDEN / f"{key}.json"
-    ids = [c["name"].removeprefix("reduction-") for c in _check_entries(path)]
-    if key.endswith(".ldep"):
-        partitions = json.loads(path.read_text(encoding="utf-8"))["partitions"]
-        assert len(partitions) == len(ids)
-        ids = [(name, tuple(p["v1"])) for name, p in zip(ids, partitions)]
+    # "reduction-X" in verify's checks is reduce's "X"
+    ids = [c["name"].removeprefix("reduction-") for c in _check_entries(GOLDEN / f"{key}.json")]
     assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("name", sorted(writer.golden_graphs()))
+def test_reduce_and_verify_state_the_same_reduction_checks(name):
+    # verify states reduce's checks, in reduce's order, each with "reduction-" before its name
+    reduced = _check_entries(GOLDEN / f"{name}.reduce.json")
+    verified = [
+        {**c, "name": c["name"].removeprefix("reduction-")}
+        for c in _check_entries(GOLDEN / f"{name}.verify.json")
+        if c["name"].startswith("reduction-")
+    ]
+    assert reduced and verified == reduced
+
+
+@pytest.mark.parametrize("name", sorted(writer.golden_graphs()))
+def test_ldep_states_the_laplacian_claims_of_stars(name):
+    # one claim per strength class, the summed l at w in ascending w
+    claims = _check_entries(GOLDEN / f"{name}.ldep.json")
+    stars = _check_entries(GOLDEN / f"{name}.stars.json")
+    assert claims == [c for c in stars if c["name"].startswith("laplacian-")]
 
 
 # the golden graphs whose collapse removes no vertex

@@ -15,7 +15,6 @@ from starlap import (
     detect_stars,
     group_by_weight,
     group_multiplicities,
-    interlacing_check,
     kway,
     multiplicity_at,
     parse_graph_file,
@@ -35,6 +34,7 @@ from starlap import partition
 from starlap.errors import ConditionViolatedError, NoCommonStrengthError
 from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
 
+from conftest import interlacing
 from test_partition import _kway_reference, assert_embedding_matches_a_full_eigh
 
 
@@ -219,7 +219,7 @@ def test_planted_reduction_invariants(seed):
     r = reduce_all(g, "collapse")
     assert all(c.passed for c in verify_adjacency_reduction(g, r))
     assert all(c.passed for c in verify_laplacian_reduction(g, r))
-    assert interlacing_check(g, r).passed
+    assert interlacing(g, r).passed
 
 
 # --- the detectors the dependent-row partitions replaced ---------------------

@@ -12,7 +12,6 @@ from starlap import (
     build_graph,
     detect_stars,
     fiedler,
-    interlacing_check,
     lift_vector,
     load_graph,
     mass_laplacian,
@@ -31,7 +30,7 @@ from starlap.reduction import removed_values, star_complement
 from starlap.stars import GraphAnalysis, analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
-from conftest import reduce_one
+from conftest import interlacing, reduce_one
 
 
 def first_star(g):
@@ -287,7 +286,7 @@ class TestVerification:
         r = reduce_all(f4, "collapse")
         assert all(c.passed for c in verify_adjacency_reduction(f4, r))
         assert all(c.passed for c in verify_laplacian_reduction(f4, r))
-        assert interlacing_check(f4, r).passed
+        assert interlacing(f4, r).passed
 
     def test_detects_wrong_mass(self, f1):
         r = reduce_one(f1, first_star(f1), 1)
@@ -311,7 +310,7 @@ class TestVerification:
         assert f"failed checks: laplacian-spectrum ({note})" in err
 
     def test_interlacing_fixture(self, f1):
-        assert interlacing_check(f1, reduce_one(f1, first_star(f1), 1)).passed
+        assert interlacing(f1, reduce_one(f1, first_star(f1), 1)).passed
 
 
 class TestRandomizedReductions:
@@ -321,7 +320,7 @@ class TestRandomizedReductions:
             r = reduce_all(g, "collapse")
             assert all(c.passed for c in verify_adjacency_reduction(g, r))
             assert all(c.passed for c in verify_laplacian_reduction(g, r))
-            assert interlacing_check(g, r).passed
+            assert interlacing(g, r).passed
 
 
 def _scaled(g, factor):
@@ -431,10 +430,9 @@ class TestIntertwiningLiftCheck:
         )
         checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered)}
         assert checks["adjacency-congruence"].passed and not checks["k-orthonormality"].passed
-        assert interlacing_check(f2, r).passed
-        interlacing = interlacing_check(f2, tampered)
-        assert interlacing.name == "interlacing"
-        assert interlacing.residual > interlacing.tol and not interlacing.passed
+        assert interlacing(f2, r).passed
+        failed = checks["interlacing"]
+        assert failed.residual > failed.tol and not failed.passed
 
     @pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
     def test_adjacency_checks_read_each_column_of_a_once(self, monkeypatch, policy):
@@ -732,7 +730,7 @@ class TestNonFiniteAndScale:
         for seed in range(20):
             g = plant_star_graph(seed, 60, [(4, 3, 2.0), (3, 2, 1.0)], background_p=0.2)
             g = _scaled(g, 10.0**k)
-            assert interlacing_check(g, reduce_all(g)).passed, seed
+            assert interlacing(g, reduce_all(g)).passed, seed
 
 
 def _match_after_removal_reference(original_vals, reduced_vals, removals, tol):
