@@ -20,16 +20,19 @@ also checks that the dependent-row claims do not change under one seeded
 relabelling of the vertices.  On every graph, each multiplicity claim of
 the L, Q and normalized families is checked both ways, by the library's
 residual (the claimed l-th nearest eigenvalue within tol of w) and by the
-chain-grouped count (multiplicity_at of group_multiplicities at tol); the
-claim-rule line counts the claims whose verdicts differ, and any such claim
-fails the sweep.
+chain-grouped count (multiplicity_at of group_multiplicities at tol, from
+the tests' dense references in tests/reference.py); the claim-rule line
+counts the claims whose verdicts differ, and any such claim fails the
+sweep.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
 """
 
 import argparse
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from starlap import (
     fiedler,
     group_by_weight,
     group_multiplicities,
-    multiplicity_at,
     plant_ldependent_graph,
     plant_star_graph,
     predict_multiplicities,
@@ -56,6 +58,18 @@ from starlap import (
 from starlap.eigen import DEFAULT_TOL, spectral_gap_index
 from starlap.partition import _embedding, _labels_from_signs, _lloyd, _relabel_by_smallest_member
 from starlap.stars import WEIGHT_TOL
+
+
+def _load_reference():
+    spec = importlib.util.spec_from_file_location(
+        "reference", Path(__file__).resolve().parents[1] / "tests" / "reference.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+multiplicity_at = _load_reference().multiplicity_at
 
 
 def mult(matrix, value, tol=1e-8):

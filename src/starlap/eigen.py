@@ -231,19 +231,6 @@ def group_multiplicities(
     )
 
 
-def multiplicity_at(table: MultiplicityTable, value: float) -> int:
-    """Multiplicity of the group whose representative is nearest `value`.
-
-    Returns 0 when no representative lies within the table's tol.
-    """
-    best = None
-    for g in table.groups:
-        d = abs(g.value - value)
-        if d <= table.tol and (best is None or d < best[0]):
-            best = (d, g.multiplicity)
-    return best[1] if best is not None else 0
-
-
 def kth_nearest_distance(values: Sequence[float] | np.ndarray, value: float, k: int) -> float:
     """Distance from `value` to its k-th nearest of `values`, k at least 1.
 

@@ -1,22 +1,22 @@
-"""Weighted undirected graphs, their adjacency matrix and their strengths.
+"""Weighted undirected graphs, their strengths and their components.
 
 A :class:`Graph` is an immutable edge list over 0-based contiguous vertex
 indices, with a strictly positive per-vertex mass vector (all ones unless the
-graph came out of a reduction).  This module builds the strengths, the
-neighbour lists and, for a caller that wants it, the dense adjacency matrix;
-every operator (A, L, Q, the normalized Laplacian and the mass families) is
-written from the neighbour lists by ``stars.GraphAnalysis.columns``, all its
-columns or only the ones a check reads.  The intended scale is n up to a
-couple of thousand vertices, where exact dense eigensolves are cheap.
+graph came out of a reduction).  This module builds the strengths and the
+neighbour lists; every operator (A, L, Q, the normalized Laplacian and the
+mass families) is written from the neighbour lists by
+``stars.GraphAnalysis.columns``, all its columns or only the ones a check
+reads.  The intended scale is n up to a couple of thousand vertices, where
+exact dense eigensolves are cheap.
 
 A graph keeps its edges once, as three read-only numpy columns: ``u`` and
 ``v`` (intp, u < v) and ``w`` (float64), sorted by (u, v).  Equality and
 hashing read n, the columns' bytes and the mass.  The ``edges`` tuple of
 (int, int, float) triples is a view derived from the columns, built at most
 once per graph, for callers that want Python tuples.  Parsing, validation,
-the adjacency build, strengths, components and subgraphs read and write the
-columns with array code, and each gives the result, or raises the error,
-that the per-edge loop it replaced gave, bit for bit.
+strengths, components and subgraphs read and write the columns with array
+code, and each gives the result, or raises the error, that the per-edge
+loop it replaced gave, bit for bit.
 """
 
 from __future__ import annotations
@@ -187,14 +187,6 @@ def _validated_graph(
     for column in (lo, hi, weights):
         column.setflags(write=False)
     return Graph(n, lo, hi, weights, mass_t)
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    """Symmetric weighted adjacency matrix with zero diagonal."""
-    a = np.zeros((g.n, g.n))
-    a[g.u, g.v] = g.w
-    a[g.v, g.u] = g.w
-    return a
 
 
 def strengths(g: Graph) -> np.ndarray:

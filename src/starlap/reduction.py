@@ -25,10 +25,9 @@ operators M^(1/2) B M^(1/2) and L~ come from `GraphAnalysis.matrix`, dense
 only while their values are solved, and the checks read the blocks of
 their columns, and of the original graph's, that they need from
 `GraphAnalysis.columns`, which writes them from the edges; no check holds
-a dense A or B.  `mass_laplacian` builds the nonsymmetric L(MB).  The
-original graph's operators are its own mass families, A and L when every
-mass is 1, so a graph read back from a reduction is reduced and checked the
-same way.
+a dense A or B.  The original graph's operators are its own mass families,
+A and L when every mass is 1, so a graph read back from a reduction is
+reduced and checked the same way.
 """
 
 from __future__ import annotations
@@ -260,21 +259,6 @@ def reduce_all(
                 continue
             assignments.append((s, int(q)))
     return _reduce(ctx.graph, assignments)
-
-
-def mass_laplacian(r: Reduction) -> np.ndarray:
-    """Nonsymmetric mass-weighted Laplacian L(MB) = diag(column sums of M B) - M B.
-
-    Written from the reduced graph's edge columns: entry (i, j) of an edge
-    is 0.0 - m_i * w, the expression's at B's entry w.
-    """
-    red = GraphAnalysis(r.reduced)
-    g, mass = red.graph, np.asarray(red.graph.mass)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lmb = np.diag(red.mass_strengths)
-        lmb[g.u, g.v] = 0.0 - mass[g.u] * g.w
-        lmb[g.v, g.u] = 0.0 - mass[g.v] * g.w
-    return lmb
 
 
 def _frames_times(frames: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from starlap import (
     group_multiplicities,
     kway,
     lift_vector,
-    multiplicity_at,
     plant_ldependent_graph,
     plant_star_graph,
     recursive_bisection,
@@ -39,6 +38,7 @@ from starlap import (
 from starlap.cli import run_cli
 
 from conftest import interlacing, reduce_one
+from reference import adjacency, multiplicity_at
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -162,8 +162,6 @@ def test_criterion_4_adjacency_reduction(f1):
         if np.abs(k.T @ k - np.eye(r.reduced.n)).max() > 1e-10:
             failures.append(("f1", q, "orthonormality"))
         root = np.sqrt(np.asarray(r.reduced.mass))
-        from starlap import adjacency
-
         target = adjacency(r.reduced) * np.outer(root, root)
         if np.abs(k.T @ adjacency(f1) @ k - target).max() > 1e-9:
             failures.append(("f1", q, "congruence"))

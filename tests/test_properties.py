@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starlap import (
-    adjacency,
     build_graph,
     connected_components,
     detect_stars,
     group_by_weight,
     group_multiplicities,
     kway,
-    multiplicity_at,
     parse_graph_file,
     plant_ldependent_graph,
     plant_star_graph,
@@ -35,6 +33,7 @@ from starlap.errors import ConditionViolatedError, NoCommonStrengthError
 from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
 
 from conftest import interlacing
+from reference import adjacency, multiplicity_at
 from test_partition import _kway_reference, assert_embedding_matches_a_full_eigh
 
 
