@@ -23,7 +23,11 @@ residual (the claimed l-th nearest eigenvalue within tol of w) and by the
 chain-grouped count (multiplicity_at of group_multiplicities at tol, from
 the tests' dense references in tests/reference.py); the claim-rule line
 counts the claims whose verdicts differ, and any such claim fails the
-sweep.
+sweep.  The blocks line counts, over the blocks of every graph's collapse
+and keep-pair reduction, those whose local vectors C (the block's
+complement on its rows) miss its value: ||L C - value C|| above tol times
+L's spectral radius, with L C read off L's columns at the block's rows.
+Any such block fails the sweep.
 
 Usage:
     python scripts/random_sweep.py [--graphs N] [--seed S] [--max-extra V]
@@ -55,7 +59,7 @@ from starlap import (
     verify_laplacian_reduction,
     verify_ldependent,
 )
-from starlap.eigen import DEFAULT_TOL, spectral_gap_index
+from starlap.eigen import DEFAULT_TOL, spectral_gap_index, spectral_radius
 from starlap.partition import _embedding, _labels_from_signs, _lloyd, _relabel_by_smallest_member
 from starlap.stars import WEIGHT_TOL
 
@@ -92,6 +96,20 @@ def claim_rule_differences(g):
             total += 1
             differ += check.passed != (multiplicity_at(table, w) >= l)
     return total, differ
+
+
+def block_misses(g):
+    """(blocks, blocks whose complement C has ||L C - value C|| above tol x L's radius)."""
+    ctx = analyze(g)
+    tol = DEFAULT_TOL * spectral_radius(ctx.values("mass-laplacian"))
+    total = missed = 0
+    for policy in ("collapse", "keep-pair"):
+        for block in reduce_all(ctx, policy).blocks:
+            rows, local = np.array(block.rows), block.complement
+            defect = ctx.columns("mass-laplacian", rows) @ local   # L C, no dense L
+            defect[rows] -= block.value * local
+            total, missed = total + 1, missed + (np.linalg.norm(defect) > tol)
+    return total, missed
 
 
 def dependent_row_claims(g):
@@ -209,7 +227,7 @@ def sweep_star(seed, rng, max_extra):
     if not report.degenerate:
         # bisect the reduced graph itself; a removed vertex takes its kept twin's side
         labels = sign_bipartition(r.reduced).labels
-        twin = {v: info.kept_v1[0] for info in r.star_info for v in info.star.v1}
+        twin = {v: block.kept[0] for block in r.blocks for v in block.rows}
         lifted = [labels[r.vertex_map[twin.get(v, v)]] for v in range(g.n)]
         original = list(sign_bipartition(g).labels)
         results["reduced_bisection"] = lifted in (original, [1 - x for x in original])
@@ -241,7 +259,7 @@ def main():
     counts: dict[str, int] = {}
     failures: dict[str, list[int]] = {}
     label_changes: dict[str, int] = {}
-    claims = claim_differences = 0
+    claims = claim_differences = blocks = block_failures = 0
     sizes = []
     t0 = time.time()
     for i in range(args.graphs):
@@ -261,6 +279,8 @@ def main():
                 label_changes[kind] = label_changes.get(kind, 0) + 1
         total, differ = claim_rule_differences(g)
         claims, claim_differences = claims + total, claim_differences + differ
+        total, missed = block_misses(g)
+        blocks, block_failures = blocks + total, block_failures + missed
         sizes.append(g.n)
         for name, ok in results.items():
             counts[name] = counts.get(name, 0) + 1
@@ -278,7 +298,10 @@ def main():
     status = "ok" if not claim_differences else "FAIL"
     print(f"  claim-rule  {claim_differences} of {claims} claims judged otherwise by the grouped "
           f"count  {status}")
-    if failures or claim_differences:
+    status = "ok" if not block_failures else "FAIL"
+    print(f"  blocks  {block_failures} of {blocks} blocks whose local vectors miss their value  "
+          f"{status}")
+    if failures or claim_differences or block_failures:
         raise SystemExit(2)
 
 

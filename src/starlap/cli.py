@@ -259,13 +259,13 @@ def _reduction_payload(r: reduction.Reduction) -> dict[str, Any]:
         "removed": [v for v in range(g.n) if r.vertex_map[v] is None],
         "stars": [
             {
-                "v1": list(info.star.v1),
-                "v2": list(info.star.v2),
-                "q": info.q,
-                "weight": info.star.weight_uniform,
-                "kept_v1": list(info.kept_v1),
+                "v1": list(b.star.v1),
+                "v2": list(b.star.v2),
+                "q": b.q,
+                "weight": b.star.weight_uniform,
+                "kept_v1": list(b.kept),
             }
-            for info in r.star_info
+            for b in r.blocks
         ],
         "masses": {str(v): m for v, m in enumerate(r.reduced.mass) if m != 1.0},
     }
@@ -293,7 +293,7 @@ def _cmd_reduce(args) -> int:
             fh.write(report)
     lines = [
         f"reduced {g.n} -> {r.reduced.n} vertices "
-        f"({len(r.star_info)} stars, policy {args.policy}); wrote {args.output}"
+        f"({len(r.blocks)} stars, policy {args.policy}); wrote {args.output}"
     ]
     lines.extend(_check_line(c) for c in checks)
     _emit(report, args.json, lines)

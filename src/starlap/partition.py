@@ -11,8 +11,9 @@ compared sign by sign with the original graph's, which is the point of
 reducing before partitioning.  k-way clustering on the smallest-eigenvector
 embedding reduces first too: by the paper's eigenvector result, the
 eigenpairs of the graph with every reducible star collapsed, lifted through
-K, and each star's closed-form star-local pairs are together the original's,
-so its one full eigensolve is of order n - q.
+K, and the local pairs of each of the collapse's blocks (`Block.value` and
+`Block.complement` on `Block.rows`) are together the original's, so its one
+full eigensolve is of order n - q.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import eigen
 from .errors import BadKError, DisconnectedError, NonFiniteSpectrumError, TooFewValuesError
 from .graphs import Graph, induced_subgraph
-from .reduction import Reduction, lift_vector, reduce_all, removed_values, star_complement
+from .reduction import Reduction, lift_vector, reduce_all
 from .stars import GraphAnalysis, analyze
 
 SIGN_COMPARE_EPS = 1e-9
@@ -299,24 +300,23 @@ def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
 
     The eigenpairs come from the collapsed graph (the paper's reduction):
     the eigenpairs of its L~, with each vector lifted through K, and each
-    collapsed star's q local pairs, at its mass strength with the columns
-    of star_complement on its members.  Both sets, merged in ascending order
-    of value (the collapsed graph's first among equals), are the original
-    mass Laplacian's eigenpairs.  k="auto" places k at the largest gap of
+    block's q local pairs, at its value with its complement on its rows.
+    Both sets, merged in ascending order of value (the collapsed graph's
+    first among equals), are the original mass Laplacian's eigenpairs.
+    k="auto" places k at the largest gap of
     the merged values; the embedding is None when that gives one cluster.
     A graph with no reducible star is its own collapse, and its embedding is
     the columns of its own L~'s eigh.
     """
     ctx = analyze(g)
     r = reduce_all(ctx, "collapse")
-    removed = removed_values(ctx, r)
     tilde = ctx.reduced(r).matrix("mass-laplacian")
     del ctx   # frees the graph's and the collapse's analyses, with their neighbour lists
     spectrum = eigen.sym_eigen(tilde)
     del tilde   # lowers peak memory: only the solve's columns are read from here on
     if spectrum.n >= 2:
         _require_finite(g, spectrum.values[1], spectrum.vectors[:, 1])
-    values = np.concatenate((spectrum.values, [value for value, q in removed for _ in range(q)]))
+    values = np.concatenate((spectrum.values, [b.value for b in r.blocks for _ in range(b.q)]))
     order = np.argsort(values, kind="stable")
     if k != "auto":
         k_val = int(k)
@@ -330,13 +330,12 @@ def _embedding(g: Graph, k: int | str) -> tuple[int, np.ndarray | None]:
     lifted = picked < spectrum.n
     rows = np.zeros((g.n, k_val))
     rows[:, lifted] = lift_vector(r, spectrum.vectors[:, picked[lifted]])
-    first = spectrum.n   # each star's local columns follow the collapsed graph's in `values`
-    for info in r.star_info:
-        hit = (picked >= first) & (picked < first + info.q)
+    first = spectrum.n   # each block's local columns follow the collapsed graph's in `values`
+    for block in r.blocks:
+        hit = (picked >= first) & (picked < first + block.q)
         if hit.any():
-            block = star_complement(info.star.m, info.star.m - info.q)
-            rows[np.ix_(sorted(info.star.v1), np.flatnonzero(hit))] = block[:, picked[hit] - first]
-        first += info.q
+            rows[np.ix_(block.rows, np.flatnonzero(hit))] = block.complement[:, picked[hit] - first]
+        first += block.q
     return k_val, rows
 
 
@@ -435,11 +434,9 @@ def compare_signs(
     fraction = agreements / len(significant) if significant else 1.0
 
     labels = list(_labels_from_signs(signed)[0])
-    for info in r.star_info:
-        twin_label = labels[info.kept_v1[0]]
-        for v in info.star.v1:
-            if r.vertex_map[v] is None:
-                labels[v] = twin_label
+    for block in r.blocks:
+        for v in block.rows[len(block.kept):]:
+            labels[v] = labels[block.kept[0]]
     return SignAgreementReport(
         pairs=pairs,
         global_flip=flip,

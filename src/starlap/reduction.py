@@ -12,11 +12,15 @@ The q columns that complete a star's frame to an orthogonal matrix
 at the star weight, so the reduced graph's eigenvectors lifted through K
 and these make a complete eigenbasis of the original.
 
-K is held implicitly, as the vertex map and one m x p frame per reduced
-star (O(n + sum m p) numbers), the frames of one shape stacked, and every
-check and lift works through the star blocks in O(n^2) time, one stacked
-np.matmul per shape; `Reduction.k_matrix` builds the dense matrix only for
-a caller that asks for it.
+A reduction is a list of blocks (`Reduction.blocks`), one per reduced
+star.  Each holds the star's rows, the rows it keeps, its m x p frame of
+K, and the eigenvalue it removes q times from the mass Laplacian's
+spectrum, with the q local eigenvectors on its rows (`Block.complement`);
+no other module works these out.  K is held implicitly, as the vertex map
+and the frames (O(n + sum m p) numbers), the frames of one shape stacked,
+and every check and lift works through the blocks in O(n^2) time, one
+stacked np.matmul per shape; `Reduction.k_matrix` builds the dense matrix
+only for a caller that asks for it.
 
 The reduced degree matrix is fixed as the column sums of M B, which makes the
 mass-weighted Laplacian identities hold exactly and conserves total weighted
@@ -51,17 +55,29 @@ from .stars import WEIGHT_TOL, GraphAnalysis, MkStar, analyze, overflow_pairs
 
 
 @dataclass(frozen=True)
-class ReducedStarInfo:
-    """One reduced star and its block of K.
+class Block:
+    """One reduced star: its block of K and the eigenvalue its collapse removes.
 
-    `frame` is the m x p block of K on this star: row a belongs to the a-th
-    vertex of sorted(star.v1), column b to the reduced vertex of kept_v1[b].
+    `frame` is K on this block: row a belongs to rows[a], column b to the
+    reduced vertex of kept[b].  The collapse removes `value`, the star's
+    mass strength in the original graph, q times from the mass Laplacian's
+    spectrum, and `complement` holds the q local eigenvectors on `rows`.
     """
 
-    star: MkStar
-    q: int
-    kept_v1: tuple[int, ...]     # original indices of surviving star vertices
+    rows: tuple[int, ...]   # the star's original vertices, ascending
+    kept: tuple[int, ...]   # the first len(rows) - q of them, which survive
     frame: np.ndarray = field(compare=False, repr=False)
+    value: float
+    star: MkStar
+
+    @property
+    def q(self) -> int:
+        return len(self.rows) - len(self.kept)
+
+    @property
+    def complement(self) -> np.ndarray:
+        """The len(rows) x q eigenvectors at `value`, orthonormal and orthogonal to `frame`."""
+        return star_complement(len(self.rows), len(self.kept))
 
 
 @dataclass(frozen=True)
@@ -69,14 +85,14 @@ class Reduction:
     """A reduced graph together with the map back to the original.
 
     K is the identity from each untouched vertex to its reduced index plus
-    one frame per entry of `star_info`, stacked by shape (`_stacks`);
+    the frame of each of `blocks`, stacked by shape (`_stacks`);
     `k_matrix` builds it densely on each access.
     """
 
     original: Graph
     reduced: Graph
     vertex_map: tuple[int | None, ...]   # original index -> reduced index or None
-    star_info: tuple[ReducedStarInfo, ...]
+    blocks: tuple[Block, ...]
 
     @property
     def q_total(self) -> int:
@@ -85,9 +101,9 @@ class Reduction:
     @cached_property
     def _identity(self) -> tuple[np.ndarray, np.ndarray]:
         """(original rows, reduced columns) of K's identity block, the untouched vertices."""
-        in_star = {v for info in self.star_info for v in info.star.v1}
+        in_block = {v for block in self.blocks for v in block.rows}
         untouched = [
-            v for v, new in enumerate(self.vertex_map) if new is not None and v not in in_star
+            v for v, new in enumerate(self.vertex_map) if new is not None and v not in in_block
         ]
         return (
             np.array(untouched, dtype=np.intp),
@@ -96,22 +112,21 @@ class Reduction:
 
     @cached_property
     def _stacks(self) -> tuple[_Stack, ...]:
-        """K's star blocks, those of one (m, p) shape stacked, shapes in order of first use."""
+        """K's blocks, those of one (m, p) shape stacked, shapes in order of first use."""
         by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, info in enumerate(self.star_info):
-            by_shape.setdefault(info.frame.shape, []).append(i)
+        for i, block in enumerate(self.blocks):
+            by_shape.setdefault(block.frame.shape, []).append(i)
         stacks = []
         for members in by_shape.values():
-            infos = [self.star_info[i] for i in members]
+            blocks = [self.blocks[i] for i in members]
             stacks.append(
                 _Stack(
-                    stars=np.array(members, dtype=np.intp),
-                    rows=np.array([sorted(info.star.v1) for info in infos], dtype=np.intp),
+                    members=np.array(members, dtype=np.intp),
+                    rows=np.array([b.rows for b in blocks], dtype=np.intp),
                     cols=np.array(
-                        [[self.vertex_map[v] for v in info.kept_v1] for info in infos],
-                        dtype=np.intp,
+                        [[self.vertex_map[v] for v in b.kept] for b in blocks], dtype=np.intp
                     ),
-                    frames=np.stack([info.frame for info in infos]),
+                    frames=np.stack([b.frame for b in blocks]),
                 )
             )
         return tuple(stacks)
@@ -130,14 +145,14 @@ class Reduction:
 
 @dataclass(frozen=True)
 class _Stack:
-    """The blocks of K on the reduced stars of one shape.
+    """The blocks of K of one shape.
 
-    The i-th is star_info[stars[i]]'s: rows[i] are its m original rows in
+    The i-th is blocks[members[i]]: rows[i] are its m original rows in
     ascending order, cols[i] its p reduced columns and frames[i] its m x p
     frame.
     """
 
-    stars: np.ndarray
+    members: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     frames: np.ndarray
@@ -175,41 +190,32 @@ def star_complement(m: int, p: int) -> np.ndarray:
     return _swap_columns(m, m)[:, p:]
 
 
-def removed_values(g: Graph | GraphAnalysis, r: Reduction) -> tuple[tuple[float, int], ...]:
-    """Each reduced star's (mass strength, q): q copies of that eigenvalue leave L's spectrum.
-
-    The mass strength is the original graph's, at the star's first kept vertex.
-    """
-    ctx = analyze(g)
-    return tuple((float(ctx.mass_strengths[info.kept_v1[0]]), info.q) for info in r.star_info)
-
-
-def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
+def _reduce(ctx: GraphAnalysis, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
+    g = ctx.graph
     for star, q in assignments:
         if star.weight_uniform is None:
             raise StructuralStarOnlyError(star.v1)
         if not (1 <= q <= star.m - 1):
             raise InvalidQError(q, star.m)
 
-    removed: set[int] = set()
-    for star, q in assignments:
-        removed.update(sorted(star.v1)[star.m - q:])
-
+    removed = {v for star, q in assignments for v in sorted(star.v1)[star.m - q:]}
     keep = np.ones(g.n, dtype=bool)
     keep[list(removed)] = False
     renumber = np.cumsum(keep) - 1   # each kept vertex's reduced index
     vertex_map = tuple(new if k else None for new, k in zip(renumber.tolist(), keep.tolist()))
 
     mass = [g.mass[v] for v in np.flatnonzero(keep).tolist()]
-    infos = []
+    blocks = []
     for star, q in assignments:
-        kept_v1 = tuple(sorted(star.v1)[: star.m - q])
+        rows = tuple(sorted(star.v1))
+        kept = rows[: star.m - q]
         factor = star.m / (star.m - q)
-        for v in kept_v1:
+        for v in kept:
             mass[renumber[v]] *= factor
-        frame = star_frame(star.m, len(kept_v1))
+        frame = star_frame(star.m, len(kept))
         frame.setflags(write=False)
-        infos.append(ReducedStarInfo(star=star, q=q, kept_v1=kept_v1, frame=frame))
+        value = float(ctx.mass_strengths[kept[0]])
+        blocks.append(Block(rows=rows, kept=kept, frame=frame, value=value, star=star))
     if removed:
         both_kept = keep[g.u] & keep[g.v]
         reduced = build_graph_from_columns(
@@ -217,12 +223,7 @@ def _reduce(g: Graph, assignments: Sequence[tuple[MkStar, int]]) -> Reduction:
         )
     else:   # the identity: the original graph, edges and masses as they are
         reduced = g
-    return Reduction(
-        original=g,
-        reduced=reduced,
-        vertex_map=vertex_map,
-        star_info=tuple(infos),
-    )
+    return Reduction(original=g, reduced=reduced, vertex_map=vertex_map, blocks=tuple(blocks))
 
 
 def reduce_all(
@@ -239,26 +240,14 @@ def reduce_all(
     """
     ctx = analyze(g)
     stars = ctx.stars
-    assignments: list[tuple[MkStar, int]] = []
     if isinstance(policy, str):
         if policy not in ("collapse", "keep-pair"):
             raise ValueError(f"unknown policy {policy!r}")
-        for s in stars:
-            if s.weight_uniform is None:
-                continue
-            q = s.m - 1 if policy == "collapse" else max(0, s.m - 2)
-            if q > 0:
-                assignments.append((s, q))
-    else:
-        if len(policy) != len(stars):
-            raise DimensionMismatchError(
-                f"got {len(policy)} q values for {len(stars)} detected stars"
-            )
-        for s, q in zip(stars, policy):
-            if q == 0:
-                continue
-            assignments.append((s, int(q)))
-    return _reduce(ctx.graph, assignments)
+        keep = 1 if policy == "collapse" else 2
+        policy = [max(0, s.m - keep) if s.weight_uniform is not None else 0 for s in stars]
+    elif len(policy) != len(stars):
+        raise DimensionMismatchError(f"got {len(policy)} q values for {len(stars)} detected stars")
+    return _reduce(ctx, [(s, int(q)) for s, q in zip(stars, policy) if q != 0])
 
 
 def _frames_times(frames: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -304,8 +293,8 @@ def _column_blocks(
 
     `x(idx)` returns X[:, idx], and each column of X is read once.  cols is
     c x w and X K[:, cols] n x c x w: c of K's blocks side by side, slots
-    their places in K's order (the identity block's chunks first, then the
-    stars in star_info order).  The identity block comes a chunk at a time,
+    their places in K's order (the identity block's chunks first, then
+    `blocks` in order).  The identity block comes a chunk at a time,
     and the stars of one shape c at a time, their products taken in one
     stacked np.matmul, each bit for bit the product of its star alone.  A
     star wider than a chunk reads its rows a chunk at a time.  No block
@@ -321,7 +310,7 @@ def _column_blocks(
         yield np.array([slot]), cols[None, part], x(rows[part])[:, None, :]
     for stack in r._stacks:
         count, m, p = stack.frames.shape
-        slots = len(starts) + stack.stars
+        slots = len(starts) + stack.members
         if m > step:
             for i, (star_rows, frame) in enumerate(zip(stack.rows, stack.frames)):
                 xk = x(star_rows[:step]) @ frame[:step]
@@ -512,12 +501,12 @@ def verify_laplacian_reduction(
 ) -> tuple[Check, ...]:
     """Check the Laplacian-side reduction identities; failures are recorded.
 
-    Checks: spectrum preservation after removing q copies of each reduced
-    star's weight, the similarity between the nonsymmetric and symmetric
-    mass Laplacians, and the intertwining L K = K L~ with the symmetric mass
+    Checks: spectrum preservation after removing each block's value q
+    times, the similarity between the nonsymmetric and symmetric mass
+    Laplacians, and the intertwining L K = K L~ with the symmetric mass
     Laplacian L~, relative to the spectral radius of L.  L stands for the
     original graph's mass Laplacian, L itself when every mass is 1, and a
-    star's weight for its members' mass strength there.  L and L~ are dense
+    block's value is its star's mass strength there.  L and L~ are dense
     only while their values are solved; the similarity and the lift read
     the rows and columns they need off the edges.
     """
@@ -534,7 +523,7 @@ def verify_laplacian_reduction(
         squares.update(_lift_squares(r, slots, lk, t_cols))
     lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
 
-    removals = [value for value, q in removed_values(ctx, r) for _ in range(q)]
+    removals = [block.value for block in r.blocks for _ in range(block.q)]
     dev, note = _match_after_removal(values_l, values_t, removals, tol)
     return (
         Check("laplacian-spectrum", dev, tol, note),

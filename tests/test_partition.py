@@ -331,7 +331,7 @@ class TestCompareSigns:
 
 def lifted_labels(r, labels):
     """Reduced-graph labels on the original vertices; a removed vertex takes its kept twin's."""
-    twin = {v: info.kept_v1[0] for info in r.star_info for v in info.star.v1}
+    twin = {v: b.kept[0] for b in r.blocks for v in b.rows}
     return [labels[r.vertex_map[v if r.vertex_map[v] is not None else twin[v]]]
             for v in range(r.original.n)]
 

@@ -24,7 +24,7 @@ from starlap import (
 )
 from starlap import eigen, reduction
 from starlap.cli import run_cli
-from starlap.reduction import removed_values, star_complement
+from starlap.reduction import star_complement
 from starlap.stars import GraphAnalysis, analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
@@ -84,7 +84,7 @@ class TestReduceAll:
         r = reduce_all(f4, "collapse")
         assert r.reduced == f4
         assert np.array_equal(r.k_matrix, np.eye(4))
-        assert r.star_info == ()
+        assert r.blocks == ()
 
     def test_keep_pair_fixture(self, f1):
         # the 2-vertex dual star is untouched by keep-pair, so this matches
@@ -189,7 +189,7 @@ class TestMassOperators:
     def test_trace_conservation(self, f1, f2):
         for g in (f1, f2):
             r = reduce_all(g, "collapse")
-            removed_weight = sum(info.q * info.star.weight_uniform for info in r.star_info)
+            removed_weight = sum(b.q * b.star.weight_uniform for b in r.blocks)
             assert np.trace(analyze(r.reduced).matrix("mass-laplacian")) == pytest.approx(
                 np.trace(analyze(g).matrix("laplacian")) - removed_weight, abs=1e-9
             )
@@ -296,9 +296,14 @@ class TestVerification:
 
     def test_a_spectrum_failure_reports_its_note(self, f1, tmp_path, monkeypatch, capsys):
         # ask the Laplacian spectrum check to remove a value L does not have
-        monkeypatch.setattr(
-            reduction, "removed_values", lambda g, r: tuple((1e6, i.q) for i in r.star_info)
-        )
+        reduce_all = reduction.reduce_all
+
+        def misvalued(g, policy="collapse"):
+            r = reduce_all(g, policy)
+            blocks = tuple(dataclasses.replace(b, value=1e6) for b in r.blocks)
+            return dataclasses.replace(r, blocks=blocks)
+
+        monkeypatch.setattr(reduction, "reduce_all", misvalued)
         note = "no eigenvalue near 1e+06 to remove"
         notes = {c.name: c.note for c in verify_graph(f1).checks}
         assert notes["reduction-laplacian-spectrum"] == note
@@ -383,7 +388,7 @@ class TestIntertwiningLiftCheck:
         # K with a random orthonormal frame in place of each star's frame
         r = reduce_all(f2, "collapse")
         rng = np.random.default_rng(0)
-        frames = [np.linalg.qr(rng.standard_normal(info.frame.shape))[0] for info in r.star_info]
+        frames = [np.linalg.qr(rng.standard_normal(b.frame.shape))[0] for b in r.blocks]
         tampered = _with_frames(r, frames)
         checks = _lift_checks(f2, tampered)
         assert sorted(checks) == sorted(LIFTS)
@@ -395,7 +400,7 @@ class TestIntertwiningLiftCheck:
 
     def test_non_orthonormal_frame_fails_k_orthonormality(self, f2):
         r = reduce_all(f2, "collapse")
-        tampered = _with_frames(r, [2.0 * info.frame for info in r.star_info])
+        tampered = _with_frames(r, [2.0 * b.frame for b in r.blocks])
         checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered)}
         assert checks["k-orthonormality"].residual == pytest.approx(3.0)
         assert not checks["k-orthonormality"].passed
@@ -405,8 +410,8 @@ class TestIntertwiningLiftCheck:
         # a NaN standing after a number would let these checks pass
         g = plant_star_graph(2, 40, [(3, 2, 1.0), (4, 2, 2.0), (3, 3, 1.5)], background_p=0.2)
         r = reduce_all(g, "keep-pair")
-        assert len(r.star_info) == 3
-        frames = [info.frame for info in r.star_info]
+        assert len(r.blocks) == 3
+        frames = [b.frame for b in r.blocks]
         frames[1] = np.full(frames[1].shape, np.nan)
         tampered = _with_frames(r, frames)
         checks = verify_adjacency_reduction(g, tampered) + verify_laplacian_reduction(g, tampered)
@@ -421,10 +426,10 @@ class TestIntertwiningLiftCheck:
         # on the stars' columns; K is then not orthonormal, and the reduced
         # spectrum leaves A's
         r = reduce_all(f2, "collapse")
-        kept = {r.vertex_map[v] for info in r.star_info for v in info.kept_v1}
+        kept = {r.vertex_map[v] for b in r.blocks for v in b.kept}
         mass = tuple(4.0 * m if v in kept else m for v, m in enumerate(r.reduced.mass))
         tampered = dataclasses.replace(
-            _with_frames(r, [2.0 * info.frame for info in r.star_info]),
+            _with_frames(r, [2.0 * b.frame for b in r.blocks]),
             reduced=dataclasses.replace(r.reduced, mass=mass),
         )
         checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered)}
@@ -454,9 +459,9 @@ class TestIntertwiningLiftCheck:
 
 
 def _with_frames(r, frames):
-    """The reduction with each reduced star's frame replaced."""
-    infos = tuple(dataclasses.replace(info, frame=f) for info, f in zip(r.star_info, frames))
-    return dataclasses.replace(r, star_info=infos)
+    """The reduction with each block's frame replaced."""
+    blocks = tuple(dataclasses.replace(b, frame=f) for b, f in zip(r.blocks, frames))
+    return dataclasses.replace(r, blocks=blocks)
 
 
 def _dense_k_reference(r, frames=None):
@@ -465,14 +470,14 @@ def _dense_k_reference(r, frames=None):
     `frames`, one per reduced star, replace the star frames.
     """
     k = np.zeros((r.original.n, r.reduced.n))
-    in_star_v1 = {v for info in r.star_info for v in info.star.v1}
+    in_star_v1 = {v for block in r.blocks for v in block.star.v1}
     for v, new in enumerate(r.vertex_map):
         if new is not None and v not in in_star_v1:
             k[v, new] = 1.0
-    for i, info in enumerate(r.star_info):
-        frame = star_frame(info.star.m, len(info.kept_v1)) if frames is None else frames[i]
-        for a, orig in enumerate(sorted(info.star.v1)):
-            for b, kept_orig in enumerate(info.kept_v1):
+    for i, block in enumerate(r.blocks):
+        frame = star_frame(block.star.m, len(block.kept)) if frames is None else frames[i]
+        for a, orig in enumerate(sorted(block.star.v1)):
+            for b, kept_orig in enumerate(block.kept):
                 k[orig, r.vertex_map[kept_orig]] = frame[a, b]
     return k
 
@@ -549,10 +554,10 @@ class TestImplicitK:
 
 
 def _per_star(r):
-    """(sorted original rows, reduced columns, frame) of each reduced star, in star_info order."""
+    """(sorted original rows, reduced columns, frame) of each reduced star, in blocks order."""
     return [
-        (sorted(info.star.v1), [r.vertex_map[v] for v in info.kept_v1], info.frame)
-        for info in r.star_info
+        (sorted(b.star.v1), [r.vertex_map[v] for v in b.kept], b.frame)
+        for b in r.blocks
     ]
 
 
@@ -594,7 +599,7 @@ def test_stacked_products_are_each_stars_own_bit_for_bit(make, policy):
     for slots, cols, xk in reduction._column_blocks(r, lambda idx: np.take(x, idx, axis=1)):
         for i, slot in enumerate(slots.tolist()):
             blocks[slot] = (cols[i], xk[:, i])
-    chunks = len(blocks) - len(r.star_info)
+    chunks = len(blocks) - len(r.blocks)
     assert sorted(blocks) == list(range(len(blocks)))
     step = max(1, r.reduced.n // 8)
     for i, (rows, cols, frame) in enumerate(_per_star(r)):
@@ -648,7 +653,7 @@ def test_lift_residuals_are_the_per_star_loops_bit_for_bit(make, policy, tampere
     if tampered:
         rng = np.random.default_rng(0)
         r = _with_frames(
-            r, [np.linalg.qr(rng.standard_normal(info.frame.shape))[0] for info in r.star_info]
+            r, [np.linalg.qr(rng.standard_normal(b.frame.shape))[0] for b in r.blocks]
         )
     for verify, family in ((verify_adjacency_reduction, "mass-adjacency"),
                            (verify_laplacian_reduction, "mass-laplacian")):
@@ -750,7 +755,7 @@ def _spectrum_matches(g, r):
     """The (original, reduced, removals, tol) inputs of both spectrum checks."""
     a_vals = np.linalg.eigvalsh(adjacency(g))
     l_vals = np.linalg.eigvalsh(analyze(g).matrix("laplacian"))
-    weights = [info.star.weight_uniform for info in r.star_info for _ in range(info.q)]
+    weights = [b.star.weight_uniform for b in r.blocks for _ in range(b.q)]
     return [
         (a_vals, np.linalg.eigvalsh(_sym_mass_adjacency(r)), [0.0] * r.q_total,
          1e-8 * max(1.0, np.abs(a_vals).max())),
@@ -873,26 +878,33 @@ def _collapse_case(source):
 
 
 @pytest.mark.parametrize(
-    "source",
-    [pytest.param(p, id=p.stem) for p in GOLDEN_GRAPHS]
-    + [pytest.param(seed, id=f"planted{seed}") for seed in range(20)],
+    "source, policy",
+    [
+        pytest.param(source, policy, id=name if policy == "collapse" else f"{name}-{policy}")
+        for source, name in [(p, p.stem) for p in GOLDEN_GRAPHS]
+        + [(seed, f"planted{seed}") for seed in range(20)]
+        for policy in ("collapse", "keep-pair", "halves")
+    ],
 )
-def test_the_collapse_gives_every_eigenvector_of_the_mass_laplacian(source):
+def test_the_collapse_gives_every_eigenvector_of_the_mass_laplacian(source, policy):
     # the paper's result: the collapsed graph's eigenvectors, lifted by K,
-    # and each star's local vectors, orthogonal to its frame, are together a
-    # complete orthonormal eigenbasis of the original mass Laplacian
+    # and each block's local vectors, orthogonal to its frame, are together
+    # a complete orthonormal eigenbasis of the original mass Laplacian; a
+    # block that keeps p >= 2 twins has its complement's columns checked too
     ctx = analyze(_collapse_case(source))
-    r = reduce_all(ctx, "collapse")
+    if policy == "halves":   # an explicit q list: half of each reducible star goes
+        policy = [s.m // 2 if s.weight_uniform is not None else 0 for s in ctx.stars]
+    r = reduce_all(ctx, policy)
     tilde = ctx.matrix("mass-laplacian")
     bound = float(np.abs(tilde).sum(axis=1).max())
     spectrum = sym_eigen(ctx.reduced(r).matrix("mass-laplacian"))
     lifted = lift_vector(r, spectrum.vectors)
     residuals = [np.linalg.norm(tilde @ lifted - lifted * spectrum.values, axis=0)]
     columns = [lifted]
-    for (value, q), info in zip(removed_values(ctx, r), r.star_info):
-        local = np.zeros((ctx.graph.n, q))
-        local[sorted(info.star.v1)] = star_complement(info.star.m, info.star.m - q)
-        residuals.append(np.linalg.norm(tilde @ local - value * local, axis=0))
+    for block in r.blocks:
+        local = np.zeros((ctx.graph.n, block.q))
+        local[list(block.rows)] = block.complement
+        residuals.append(np.linalg.norm(tilde @ local - block.value * local, axis=0))
         columns.append(local)
     basis = np.hstack(columns)
     assert basis.shape == (ctx.graph.n, ctx.graph.n)
