@@ -15,10 +15,16 @@ full eigh, and every embedding column is an eigenvector, with residual
 within 1e-12 of the row-sum bound.  It then counts, without failing on
 them, the graphs whose kway labels differ from k-means on the full eigh's
 columns: by a permutation of twins only, where k cuts through a repeated
-eigenvalue, or otherwise.  On every graph without near ties of strength it
-also checks that the dependent-row claims do not change under one seeded
-relabelling of the vertices.  On every graph, each multiplicity claim of
-the L, Q and normalized families is checked both ways, by the library's
+eigenvalue, or otherwise; under kway's tie rule (squared distances within
+DEFAULT_TOL * reach^2 are equal, the first index wins) it counts none by
+default.  The columns line counts the graphs whose kway labels change
+under one seeded permutation of the embedding's columns, which changes
+only the order in which distances are summed; any such graph fails the
+sweep (0 of 200 by default).  On every graph without near ties of
+strength it also checks that the dependent-row claims do not change under
+one seeded relabelling of the vertices.  On every graph, each
+multiplicity claim of the L, Q and normalized families is checked both
+ways, by the library's
 residual (the claimed l-th nearest eigenvalue within tol of w) and by the
 chain-grouped count (multiplicity_at of group_multiplicities at tol, from
 the tests' dense references in tests/reference.py); the claim-rule line
@@ -153,14 +159,15 @@ def fiedler_vector(g):
     return sign_bipartition(g).labels == _labels_from_signs(reference)[0]
 
 
-def kway_embedding(g):
-    """Whether kway's embedding is k eigenvectors at a full eigh's k, and how its labels differ.
+def kway_embedding(g, rng):
+    """Whether kway's embedding is k eigenvectors at a full eigh's k, and how its labels behave.
 
     None without a connected graph of two or more vertices.  The second
     item is "" when the labels equal those of k-means on the full eigh's
     first k columns, else "twins" when the two partitions differ only by
     a permutation of twins, "repeated" when k cuts through a repeated
-    eigenvalue, and "other" for the rest.
+    eigenvalue, and "other" for the rest.  The third is whether the labels
+    change when the embedding's columns are permuted by rng.
     """
     ctx = analyze(g)
     if g.n < 2 or len(ctx.components) != 1:
@@ -170,17 +177,22 @@ def kway_embedding(g):
     full = sym_eigen(tilde)
     k, rows = _embedding(g, "auto")
     if k != spectral_gap_index(full.values):
-        return False, ""
+        return False, "", False
     if rows is None:
-        return True, ""
+        return True, "", False
     product = tilde @ rows
     quotients = np.einsum("ij,ij->j", rows, product)
     if np.linalg.norm(product - rows * quotients, axis=0).max() > 1e-12 * bound:
-        return False, ""
-    labels = _relabel_by_smallest_member(_lloyd(rows), g.n, "").labels
-    reference = _relabel_by_smallest_member(_lloyd(full.vectors[:, :k]), g.n, "").labels
+        return False, "", False
+
+    def kmeans(columns):
+        return _relabel_by_smallest_member(_lloyd(columns), g.n, "").labels
+
+    labels = kmeans(rows)
+    moved = kmeans(rows[:, rng.permutation(k)]) != labels
+    reference = kmeans(full.vectors[:, :k])
     if labels == reference:
-        return True, ""
+        return True, "", moved
     twin_class = list(range(g.n))
     for star in ctx.stars:
         for v in star.v1:
@@ -193,10 +205,10 @@ def kway_embedding(g):
         return sorted(sorted(m) for m in members.values())
 
     if clusters(labels) == clusters(reference):
-        return True, "twins"
+        return True, "twins", moved
     if k < g.n and full.values[k] - full.values[k - 1] <= DEFAULT_TOL * bound:
-        return True, "repeated"
-    return True, "other"
+        return True, "repeated", moved
+    return True, "other", moved
 
 
 def sweep_star(seed, rng, max_extra):
@@ -259,7 +271,7 @@ def main():
     counts: dict[str, int] = {}
     failures: dict[str, list[int]] = {}
     label_changes: dict[str, int] = {}
-    claims = claim_differences = blocks = block_failures = 0
+    claims = claim_differences = blocks = block_failures = clustered = moved = 0
     sizes = []
     t0 = time.time()
     for i in range(args.graphs):
@@ -273,10 +285,11 @@ def main():
             results["relabelled"] = same
         if (pair := fiedler_vector(g)) is not None:
             results["fiedler_vector"] = pair
-        if (embedded := kway_embedding(g)) is not None:
-            results["kway_embedding"], kind = embedded
+        if (embedded := kway_embedding(g, rng)) is not None:
+            results["kway_embedding"], kind, permuted = embedded
             if kind:
                 label_changes[kind] = label_changes.get(kind, 0) + 1
+            clustered, moved = clustered + 1, moved + permuted
         total, differ = claim_rule_differences(g)
         claims, claim_differences = claims + total, claim_differences + differ
         total, missed = block_misses(g)
@@ -301,7 +314,10 @@ def main():
     status = "ok" if not block_failures else "FAIL"
     print(f"  blocks  {block_failures} of {blocks} blocks whose local vectors miss their value  "
           f"{status}")
-    if failures or claim_differences or block_failures:
+    status = "ok" if not moved else "FAIL"
+    print(f"  columns  {moved} of {clustered} graphs whose kway labels change when the "
+          f"embedding's columns are permuted  {status}")
+    if failures or claim_differences or block_failures or moved:
         raise SystemExit(2)
 
 

@@ -6,6 +6,11 @@ scaled alike.  A weight comparison allows stars.WEIGHT_TOL times the weight
 compared (a piece or class strength, a row's largest entry, or max |A| for a
 reduction's congruence); a spectral one allows tol times the family's
 spectral_radius, its largest finite |eigenvalue|, so no NaN or inf widens it.
+Ties are decided by the same rule at DEFAULT_TOL: k-means counts two squared
+distances within DEFAULT_TOL * reach^2 as equal (reach bounds |r| + |c|), and
+recursive bisection two blocks' second eigenvalues within DEFAULT_TOL times
+the larger of their spectral radii; the first index, or the block holding
+the smallest vertex, wins.
 """
 
 from __future__ import annotations

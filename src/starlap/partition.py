@@ -140,11 +140,13 @@ def _relabel_by_smallest_member(blocks: list[list[int]], n: int, provenance: str
 def recursive_bisection(g: Graph, max_clusters: int) -> Partition:
     """Repeatedly bisect the loosest block until there are max_clusters blocks.
 
-    The block with the smallest second eigenvalue splits next (ties to the
-    block containing the smallest vertex); induced subgraphs keep original
-    weights.  A block that falls apart into components splits along its first
-    component.  Stops early when only singletons remain.  Each block's split
-    is computed once; an empty graph has no blocks.
+    The block with the smallest second eigenvalue splits next.  Two such
+    values within eigen.DEFAULT_TOL times the larger of their blocks'
+    spectral radii are equal, the rule `fiedler` uses, and the block
+    containing the smallest vertex wins a tie.  Induced subgraphs keep
+    original weights.  A block that falls apart into components splits
+    along its first component.  Stops early when only singletons remain.
+    Each block's split is computed once; an empty graph has no blocks.
     """
     if max_clusters < 1:
         raise BadKError(
@@ -152,23 +154,29 @@ def recursive_bisection(g: Graph, max_clusters: int) -> Partition:
         )
     _require_connected(g)
 
-    splits: dict[tuple[int, ...], tuple[float, tuple[int, ...], tuple[int, ...]]] = {}
+    Split = tuple[float, float, tuple[int, ...], tuple[int, ...]]
+    splits: dict[tuple[int, ...], Split] = {}
 
-    def split(block: tuple[int, ...]) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
-        """A block's second eigenvalue (0 when disconnected) and its two sides."""
+    def split(block: tuple[int, ...]) -> Split:
+        """A block's second eigenvalue, its spectral radius and its two sides.
+
+        A disconnected block has second eigenvalue 0 and radius 0 here.
+        """
         if len(block) <= 1:
-            return float("inf"), block, ()
+            return float("inf"), 0.0, block, ()
         if block not in splits:
             sub, old = induced_subgraph(g, block)
             ctx = analyze(sub)
             if len(ctx.components) > 1:
-                lam, first = 0.0, min(ctx.components, key=min)
+                lam, radius, first = 0.0, 0.0, min(ctx.components, key=min)
             else:
                 result = fiedler(ctx)
                 labels = _labels_from_signs(result.vector)[0]
                 lam, first = result.lambda2, {i for i, lbl in enumerate(labels) if lbl == 0}
+                radius = eigen.spectral_radius(ctx.values("mass-laplacian"))
             splits[block] = (
                 lam,
+                radius,
                 tuple(old[i] for i in range(sub.n) if i in first),
                 tuple(old[i] for i in range(sub.n) if i not in first),
             )
@@ -176,12 +184,16 @@ def recursive_bisection(g: Graph, max_clusters: int) -> Partition:
 
     blocks = [tuple(range(g.n))] if g.n else []
     while blocks and len(blocks) < max_clusters:
-        keys = [(split(b)[0], b[0]) for b in blocks]
-        order = keys.index(min(keys))
-        if keys[order][0] == float("inf"):
+        low, low_radius = min((split(b)[:2] for b in blocks), key=lambda pair: pair[0])
+        if low == float("inf"):
             break
-        block = blocks.pop(order)
-        _, side0, side1 = split(block)
+        # blocks are disjoint and ascending, so the least tuple holds the smallest vertex
+        block = min(
+            b for b in blocks
+            if split(b)[0] - low <= eigen.DEFAULT_TOL * max(split(b)[1], low_radius)
+        )
+        blocks.remove(block)
+        _, _, side0, side1 = split(block)
         if not side0 or not side1:
             # sign vector failed to split; cannot refine this block further
             blocks.append(block)
@@ -193,29 +205,13 @@ def recursive_bisection(g: Graph, max_clusters: int) -> Partition:
     )
 
 
-def _direct(points: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Squared distances from each row of points to centre, term by term."""
-    return ((points - centre) ** 2).sum(axis=1)
-
-
-def _slack(reach: np.ndarray, k: int) -> np.ndarray:
-    """How far an expanded squared distance may lie from the direct one.
-
-    reach is |r| + |c|.  In k dimensions each form is within
-    (k+2)*eps/2 * reach^2 of the exact value, so the two differ by at most
-    (k+2)*eps * reach^2.  Four times that also covers the rounding of reach
-    and two squared distances whose square roots round alike; the tiny term
-    covers rounding in the subnormal range.
-    """
-    return 4 * (k + 2) * np.finfo(float).eps * (reach * reach + np.finfo(float).tiny)
-
-
 def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Each point's nearest centre by squared distance, the first of equals.
 
-    One matrix product screens all distances; points with more than one
-    centre within the slack of their nearest are settled by the direct
-    distances to those centres, so the choice is the direct loop's.
+    One matrix product gives every distance in expanded form,
+    |r|^2 - 2 r.c + |c|^2.  Distances within eigen.DEFAULT_TOL * reach^2
+    of a point's nearest count as equal, reach being |r| + max |c|, so the
+    choice does not depend on the order the terms are summed in.
     """
     squares = np.einsum("ij,ij->i", points, points)
     centre_squares = np.einsum("ij,ij->i", centres, centres)
@@ -223,41 +219,26 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     expanded *= -2
     expanded += squares[:, None]
     expanded += centre_squares
-    slack = _slack(np.add.outer(np.sqrt(squares), np.sqrt(centre_squares)), points.shape[1])
-    upper = expanded + slack
-    nearest = upper.argmin(axis=1)
-    expanded -= slack
-    tied = expanded <= upper[np.arange(points.shape[0]), nearest][:, None]
-    for i in np.flatnonzero(tied.sum(axis=1) > 1):
-        candidates = np.flatnonzero(tied[i])
-        nearest[i] = candidates[_direct(centres[candidates], points[i]).argmin()]
-    return nearest
+    reach = np.sqrt(squares) + np.sqrt(centre_squares.max())
+    tie = eigen.DEFAULT_TOL * reach * reach
+    return (expanded <= (expanded.min(axis=1) + tie)[:, None]).argmax(axis=1)
 
 
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
     """Seeds from row 0, each next one the row farthest from the seeds so far.
 
-    The distance to the nearest seed is screened with one matrix-vector
-    product per seed.  Where rows come within the slack of the farthest,
-    their direct distances to their nearest seeds, sqrt(sum((r - s)**2)),
-    decide, and the first of equals wins, as np.argmax picks it.
+    The squared distance to the nearest seed is kept in expanded form, with
+    one matrix-vector product per seed.  Distances within
+    eigen.DEFAULT_TOL * reach^2 of the farthest count as equal, reach being
+    twice the largest row norm, and the first of equals wins.
     """
     squares = np.einsum("ij,ij->i", rows, rows)
-    norms = np.sqrt(squares)
+    tie = eigen.DEFAULT_TOL * 4 * squares.max()
     seeds = [0]
     nearest = squares - 2 * (rows @ rows[0]) + squares[0]
-    longest_seed = norms[0]
     while len(seeds) < k:
-        # the nearest seed is not known here, so bound with the longest one
-        slack = _slack(norms + longest_seed, rows.shape[1])
-        best = int(np.argmax(nearest - slack))
-        tied = np.flatnonzero(nearest + slack >= nearest[best] - slack[best])
-        if tied.size > 1:
-            seen = rows[seeds]
-            closest = seen[_nearest(rows[tied], seen)]
-            best = int(tied[np.argmax(np.sqrt(_direct(rows[tied], closest)))])
+        best = int(np.argmax(nearest >= nearest.max() - tie))
         seeds.append(best)
-        longest_seed = max(longest_seed, norms[best])
         np.minimum(nearest, squares - 2 * (rows @ rows[best]) + squares[best], out=nearest)
     return seeds
 
@@ -358,12 +339,13 @@ def kway(g: Graph, k: int | str = "auto") -> Partition:
     a NaN or infinite second eigenpair of the collapsed graph raises
     NonFiniteSpectrumError.
 
-    Distances are screened in expanded form, |r|^2 - 2 r.c + |c|^2, with
+    Distances are computed in expanded form, |r|^2 - 2 r.c + |c|^2, with
     one BLAS product per Lloyd iteration (rows times centroids) and one
-    matrix-vector product per seed.  Where another candidate lies within
-    the rounding bound of that form, 4*(k+2)*eps*(|r| + |c|)^2, of the
-    best, the direct distances sum((r - c)**2) decide, so the labels are
-    those of the direct computation bit for bit.  Memory is O(n*k) beyond
+    matrix-vector product per seed.  Two squared distances within
+    eigen.DEFAULT_TOL * reach^2 of each other are equal and the first
+    index wins (see _nearest and _farthest_first_seeds); the form's
+    rounding, at most 4*(k+2)*eps*reach^2, lies far below that, so the
+    labels do not depend on summation order.  Memory is O(n*k) beyond
     the collapsed graph's eigensolve: no Gram matrix and no n*k*k tensor.
     """
     _require_connected(g)

@@ -238,6 +238,35 @@ class TestRecursiveBisection:
         b = recursive_bisection(two_triangles, max_clusters=3)
         assert a.labels == b.labels
 
+    def test_isomorphic_blocks_tie_to_the_one_with_the_smallest_vertex(self):
+        # the copies' second eigenvalues differ only by rounding, so the
+        # first copy, which holds vertex 0, splits next
+        split_the_other = []
+        for seed in range(200):
+            labels = recursive_bisection(isomorphic_pair(seed), max_clusters=3).labels
+            if len(set(labels[:7])) != 2 or len(set(labels[7:])) != 1:
+                split_the_other.append(seed)
+        assert split_the_other == []
+
+
+def isomorphic_pair(seed, size=7):
+    """Two copies of a random connected graph with integer weights, joined by a light bridge.
+
+    The second copy is relabelled by a random permutation; the bridge, of
+    weight 1e-3, joins vertex 0 to its copy.
+    """
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(size)
+    edges = {(min(u, v), max(u, v)): int(rng.integers(1, 6)) for u, v in zip(path, path[1:])}
+    for u in range(size):
+        for v in range(u + 1, size):
+            if rng.random() < 0.4:
+                edges.setdefault((u, v), int(rng.integers(1, 6)))
+    copy = [int(x) for x in size + rng.permutation(size)]
+    first = [(int(u), int(v), float(w)) for (u, v), w in edges.items()]
+    second = [(copy[u], copy[v], w) for u, v, w in first]
+    return build_graph(2 * size, first + second + [(0, copy[0], 1e-3)])
+
 
 class TestKway:
     def test_triangles(self, two_triangles):
@@ -408,26 +437,33 @@ def _full_eigh_embedding(g, k):
 
 
 def _kway_reference(g, k, embedding=_full_eigh_embedding, max_iter=100):
-    """kway as first written, on the embedding(g, k) it is given.
+    """kway as first written, on the embedding(g, k) it is given, with kway's tie rule.
 
-    The whole n*k*k difference tensor per Lloyd step and direct distances
-    throughout; the embedding is one full eigh of L by default, kway's own
+    The whole n*k*k difference tensor per Lloyd step and direct squared
+    distances throughout; two distances within eigen.DEFAULT_TOL * reach^2
+    of the best are equal and the first index wins, reach being twice the
+    largest row norm for a seed and |r| + max |c| for an assignment.  The
+    embedding is one full eigh of L by default, kway's own
     (partition._embedding) where the rows must be the ones kway clusters.
     """
     k_val, rows = embedding(g, k)
     if rows is None:
         return Partition(labels=(0,) * g.n, provenance="kway(auto->1)")
+    norms = np.sqrt((rows**2).sum(axis=1))
+    seed_tie = eigen.DEFAULT_TOL * (2 * norms.max()) ** 2
     seeds = [0]
-    dist = np.linalg.norm(rows - rows[0], axis=1)
+    dist = ((rows - rows[0]) ** 2).sum(axis=1)
     while len(seeds) < k_val:
-        nxt = int(np.argmax(dist))
+        nxt = int(np.flatnonzero(dist >= dist.max() - seed_tie)[0])
         seeds.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(rows - rows[nxt], axis=1))
+        dist = np.minimum(dist, ((rows - rows[nxt]) ** 2).sum(axis=1))
     centroids = rows[seeds].copy()
     labels = np.full(g.n, -1)
     for _ in range(max_iter):
         dists = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
+        reach = norms + np.sqrt((centroids**2).sum(axis=1)).max()
+        tie = eigen.DEFAULT_TOL * reach**2
+        new_labels = (dists <= (dists.min(axis=1) + tie)[:, None]).argmax(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -514,7 +550,12 @@ def test_seeds_match_the_direct_loop(case, scale):
 def test_nearest_centroids_and_means_match_the_direct_loops(case, scale):
     rows, centroids = (a * scale for a in TIE_CASES[case])
     labels = _nearest(rows, centroids)
-    assert labels.tolist() == nearest_reference(rows, centroids).tolist()
+    if case == "equidistant rows":
+        # the bisector points tie up to rounding, so the first centre takes each
+        expected = [0, 1] + [0] * EQUIDISTANT.shape[0]
+    else:
+        expected = nearest_reference(rows, centroids).tolist()
+    assert labels.tolist() == expected
     means = _cluster_means(rows, labels, centroids)
     assert means.tobytes() == means_reference(rows, labels, centroids).tobytes()
 
@@ -540,27 +581,27 @@ def test_means_are_members_mean_bit_for_bit(seed):
     )
 
 
-def test_the_exact_recheck_settles_what_the_screen_cannot(monkeypatch):
-    rows, centres = EQUIDISTANT, PAIR
-    squares = (rows**2).sum(axis=1)
-    screened = (squares[:, None] - 2 * rows @ centres.T + (centres**2).sum(axis=1)).argmin(axis=1)
-    direct = nearest_reference(rows, centres)
-    # the expanded form alone would pick the other centre for some rows
-    assert (screened != direct).any()
-    rechecked = []
-    real = partition_module._direct
+def _column_permutation_cases():
+    for seed in range(50):
+        rows, centres = equidistant_points(seed, dim=6)
+        yield pytest.param(np.vstack([centres, rows]), centres, id=f"equidistant{seed}")
+    # kway's embedding of stars of three shapes: twin rows tie with each other
+    specs = [(3, 2, 1.0), (4, 3, 2.0), (6, 5, 3.5)] * 2
+    for seed in range(1, 6):
+        g = plant_star_graph(seed, 100, specs, background_p=0.05)
+        rows = partition_module._embedding(g, "auto")[1]
+        centres = rows[_farthest_first_seeds(rows, rows.shape[1])]
+        yield pytest.param(rows, centres, id=f"stars{seed}")
 
-    def counted(points, centre):
-        rechecked.append(len(points))
-        return real(points, centre)
 
-    monkeypatch.setattr(partition_module, "_direct", counted)
-    assert _nearest(rows, centres).tolist() == direct.tolist()
-    assert rechecked
-    rechecked.clear()
-    grid = TIE_CASES["duplicate rows"][0]
-    assert _farthest_first_seeds(grid, 4) == farthest_first_reference(grid, 4)
-    assert rechecked
+@pytest.mark.parametrize("rows, centres", list(_column_permutation_cases()))
+def test_picks_do_not_change_when_the_columns_are_permuted(rows, centres):
+    # permuting the columns changes only the order in which distances are summed
+    perm = np.random.default_rng(0).permutation(rows.shape[1])
+    moved_rows, moved_centres = rows[:, perm], centres[:, perm]
+    assert _nearest(moved_rows, moved_centres).tolist() == _nearest(rows, centres).tolist()
+    k = rows.shape[1]
+    assert _farthest_first_seeds(moved_rows, k) == _farthest_first_seeds(rows, k)
 
 
 def _reference_cases():
