@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -42,6 +43,16 @@ def _kway_count(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"invalid value {text!r} (an integer or 'auto')") from None
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (a finite number >= 0)")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted before and after the subcommand; the subparser
     # copies default to SUPPRESS, so they leave a pre-subcommand value in place
@@ -51,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         "reduction, and spectral partitioning of weighted graphs.",
     )
     parser.add_argument(
-        "--tol", type=float, default=eigen.DEFAULT_TOL, help="relative tolerance (default 1e-8)"
+        "--tol", type=_tolerance, default=eigen.DEFAULT_TOL, help="relative tolerance (default 1e-8)"
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="relative tolerance")
+    common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS, help="relative tolerance")
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output"
     )

@@ -4,7 +4,7 @@ In report order: the multiplicity predictions of the dependent-row
 partitions (every weight-uniform star among them), an optional request to
 reduce the first star, the reduction identities (adjacency with
 interlacing, then Laplacian), and the Fiedler sign agreement between the
-graph and its reduction.
+graph and its reduction, which is computed first.
 
 Layer functions are called through their modules (``reduction.reduce_all``),
 so a rebinding of a module attribute, as a tracer or a test does, sees every
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 from . import eigen, graphs, partition, reduction, stars
-from .eigen import Check
 from .errors import NonFiniteSpectrumError
 
 
@@ -29,7 +28,7 @@ class GraphVerification:
     ``reduce`` names it with a "reduction-" prefix.
     """
 
-    checks: tuple[Check, ...]
+    checks: tuple[eigen.Check, ...]
     warnings: tuple[str, ...]
     dependent_rows: tuple[stars.LDependentPartition, ...]
     reduction: reduction.Reduction
@@ -48,11 +47,12 @@ def verify_graph(
     With q (at least 1) only the first detected star is reduced, by
     min(q, m - 1) vertices; without it every reducible star is collapsed.
     The request is a check of tol 0 whose residual is 1 when the first star
-    cannot be reduced.  The sign agreement is a check of tol 0 whose
-    residual is the fraction of compared vertices whose signs disagree: 0,
-    with the reason in its note, when the comparison is inconclusive (on a
-    graph with fewer than two vertices or more than one component, among
-    others), and NaN, with the error, when a Fiedler pair is not finite.
+    cannot be reduced.  The sign agreement, compared first so that later
+    checks read the spectra it solved, is a check of tol 0 whose residual
+    is the fraction of compared vertices whose signs disagree: 0, with the
+    reason in its note, when the comparison is inconclusive (on a graph too
+    small or disconnected, among others), and NaN, with the error, when a
+    Fiedler pair is not finite.
     """
     if q is not None and q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
@@ -70,33 +70,21 @@ def verify_graph(
             qs[0] = min(q, detected[0].m - 1)
             unreduced, note = 0.0, f"reducing star v1={list(detected[0].v1)} by q={qs[0]}"
     r = reduction.reduce_all(ctx, qs)
-    # the Fiedler pairs the sign comparison reads are solved on the
-    # conditions on which compare_signs solves them, each from one build of
-    # its matrix for the values and the LU solve: the graph's first, before
-    # the claims read L's values, and the reduced graph's before the
-    # Laplacian checks read L~'s, so neither those checks nor the sign
-    # comparison build a matrix
-    fiedler_pairs = ctx.graph.n >= 2 and len(ctx.components) == 1
-    if fiedler_pairs:
-        ctx.second_vector("mass-laplacian")
-
-    checks, warnings = stars.verify_star_predictions(ctx, tol)
-    if q is not None:
-        checks.append(Check(f"reduction-requested(q={q})", unreduced, 0.0, note))
-    reduction_checks = reduction.verify_adjacency_reduction(ctx, r, tol)
-    if fiedler_pairs:
-        ctx.reduced(r).second_vector("mass-laplacian")
-    reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
-    checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
     try:
         signs = partition.compare_signs(ctx, r, tol)
     except NonFiniteSpectrumError as exc:
-        signs, disagreement, note = None, math.nan, str(exc)
+        signs, disagreement, sign_note = None, math.nan, str(exc)
     else:
-        disagreement, note = 0.0, f"inconclusive: {signs.reason}"
-        if not signs.degenerate:
-            disagreement, note = 1.0 - signs.agreement_fraction, ""
-    checks.append(Check("sign-agreement", disagreement, 0.0, note))
+        disagreement = 0.0 if signs.degenerate else 1.0 - signs.agreement_fraction
+        sign_note = f"inconclusive: {signs.reason}" if signs.degenerate else ""
+
+    checks, warnings = stars.verify_star_predictions(ctx, tol)
+    if q is not None:
+        checks.append(eigen.Check(f"reduction-requested(q={q})", unreduced, 0.0, note))
+    reduction_checks = reduction.verify_adjacency_reduction(ctx, r, tol)
+    reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
+    checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
+    checks.append(eigen.Check("sign-agreement", disagreement, 0.0, sign_note))
 
     return GraphVerification(
         checks=tuple(checks),

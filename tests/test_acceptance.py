@@ -318,3 +318,24 @@ def test_random_sweep_script_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("5 graphs") and "FAIL" not in out
     assert " relabelled " in out
+
+
+def test_call_rss_script_runs(capsys):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("call_rss", root / "scripts" / "call_rss.py")
+    call_rss = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(call_rss)
+    graph = str(root / "tests" / "golden" / "f1.graph")
+    src = str(root / "src")
+    argv = ["--src", src, "--src", src, "--runs", "1", "--", "verify", graph, "--json"]
+    assert call_rss.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[1:]] == [
+        f"tree 1 {src}", f"tree 2 {src}", "stdout", "exit code"
+    ]
+    assert out[-2:] == ["stdout: same on every run", "exit code: 0"]
+    for line in out[1:3]:
+        # one run per tree: its median, minimum and maximum are that run's
+        rss = line.split("peak_rss_mb ")[1].split(", wall_s")[0]
+        peak = rss.split()[0]
+        assert float(peak) > 0 and rss == f"{peak} [{peak}, {peak}]"

@@ -62,6 +62,25 @@ class TestInfoAndSpectrum:
         code, out, _ = run(capsys, *tail)
         assert json.loads(out)["tolerances"]["relative"] == 1e-8
 
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-1", "nan", "-1e-300", "abc", ""])
+    def test_tol_must_be_a_finite_number_at_least_0(self, capsys, fixture_files, before, value):
+        # an infinite tol would pass every check, and a failed run exits 2;
+        # "--tol=-inf" reaches the type where "--tol -inf" reads as an option
+        tail = ["stars", fixture_files["f1"], "--json"]
+        argv = [f"--tol={value}", *tail] if before else [*tail, f"--tol={value}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: starlap")
+        assert err.endswith(f"argument --tol: invalid value '{value}' (a finite number >= 0)\n")
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_tol_0_is_valid(self, capsys, fixture_files, before):
+        tail = ["stars", fixture_files["f1"], "--json"]
+        argv = ["--tol", "0", *tail] if before else [*tail, "--tol", "0"]
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 2) and json.loads(out)["tolerances"]["relative"] == 0.0
+
 
 class TestStars:
     def test_path_reports_none(self, capsys, fixture_files):

@@ -223,15 +223,16 @@ def test_each_graph_adjacency_is_built_once(builds, capsys, args, adjacency_buil
 
 def test_verify_builds_each_matrix_once_for_its_solve(builds, counted, capsys, monkeypatch):
     # the graph's L, Q, normalized Laplacian and A, the reduction's L~ and
-    # M^1/2 B M^1/2: each built once and solved, L and L~ for their Fiedler
-    # vectors too, so the sign comparison builds nothing
+    # M^1/2 B M^1/2: each built once and solved; the sign comparison builds
+    # L and then L~, for their values and Fiedler vectors, and no other
+    # call builds either
     real_compare = partition.compare_signs
     during_compare = []
 
     def compare_signs(*args, **kwargs):
         before = len(builds)
         result = real_compare(*args, **kwargs)
-        during_compare.append(len(builds) - before)
+        during_compare.append(builds[before:])
         return result
 
     monkeypatch.setattr(partition, "compare_signs", compare_signs)
@@ -239,7 +240,12 @@ def test_verify_builds_each_matrix_once_for_its_solve(builds, counted, capsys, m
     capsys.readouterr()
     assert len(builds) == len(set(builds)) == len(counted["solves"]) == 6
     assert sorted(n for _, _, n in builds) == [110, 110, 120, 120, 120, 120]
-    assert during_compare == [0]
+    [compared] = during_compare
+    assert [(family, n) for _, family, n in compared] == [
+        ("laplacian", 120), ("mass-laplacian", 110)
+    ]
+    laplacians = [b for b in builds if b[1] in ("laplacian", "mass-laplacian")]
+    assert laplacians == compared
 
 
 def test_kway_never_builds_the_original_adjacency(builds):
@@ -264,3 +270,18 @@ def test_verify_holds_few_dense_matrices_at_once(seed, n):
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * 8 * n * n
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_graph(1, []), build_graph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)])],
+    ids=["n1", "two-components"],
+)
+def test_verify_without_a_fiedler_pair_makes_no_lu_solve(builds, counted, monkeypatch, g):
+    # the sign comparison is inconclusive before it solves a Fiedler pair;
+    # L's values are solved once, for the claims and the Laplacian checks
+    lu = _count_calls(monkeypatch, "solve")
+    verify_graph(g)
+    assert lu == []
+    assert [(family, n) for _, family, n in builds].count(("laplacian", g.n)) == 1
+    assert len(counted["solves"]) == len(builds)

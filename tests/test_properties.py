@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from starlap import (
     build_graph,
+    compare_signs,
+    load_graph,
     connected_components,
     detect_stars,
     group_by_weight,
@@ -29,8 +31,16 @@ from starlap import (
 )
 from starlap.eigen import DEFAULT_TOL
 from starlap import partition
-from starlap.errors import ConditionViolatedError, NoCommonStrengthError
-from starlap.stars import WEIGHT_TOL, LDependentPartition, analyze, predict_multiplicities
+from starlap.eigen import Check
+from starlap.errors import ConditionViolatedError, NoCommonStrengthError, NonFiniteSpectrumError
+from starlap.stars import (
+    WEIGHT_TOL,
+    LDependentPartition,
+    analyze,
+    predict_multiplicities,
+    unreducible_reason,
+    verify_star_predictions,
+)
 
 from conftest import interlacing
 from reference import adjacency, multiplicity_at
@@ -476,3 +486,87 @@ def test_edgeless_graph_passes_verify_with_zero_lift_residuals():
     assert result.passed
     lifts = [c.residual for c in result.checks if "lift" in c.name]
     assert lifts == [0.0, 0.0]
+
+
+# --- verify is the sum of its parts ------------------------------------------
+
+
+def _request(g, q):
+    """The reduction plan and request check verify_graph makes for q, on a fresh analysis."""
+    if q is None:
+        return "collapse", []
+    detected = analyze(g).stars
+    qs = [0] * len(detected)
+    name = f"reduction-requested(q={q})"
+    if not detected:
+        return qs, [Check(name, 0.0, 0.0, "no stars to reduce; identity reduction")]
+    v1 = list(detected[0].v1)
+    if reason := unreducible_reason(g, detected[0]):
+        return qs, [Check(name, 1.0, 0.0, f"first star v1={v1} has {reason} and cannot be reduced")]
+    qs[0] = min(q, detected[0].m - 1)
+    return qs, [Check(name, 0.0, 0.0, f"reducing star v1={v1} by q={qs[0]}")]
+
+
+def _sign_check(g, qs, tol):
+    ctx = analyze(g)
+    try:
+        signs = compare_signs(ctx, reduce_all(ctx, qs), tol)
+    except NonFiniteSpectrumError as exc:
+        return Check("sign-agreement", float("nan"), 0.0, str(exc))
+    if signs.degenerate:
+        return Check("sign-agreement", 0.0, 0.0, f"inconclusive: {signs.reason}")
+    return Check("sign-agreement", 1.0 - signs.agreement_fraction, 0.0, "")
+
+
+def _reduction_checks(g, qs, tol, verify):
+    ctx = analyze(g)
+    checks = verify(ctx, reduce_all(ctx, qs), tol)
+    return [Check(f"reduction-{c.name}", c.residual, c.tol, c.note) for c in checks]
+
+
+def _bits(checks):
+    return [
+        (c.name, np.float64(c.residual).tobytes(), np.float64(c.tol).tobytes(), c.note)
+        for c in checks
+    ]
+
+
+def assert_verify_is_the_sum_of_its_parts(g, q, tol=DEFAULT_TOL):
+    # each part on its own fresh analysis, so no part reads what another cached
+    qs, request = _request(g, q)
+    parts = [
+        *verify_star_predictions(analyze(g), tol)[0],
+        *request,
+        *_reduction_checks(g, qs, tol, verify_adjacency_reduction),
+        *_reduction_checks(g, qs, tol, verify_laplacian_reduction),
+        _sign_check(g, qs, tol),
+    ]
+    assert _bits(verify_graph(g, tol, q).checks) == _bits(parts)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([None, 1]))
+@settings(max_examples=40, deadline=None)
+def test_verify_is_the_sum_of_its_parts_on_planted_stars(seed, q):
+    assert_verify_is_the_sum_of_its_parts(_planted_stars(seed), q)
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [(f"ldep-{seed}", plant_ldependent_graph(seed, (3, 8, 4), 6.0)) for seed in range(4)]
+    + [
+        ("written_reduction", load_graph(str(_GOLDEN / "written_reduction.graph"))),
+        ("two-components", build_graph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)])),
+        ("n1", build_graph(1, [])),
+        ("overflow", build_graph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])),
+    ],
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+@pytest.mark.parametrize("q", [None, 1])
+def test_verify_is_the_sum_of_its_parts(name, g, q):
+    if name.startswith("ldep"):
+        assert reduce_all(g, "collapse").reduced is g   # an identity reduction
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_verify_is_the_sum_of_its_parts(g, q)
