@@ -10,14 +10,16 @@ for that run alone.  Linux keeps a forked child's maximum RSS across
 RSS; started by the helper, it reads its own peak unless that is below the
 helper's few MB.  The helper forks, execs the call with the tree's ``src``
 as the only PYTHONPATH entry, and takes the child's ``ru_maxrss`` from
-``os.wait4`` and the wall time from the fork to the wait.
+``os.wait4`` and the wall time from the fork to the wait.  Each tree's
+``src`` is linked under one temporary directory by a name of the same
+length as every other tree's, so the trees run from paths of one length:
+the same sources at a shorter path moved one ``partition --kway auto``
+call's median peak by 0.1 MB.
 
 For each tree it prints the median, minimum and maximum peak RSS (MB) and
 wall time (s), then whether the stdout bytes and the exit code were the
 same on every run of every tree.  Relative paths in the call are read from
 the current directory; a call that writes a file writes it once per run.
-Give the trees paths of one length: the same sources at a shorter path
-moved one ``partition --kway auto`` call's median peak by 0.1 MB.
 
 Usage:
     python scripts/call_rss.py --src OLD/src --src NEW/src [--runs 5] -- verify G.graph --json
@@ -89,9 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     runs: list[list[tuple[float, float, int, str]]] = [[] for _ in srcs]
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "stdout")
+        width = len(str(len(srcs)))
+        links = [os.path.join(tmp, f"src{i:0{width}d}") for i in range(len(srcs))]
+        for src, link in zip(srcs, links):
+            os.symlink(src, link)
         for _ in range(args.runs):
-            for src, tree_runs in zip(srcs, runs):
-                tree_runs.append(run_once(src, call, out_path))
+            for link, tree_runs in zip(links, runs):
+                tree_runs.append(run_once(link, call, out_path))
 
     print(f"call: {' '.join(call)}; {args.runs} runs per tree, alternating")
     for i, (src, tree_runs) in enumerate(zip(srcs, runs), 1):

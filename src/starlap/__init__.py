@@ -39,8 +39,7 @@ from .reduction import (
     lift_vector,
     reduce_all,
     star_frame,
-    verify_adjacency_reduction,
-    verify_laplacian_reduction,
+    verify_reduction,
 )
 from .partition import (
     FiedlerResult,
@@ -106,10 +105,9 @@ __all__ = [
     "strengths",
     "sym_eigen",
     "to_json",
-    "verify_adjacency_reduction",
     "verify_graph",
-    "verify_laplacian_reduction",
     "verify_ldependent",
+    "verify_reduction",
     "verify_star_predictions",
     "write_graph_file",
 ]

@@ -287,8 +287,7 @@ def _cmd_reduce(args) -> int:
     ctx = stars_mod.analyze(g)
     r = reduction.reduce_all(ctx, args.policy)
     fileio.save_graph(r.reduced, args.output)
-    checks = reduction.verify_adjacency_reduction(ctx, r, args.tol)
-    checks += reduction.verify_laplacian_reduction(ctx, r, args.tol)
+    checks = reduction.verify_reduction(ctx, r, args.tol)
     passed = all(c.passed for c in checks)
     checked = {"checks": [_check_payload(c) for c in checks], "passed": passed}
     payload = {

@@ -401,27 +401,67 @@ def _match_after_removal(
     return deviation, ""
 
 
+def _similarity_deviation(red: GraphAnalysis, idx: np.ndarray, tilde: np.ndarray) -> float:
+    """Largest entry of the columns idx of M^(-1/2) L(MB) M^(1/2) - L~, tilde being L~[:, idx].
+
+    Each row idx[c] of L(MB) is held as column c, next to the same column of
+    L~, which is symmetric bit for bit, so the columns of every block, taken
+    together, give the maximum of the whole difference.  Every entry is the
+    one the dense expression gives, from the reduced graph's edges: off the
+    edges and the diagonal that is 0.0, or NaN where the scale overflows.
+    """
+    mass = np.asarray(red.graph.mass)
+    root = np.sqrt(mass)
+    inv_root = 1.0 / root
+    similar = np.zeros(tilde.shape)   # column c is row idx[c] of L(MB) = diag(d) - M B, scaled
+    for rows, at, weights in (
+        (*overflow_pairs(root, inv_root[idx]), 0.0),   # 0.0 times an overflowed scale
+        red.column_entries(idx),
+    ):
+        i = idx[at]
+        scale = inv_root[i]
+        scale *= root[rows]   # inv_root[i] * root[rows], one temporary the fewer
+        similar[rows, at] = (0.0 - mass[i] * weights) * scale
+    similar[idx, np.arange(idx.size)] = (
+        (red.mass_strengths[idx] - mass[idx] * 0.0) * (inv_root[idx] * root[idx])
+    )
+    similar -= tilde
+    return float(np.abs(similar, out=similar).max())   # idx is never empty
+
+
+def _lift_residual(squares: dict[int, float], radius: float) -> float:
+    """The intertwining defect's norm, its slots' squares added in slot order, over the radius."""
+    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
+    return lift / radius if radius else lift
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
-def verify_adjacency_reduction(
+def verify_reduction(
     g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
 ) -> tuple[Check, ...]:
-    """Check the adjacency-side reduction identities; failures are recorded.
+    """Check the eight reduction identities; failures are recorded.
 
-    Checks: K orthonormality, the congruence K^T A K = M^(1/2) B M^(1/2),
-    spectrum preservation up to q zeros, the intertwining A K = K S with
-    S = M^(1/2) B M^(1/2), relative to the spectral radius of A, and the
-    interlacing of K^T A K's eigenvalues, read off S, with A's.  A stands
-    for the original graph's mass adjacency, A itself when every mass is 1.
-    A and S are dense only while their values are solved, one after the
-    other; the congruence and the lift read the columns of A and S that
-    each block of K needs off the edges.
+    The adjacency side, with S = M^(1/2) B M^(1/2): K orthonormality, the
+    congruence K^T A K = S, spectrum preservation up to q zeros, the
+    intertwining A K = K S, relative to the spectral radius of A, and the
+    interlacing of K^T A K's eigenvalues, read off S, with A's.  Then the
+    Laplacian side: spectrum preservation after removing each block's
+    value q times, the similarity between the nonsymmetric mass Laplacian
+    L(MB) and the symmetric L~, and the intertwining L K = K L~, relative
+    to the spectral radius of L.  A and L stand for the original graph's
+    mass families, A and L themselves when every mass is 1, and a block's
+    value is its star's mass strength there.  Each family is dense only
+    while its values are solved, one after the other.  The other checks
+    read the columns each block of K needs off the edges, in one pass over
+    A's columns and one over L's, and the similarity compares L(MB) with
+    the columns of L~ that the second pass has written.
     """
     ctx = analyze(g)
     red = ctx.reduced(r)
     values_a = ctx.values("mass-adjacency")
     values_s = red.values("mass-adjacency")
-    radius = eigen.spectral_radius(values_a)
-    tol = tol_rel * radius
+    radius_a = eigen.spectral_radius(values_a)
+    tol_a = tol_rel * radius_a
     # K^T K - I is zero outside the frames' F^T F - I: the identity block
     # and the blocks' disjoint row supports hold by construction
     ortho = [
@@ -435,16 +475,17 @@ def verify_adjacency_reduction(
         peaks.append(max(block.max(), -block.min()))   # the largest |entry|, without a |block|
         return block
 
+    # both passes bind their blocks to xk and r_cols, so that the Laplacian
+    # pass does not start with the adjacency pass's last blocks still held
     congruence, squares = [], {}
-    for slots, cols, ak in _column_blocks(r, columns_of_a):
-        s_cols = red.columns("mass-adjacency", cols.ravel()).reshape((-1,) + cols.shape)
-        congruence.append(_maxabs(_kt_times(r, ak) - s_cols))   # before the lift overwrites ak
-        squares.update(_lift_squares(r, slots, ak, s_cols))
+    for slots, cols, xk in _column_blocks(r, columns_of_a):
+        r_cols = red.columns("mass-adjacency", cols.ravel()).reshape((-1,) + cols.shape)
+        congruence.append(_maxabs(_kt_times(r, xk) - r_cols))   # before the lift overwrites xk
+        squares.update(_lift_squares(r, slots, xk, r_cols))
     # np.max, unlike max, keeps a NaN wherever it stands
     scale = float(np.max(peaks, initial=0.0))
-    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
-
-    dev, note = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol)
+    lift_a = _lift_residual(squares, radius_a)
+    dev_a, note_a = _match_after_removal(values_a, values_s, [0.0] * r.q_total, tol_a)
     # with alpha A's n values and beta S's n - q, both descending, interlacing
     # asks alpha_i >= beta_i >= alpha_(q+i); the residual is the largest
     # violation of either (0 when there is none), NaN when a value is not finite
@@ -453,80 +494,25 @@ def verify_adjacency_reduction(
     if np.isfinite(alpha).all() and np.isfinite(beta).all():
         violations = np.concatenate((beta - alpha[: beta.size], alpha[r.q_total:] - beta))
         interlacing = float(violations.max(initial=0.0))
+
+    values_l = ctx.values("mass-laplacian")
+    values_t = red.values("mass-laplacian")
+    radius_l = eigen.spectral_radius(values_l)
+    tol_l = tol_rel * radius_l
+    similarity, squares = [], {}
+    for slots, cols, xk in _column_blocks(r, lambda idx: ctx.columns("mass-laplacian", idx)):
+        r_cols = red.columns("mass-laplacian", cols.ravel())
+        similarity.append(_similarity_deviation(red, cols.ravel(), r_cols))
+        squares.update(_lift_squares(r, slots, xk, r_cols.reshape((-1,) + cols.shape)))
+    removals = [block.value for block in r.blocks for _ in range(block.q)]
+    dev_l, note_l = _match_after_removal(values_l, values_t, removals, tol_l)
     return (
         Check("k-orthonormality", float(np.max(ortho, initial=0.0)), 1e-10),
         Check("adjacency-congruence", float(np.max(congruence, initial=0.0)), WEIGHT_TOL * scale),
-        Check("adjacency-spectrum", dev, tol, note),
-        Check("adjacency-lift-residual", lift / radius if radius else lift, tol_rel),
-        Check("interlacing", interlacing, tol),
-    )
-
-
-def _similarity_deviation(red: GraphAnalysis) -> float:
-    """Largest entry of M^(-1/2) L(MB) M^(1/2) - L~, from the reduced graph's edges.
-
-    Made a block of L(MB)'s rows at a time, each row held as a column next
-    to the same column of L~, which is symmetric bit for bit; the blocks'
-    maxima are those of the whole difference.  Every entry is the one the
-    dense expression gives: off the edges and the diagonal that is 0.0, or
-    NaN where the scale overflows.
-    """
-    n = red.graph.n
-    if not n:
-        return 0.0
-    mass = np.asarray(red.graph.mass)
-    root = np.sqrt(mass)
-    inv_root = 1.0 / root
-    peaks = []
-    for block in eigen.row_blocks(n):
-        idx = np.arange(block.start, block.stop)
-        similar = np.zeros((n, idx.size))   # column c is row idx[c] of L(MB) = diag(d) - M B, scaled
-        for rows, at, weights in (
-            (*overflow_pairs(root, inv_root[idx]), 0.0),   # 0.0 times an overflowed scale
-            red.column_entries(idx),
-        ):
-            i = idx[at]
-            similar[rows, at] = (0.0 - mass[i] * weights) * (inv_root[i] * root[rows])
-        similar[idx, np.arange(idx.size)] = (
-            (red.mass_strengths[idx] - mass[idx] * 0.0) * (inv_root[idx] * root[idx])
-        )
-        similar -= red.columns("mass-laplacian", idx)
-        peaks.append(_maxabs(similar))
-    return float(np.max(peaks))   # np.max, unlike max, keeps a NaN wherever it stands
-
-
-@np.errstate(over="ignore", invalid="ignore")   # an overflow is inf or NaN, and fails its check
-def verify_laplacian_reduction(
-    g: Graph | GraphAnalysis, r: Reduction, tol_rel: float = eigen.DEFAULT_TOL
-) -> tuple[Check, ...]:
-    """Check the Laplacian-side reduction identities; failures are recorded.
-
-    Checks: spectrum preservation after removing each block's value q
-    times, the similarity between the nonsymmetric and symmetric mass
-    Laplacians, and the intertwining L K = K L~ with the symmetric mass
-    Laplacian L~, relative to the spectral radius of L.  L stands for the
-    original graph's mass Laplacian, L itself when every mass is 1, and a
-    block's value is its star's mass strength there.  L and L~ are dense
-    only while their values are solved; the similarity and the lift read
-    the rows and columns they need off the edges.
-    """
-    ctx = analyze(g)
-    red = ctx.reduced(r)
-    values_l = ctx.values("mass-laplacian")
-    values_t = red.values("mass-laplacian")
-    radius = eigen.spectral_radius(values_l)
-    tol = tol_rel * radius
-    sim = _similarity_deviation(red)
-    squares = {}
-    for slots, cols, lk in _column_blocks(r, lambda idx: ctx.columns("mass-laplacian", idx)):
-        t_cols = red.columns("mass-laplacian", cols.ravel()).reshape((-1,) + cols.shape)
-        squares.update(_lift_squares(r, slots, lk, t_cols))
-    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
-
-    removals = [block.value for block in r.blocks for _ in range(block.q)]
-    dev, note = _match_after_removal(values_l, values_t, removals, tol)
-    return (
-        Check("laplacian-spectrum", dev, tol, note),
-        Check("mass-laplacian-similarity", sim, tol),
-        Check("laplacian-lift-residual", lift / radius if radius else lift, tol_rel),
+        Check("adjacency-spectrum", dev_a, tol_a, note_a),
+        Check("adjacency-lift-residual", lift_a, tol_rel),
+        Check("interlacing", interlacing, tol_a),
+        Check("laplacian-spectrum", dev_l, tol_l, note_l),
+        Check("mass-laplacian-similarity", float(np.max(similarity, initial=0.0)), tol_l),
+        Check("laplacian-lift-residual", _lift_residual(squares, radius_l), tol_rel),
     )

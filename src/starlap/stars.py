@@ -198,13 +198,12 @@ class GraphAnalysis:
         strength (see _strength_classes), and each class into pieces G: the
         components of its members joined by shared neighbours.  A piece with
         an edge inside has no v2 disjoint from it and is split by star class
-        (star classes are independent sets); a piece whose strengths drift
-        further than WEIGHT_TOL * w from its first member's w is split
-        there.  In each piece of two or more members, v1 is the greedy basis
-        of the columns of A[N(G), G] (see _independent_columns), v3 the rest
-        of G and v2 = N(G), and verify_ldependent certifies the partition.  A
-        piece it rejects, whose rows are dependent only within tolerance, is
-        left out.
+        (star classes are independent sets).  In each piece of two or more
+        members, v1 is the greedy basis of the columns of A[N(G), G] (see
+        _independent_columns), at the tolerance of the piece's smallest
+        strength, v3 the rest of G and v2 = N(G), and verify_ldependent
+        certifies the partition.  A piece it rejects, whose rows are
+        dependent only within tolerance, is left out.
         """
         g, s = self.graph, self.strengths
         cls = _strength_classes(s)
@@ -226,16 +225,10 @@ class GraphAnalysis:
         order = np.argsort(key, kind="stable")
         pieces = np.split(verts[order], np.flatnonzero(np.diff(key[order])) + 1)
         found = []
-        while pieces:
-            piece = pieces.pop()
+        for piece in pieces:
             if piece.size < 2:
                 continue
-            w = float(s[piece[0]])
-            tol = WEIGHT_TOL * w
-            near = np.abs(s[piece] - w) <= tol
-            if not near.all():
-                pieces += [piece[near], piece[~near]]
-                continue
+            tol = WEIGHT_TOL * float(s[piece].min())
             touched = np.zeros(g.n, dtype=bool)
             touched[self.column_entries(piece)[0]] = True
             nbrs = np.flatnonzero(touched)
@@ -462,16 +455,22 @@ def _uniform_weight(rows: np.ndarray) -> float | None:
 def _strength_classes(s: np.ndarray) -> np.ndarray:
     """Each vertex's class of equal strength, numbered in ascending order.
 
-    Sorted strengths more than WEIGHT_TOL * s apart, s the larger, start a
-    new class; a vertex of zero or non-finite strength is in none (-1).
+    From the smallest strength up, a class takes every strength within
+    WEIGHT_TOL times its smallest, and the next strength starts a new
+    class, so no label and no chain of near ties decides a class.  A vertex
+    of zero or non-finite strength is in none (-1).
     """
     order = np.argsort(s, kind="stable")
     ordered = s[order]
-    starts = np.ones(s.size, dtype=bool)
-    with np.errstate(invalid="ignore"):   # inf - inf is NaN; an inf strength gets -1 below
-        starts[1:] = np.diff(ordered) > WEIGHT_TOL * ordered[1:]
+    with np.errstate(over="ignore"):   # a class reaching past the largest double takes the infs
+        ends = np.searchsorted(ordered, ordered + WEIGHT_TOL * ordered, side="right")
+    first = np.zeros(s.size, dtype=bool)
+    start, ends = 0, ends.tolist()
+    while start < s.size:   # each class ends past its first strength, which it takes
+        first[start] = True
+        start = ends[start]
     cls = np.empty(s.size, dtype=np.intp)
-    cls[order] = np.cumsum(starts) - 1
+    cls[order] = np.cumsum(first) - 1
     cls[~((s > 0.0) & np.isfinite(s))] = -1
     return cls
 

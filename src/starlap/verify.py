@@ -2,9 +2,10 @@
 
 In report order: the multiplicity predictions of the dependent-row
 partitions (every weight-uniform star among them), an optional request to
-reduce the first star, the reduction identities (adjacency with
-interlacing, then Laplacian), and the Fiedler sign agreement between the
-graph and its reduction, which is computed first.
+reduce the first star, the eight reduction identities of
+``reduction.verify_reduction`` (adjacency with interlacing, then
+Laplacian), as ``reduce`` states them, and the Fiedler sign agreement
+between the graph and its reduction, which is computed first.
 
 Layer functions are called through their modules (``reduction.reduce_all``),
 so a rebinding of a module attribute, as a tracer or a test does, sees every
@@ -81,9 +82,9 @@ def verify_graph(
     checks, warnings = stars.verify_star_predictions(ctx, tol)
     if q is not None:
         checks.append(eigen.Check(f"reduction-requested(q={q})", unreduced, 0.0, note))
-    reduction_checks = reduction.verify_adjacency_reduction(ctx, r, tol)
-    reduction_checks += reduction.verify_laplacian_reduction(ctx, r, tol)
-    checks += [replace(c, name=f"reduction-{c.name}") for c in reduction_checks]
+    checks += [
+        replace(c, name=f"reduction-{c.name}") for c in reduction.verify_reduction(ctx, r, tol)
+    ]
     checks.append(eigen.Check("sign-agreement", disagreement, 0.0, sign_note))
 
     return GraphVerification(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from starlap import build_graph, detect_stars, reduce_all, verify_adjacency_reduction
+from starlap import build_graph, detect_stars, reduce_all, verify_reduction
 
 # The recurring fixtures f1, f2, f3, f4, two_triangles and varied_supports
 # are the graphs of FIXTURES in scripts/write_fixtures.py, where each is
@@ -45,6 +45,26 @@ def reduce_one(g, star, q):
 
 
 def interlacing(g, r):
-    """The interlacing check of verify_adjacency_reduction, read by its name."""
-    (check,) = [c for c in verify_adjacency_reduction(g, r) if c.name == "interlacing"]
+    """The interlacing check of verify_reduction, read by its name."""
+    (check,) = [c for c in verify_reduction(g, r) if c.name == "interlacing"]
     return check
+
+
+ADJACENCY_CHECKS = (
+    "k-orthonormality",
+    "adjacency-congruence",
+    "adjacency-spectrum",
+    "adjacency-lift-residual",
+    "interlacing",
+)
+LAPLACIAN_CHECKS = ("laplacian-spectrum", "mass-laplacian-similarity", "laplacian-lift-residual")
+
+
+def adjacency_checks(g, r):
+    """The adjacency half of verify_reduction's checks, selected by name."""
+    return [c for c in verify_reduction(g, r) if c.name in ADJACENCY_CHECKS]
+
+
+def laplacian_checks(g, r):
+    """The Laplacian half of verify_reduction's checks, selected by name."""
+    return [c for c in verify_reduction(g, r) if c.name in LAPLACIAN_CHECKS]

@@ -6,6 +6,7 @@ lines as they complete.
 
 import importlib.util
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,13 +32,11 @@ from starlap import (
     sign_bipartition,
     strengths,
     sym_eigen,
-    verify_adjacency_reduction,
-    verify_laplacian_reduction,
     verify_ldependent,
 )
 from starlap.cli import run_cli
 
-from conftest import interlacing, reduce_one
+from conftest import adjacency_checks, interlacing, laplacian_checks, reduce_one
 from reference import adjacency, multiplicity_at
 
 
@@ -165,11 +164,11 @@ def test_criterion_4_adjacency_reduction(f1):
         target = adjacency(r.reduced) * np.outer(root, root)
         if np.abs(k.T @ adjacency(f1) @ k - target).max() > 1e-9:
             failures.append(("f1", q, "congruence"))
-        if failed := [c.name for c in verify_adjacency_reduction(f1, r) if not c.passed]:
+        if failed := [c.name for c in adjacency_checks(f1, r) if not c.passed]:
             failures.append(("f1", q, failed))
     for seed in range(200):
         g, r = _planted_reduction(seed)
-        if failed := [c.name for c in verify_adjacency_reduction(g, r) if not c.passed]:
+        if failed := [c.name for c in adjacency_checks(g, r) if not c.passed]:
             failures.append((seed, failed))
     elapsed = time.time() - start
     report(
@@ -193,11 +192,11 @@ def test_criterion_5_laplacian_reduction(f1):
     target /= np.linalg.norm(target)
     if min(np.abs(lifted - target).max(), np.abs(lifted + target).max()) > 1e-8:
         failures.append(("f1 q=1 lift", lifted.tolist()))
-    if not all(c.passed for c in verify_laplacian_reduction(f1, r)):
+    if not all(c.passed for c in laplacian_checks(f1, r)):
         failures.append(("f1 q=1 record",))
     for seed in range(200):
         g, r = _planted_reduction(seed)
-        if failed := [c.name for c in verify_laplacian_reduction(g, r) if not c.passed]:
+        if failed := [c.name for c in laplacian_checks(g, r) if not c.passed]:
             failures.append((seed, failed))
     elapsed = time.time() - start
     report(
@@ -317,21 +316,35 @@ def test_random_sweep_script_runs(monkeypatch, capsys):
     sweep.main()   # raises SystemExit(2) when any claim fails
     out = capsys.readouterr().out
     assert out.startswith("5 graphs") and "FAIL" not in out
-    assert " relabelled " in out
+    assert " relabelled " in out and " near-ties " in out
 
 
-def test_call_rss_script_runs(capsys):
+def test_call_rss_script_runs(capsys, monkeypatch, tmp_path):
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("call_rss", root / "scripts" / "call_rss.py")
     call_rss = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(call_rss)
     graph = str(root / "tests" / "golden" / "f1.graph")
     src = str(root / "src")
-    argv = ["--src", src, "--src", src, "--runs", "1", "--", "verify", graph, "--json"]
+    # the same sources again, at a path of another length
+    longer = tmp_path / "a-longer-directory-name" / "src"
+    longer.parent.mkdir()
+    longer.symlink_to(src)
+    run_once, ran_from = call_rss.run_once, []
+
+    def recorded(tree, call, out_path):
+        ran_from.append((tree, os.path.realpath(tree)))
+        return run_once(tree, call, out_path)
+
+    monkeypatch.setattr(call_rss, "run_once", recorded)
+    argv = ["--src", src, "--src", str(longer), "--runs", "1", "--", "verify", graph, "--json"]
     assert call_rss.main(argv) == 0
+    # both run from links of one path length to the same sources
+    assert len(src) != len(str(longer)) and len({len(tree) for tree, _ in ran_from}) == 1
+    assert [real for _, real in ran_from] == [src, src]
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out[1:]] == [
-        f"tree 1 {src}", f"tree 2 {src}", "stdout", "exit code"
+        f"tree 1 {src}", f"tree 2 {longer}", "stdout", "exit code"
     ]
     assert out[-2:] == ["stdout: same on every run", "exit code: 0"]
     for line in out[1:3]:

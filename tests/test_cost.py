@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.fixture
 def counted(monkeypatch):
     """Records every eigensolve input's digest and every run of the costly steps."""
-    calls = {"solves": [], "dependent_rows": 0, "adjacency_checks": 0, "laplacian_checks": 0}
+    calls = {"solves": [], "dependent_rows": 0, "reduction_checks": 0}
 
     def counter(module, name, key):
         real = getattr(module, name)
@@ -56,8 +56,7 @@ def counted(monkeypatch):
     cached = functools.cached_property(dependent_rows)
     cached.__set_name__(stars.GraphAnalysis, "dependent_rows")
     monkeypatch.setattr(stars.GraphAnalysis, "dependent_rows", cached)
-    counter(reduction, "verify_adjacency_reduction", "adjacency_checks")
-    counter(reduction, "verify_laplacian_reduction", "laplacian_checks")
+    counter(reduction, "verify_reduction", "reduction_checks")
     return calls
 
 
@@ -75,7 +74,7 @@ def test_verify_solves_each_matrix_once(tmp_path, counted, capsys):
     assert len(counted["solves"]) <= 6
     assert len(set(counted["solves"])) == len(counted["solves"])
     assert counted["dependent_rows"] == 1
-    assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
+    assert counted["reduction_checks"] == 1
 
 
 def _count_calls(monkeypatch, name):
@@ -107,7 +106,7 @@ def test_verify_reads_an_identity_reduction_off_the_original(counted, capsys):
     # reduction checks, with no solve of the reduced graph's families
     assert cli.run_cli(["verify", str(GOLDEN / "ldep44.graph"), "--json"]) == 0
     capsys.readouterr()
-    assert counted["adjacency_checks"] == counted["laplacian_checks"] == 1
+    assert counted["reduction_checks"] == 1
     assert len(counted["solves"]) <= 4
     assert counted["dependent_rows"] == 1
 

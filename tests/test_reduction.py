@@ -18,9 +18,8 @@ from starlap import (
     save_graph,
     star_frame,
     sym_eigen,
-    verify_adjacency_reduction,
     verify_graph,
-    verify_laplacian_reduction,
+    verify_reduction,
 )
 from starlap import eigen, reduction
 from starlap.cli import run_cli
@@ -28,7 +27,7 @@ from starlap.reduction import star_complement
 from starlap.stars import GraphAnalysis, analyze
 from starlap.errors import DimensionMismatchError, InvalidQError, StructuralStarOnlyError
 
-from conftest import interlacing, reduce_one
+from conftest import adjacency_checks, interlacing, laplacian_checks, reduce_one
 from reference import adjacency, mass_laplacian
 
 
@@ -261,7 +260,7 @@ class TestLift:
 class TestVerification:
     def test_adjacency_fixture(self, f1):
         for q in (1, 2):
-            checks = verify_adjacency_reduction(f1, reduce_one(f1, first_star(f1), q))
+            checks = adjacency_checks(f1, reduce_one(f1, first_star(f1), q))
             assert [c for c in checks if not c.passed] == []
 
     def test_adjacency_spectrum_content(self, f1):
@@ -276,15 +275,14 @@ class TestVerification:
 
     def test_laplacian_fixture(self, f1, f2):
         for g, q in ((f1, 1), (f1, 2)):
-            checks = verify_laplacian_reduction(g, reduce_one(g, first_star(g), q))
+            checks = laplacian_checks(g, reduce_one(g, first_star(g), q))
             assert all(c.passed for c in checks)
-        checks = verify_laplacian_reduction(f2, reduce_all(f2, "collapse"))
+        checks = laplacian_checks(f2, reduce_all(f2, "collapse"))
         assert all(c.passed for c in checks)
 
     def test_identity_reduction_passes(self, f4):
         r = reduce_all(f4, "collapse")
-        assert all(c.passed for c in verify_adjacency_reduction(f4, r))
-        assert all(c.passed for c in verify_laplacian_reduction(f4, r))
+        assert all(c.passed for c in verify_reduction(f4, r))
         assert interlacing(f4, r).passed
 
     def test_detects_wrong_mass(self, f1):
@@ -292,7 +290,7 @@ class TestVerification:
         tampered = dataclasses.replace(
             r, reduced=build_graph(4, r.reduced.edges, mass=[2.0, 2.0, 1.0, 1.0])
         )
-        assert not all(c.passed for c in verify_adjacency_reduction(f1, tampered))
+        assert not all(c.passed for c in adjacency_checks(f1, tampered))
 
     def test_a_spectrum_failure_reports_its_note(self, f1, tmp_path, monkeypatch, capsys):
         # ask the Laplacian spectrum check to remove a value L does not have
@@ -322,8 +320,7 @@ class TestRandomizedReductions:
         for seed in range(10):
             g = plant_star_graph(seed=seed, n=16, star_specs=[(3, 2, 2.0)])
             r = reduce_all(g, "collapse")
-            assert all(c.passed for c in verify_adjacency_reduction(g, r))
-            assert all(c.passed for c in verify_laplacian_reduction(g, r))
+            assert all(c.passed for c in verify_reduction(g, r))
             assert interlacing(g, r).passed
 
 
@@ -363,8 +360,7 @@ def _per_vector_lift_residuals(g, r):
 
 
 def _lift_checks(g, r):
-    checks = verify_adjacency_reduction(g, r) + verify_laplacian_reduction(g, r)
-    return {c.name: c for c in checks if c.name in LIFTS}
+    return {c.name: c for c in verify_reduction(g, r) if c.name in LIFTS}
 
 
 def _planted_or_golden(name):
@@ -401,7 +397,7 @@ class TestIntertwiningLiftCheck:
     def test_non_orthonormal_frame_fails_k_orthonormality(self, f2):
         r = reduce_all(f2, "collapse")
         tampered = _with_frames(r, [2.0 * b.frame for b in r.blocks])
-        checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered)}
+        checks = {c.name: c for c in verify_reduction(f2, tampered)}
         assert checks["k-orthonormality"].residual == pytest.approx(3.0)
         assert not checks["k-orthonormality"].passed
 
@@ -414,8 +410,7 @@ class TestIntertwiningLiftCheck:
         frames = [b.frame for b in r.blocks]
         frames[1] = np.full(frames[1].shape, np.nan)
         tampered = _with_frames(r, frames)
-        checks = verify_adjacency_reduction(g, tampered) + verify_laplacian_reduction(g, tampered)
-        checks = {c.name: c for c in checks}
+        checks = {c.name: c for c in verify_reduction(g, tampered)}
         for name in ("k-orthonormality", "adjacency-congruence") + LIFTS:
             assert np.isnan(checks[name].residual), name
             assert not checks[name].passed, name
@@ -432,7 +427,7 @@ class TestIntertwiningLiftCheck:
             _with_frames(r, [2.0 * b.frame for b in r.blocks]),
             reduced=dataclasses.replace(r.reduced, mass=mass),
         )
-        checks = {c.name: c for c in verify_adjacency_reduction(f2, tampered)}
+        checks = {c.name: c for c in verify_reduction(f2, tampered)}
         assert checks["adjacency-congruence"].passed and not checks["k-orthonormality"].passed
         assert interlacing(f2, r).passed
         failed = checks["interlacing"]
@@ -441,21 +436,47 @@ class TestIntertwiningLiftCheck:
     @pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
     def test_adjacency_checks_read_each_column_of_a_once(self, monkeypatch, policy):
         # the congruence and the lift residual share one pass of A K, whose
-        # columns of A are written from the edges; A's values come first
-        ctx = analyze(_planted_or_golden("stars120"))
-        r = reduce_all(ctx, policy)
-        ctx.values("adjacency"), ctx.reduced(r).values("mass-adjacency")
-        gathered = []
-        columns = GraphAnalysis.columns
+        # columns of A are written from the edges; the values come first
+        ctx, r, gathered = _counted_columns(monkeypatch, policy)
+        assert all(c.passed for c in verify_reduction(ctx, r))
+        read = sorted(v for graph, family, v in gathered if (graph, family) == ("A", "adjacency"))
+        assert read == list(range(ctx.graph.n))
 
-        def counted(self, family, idx):
-            if self is ctx:
-                gathered.extend((self._family(family), v) for v in idx.tolist())
-            return columns(self, family, idx)
+    @pytest.mark.parametrize("policy", ["collapse", "keep-pair"])
+    def test_reduction_checks_write_each_column_once(self, monkeypatch, policy):
+        # one pass over A's columns and one over L's; the first writes the
+        # columns of S and the second those of L~, which the similarity reads
+        ctx, r, gathered = _counted_columns(monkeypatch, policy)
+        assert all(c.passed for c in verify_reduction(ctx, r))
+        families = [("A", "adjacency"), ("A", "laplacian"),
+                    ("B", "mass-adjacency"), ("B", "mass-laplacian")]
+        sizes = {"A": ctx.graph.n, "B": r.reduced.n}
+        assert sorted(gathered) == sorted(
+            (graph, family, v) for graph, family in families for v in range(sizes[graph])
+        )
 
-        monkeypatch.setattr(GraphAnalysis, "columns", counted)
-        assert all(c.passed for c in verify_adjacency_reduction(ctx, r))
-        assert sorted(gathered) == [("adjacency", v) for v in range(ctx.graph.n)]
+
+def _counted_columns(monkeypatch, policy):
+    """stars120's analysis and reduction, its spectra solved, and a log of the columns written.
+
+    Each column written afterwards is logged as (graph, family, vertex),
+    graph "A" for the original and "B" for the reduced graph.
+    """
+    ctx = analyze(_planted_or_golden("stars120"))
+    r = reduce_all(ctx, policy)
+    red = ctx.reduced(r)
+    for analysis in (ctx, red):
+        analysis.values("mass-adjacency"), analysis.values("mass-laplacian")
+    gathered = []
+    columns = GraphAnalysis.columns
+
+    def counted(self, family, idx):
+        graph = "A" if self is ctx else "B" if self is red else "?"
+        gathered.extend((graph, self._family(family), v) for v in idx.tolist())
+        return columns(self, family, idx)
+
+    monkeypatch.setattr(GraphAnalysis, "columns", counted)
+    return ctx, r, gathered
 
 
 def _with_frames(r, frames):
@@ -521,8 +542,7 @@ class TestImplicitK:
         g = _planted_or_golden(name)
         r = reduce_all(g, "collapse")
         reference, radius = _dense_residuals(g, r)
-        checks = verify_adjacency_reduction(g, r) + verify_laplacian_reduction(g, r)
-        checks = {c.name: c for c in checks if c.name in reference}
+        checks = {c.name: c for c in verify_reduction(g, r) if c.name in reference}
         assert sorted(checks) == sorted(reference)
         for check_name, check in checks.items():
             # the lift residuals are already divided by their radius
@@ -543,8 +563,7 @@ class TestImplicitK:
         tracemalloc.start()
         try:
             r = reduce_all(ctx)
-            assert all(c.passed for c in verify_adjacency_reduction(ctx, r))
-            assert all(c.passed for c in verify_laplacian_reduction(ctx, r))
+            assert all(c.passed for c in verify_reduction(ctx, r))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -655,10 +674,9 @@ def test_lift_residuals_are_the_per_star_loops_bit_for_bit(make, policy, tampere
         r = _with_frames(
             r, [np.linalg.qr(rng.standard_normal(b.frame.shape))[0] for b in r.blocks]
         )
-    for verify, family in ((verify_adjacency_reduction, "mass-adjacency"),
-                           (verify_laplacian_reduction, "mass-laplacian")):
-        lift = next(c for c in verify(g, r) if c.name.endswith("lift-residual"))
-        assert repr(lift.residual) == repr(_lift_residual_reference(g, r, family))
+    lifts = _lift_checks(g, r)
+    for name, family in zip(LIFTS, ("mass-adjacency", "mass-laplacian")):
+        assert repr(lifts[name].residual) == repr(_lift_residual_reference(g, r, family))
 
 
 def _similarity_reference(g):
@@ -681,8 +699,9 @@ def test_the_similarity_deviation_is_the_dense_one_bit_for_bit():
                              for v, m in enumerate(cases[1].mass))
     )
     for g in cases + [extreme]:
+        ctx, every = analyze(g), np.arange(g.n)   # the helper on all of L~'s columns at once
         with np.errstate(all="ignore"):
-            got = reduction._similarity_deviation(analyze(g))
+            got = reduction._similarity_deviation(ctx, every, ctx.columns("mass-laplacian", every))
         assert repr(got) == repr(_similarity_reference(g))
     assert np.isnan(got)
 
@@ -703,10 +722,7 @@ class TestNonFiniteAndScale:
         g = _scaled(plant_star_graph(3, 30, [(3, 2, 2.0)], background_p=0.3), 2.5e307)
         r = reduce_all(g)
         with np.errstate(all="ignore"):
-            checks = {
-                c.name: c
-                for c in verify_adjacency_reduction(g, r) + verify_laplacian_reduction(g, r)
-            }
+            checks = {c.name: c for c in verify_reduction(g, r)}
         for name in ("adjacency-lift-residual", "laplacian-lift-residual"):
             assert not np.isfinite(checks[name].residual)
             assert not checks[name].passed
@@ -723,11 +739,10 @@ class TestNonFiniteAndScale:
         g = plant_star_graph(0, 30, [(4, 3, 2.0)], background_p=0.3)
         scaled = _scaled(g, 10.0**k)
         relative = {"k-orthonormality", "adjacency-lift-residual", "laplacian-lift-residual"}
-        for verify in (verify_adjacency_reduction, verify_laplacian_reduction):
-            plain = verify(g, reduce_all(g))
-            for c, s in zip(plain, verify(scaled, reduce_all(scaled))):
-                expected = c.tol if c.name in relative else c.tol * 10.0**k
-                assert s.tol == pytest.approx(expected, rel=1e-12), c.name
+        plain = verify_reduction(g, reduce_all(g))
+        for c, s in zip(plain, verify_reduction(scaled, reduce_all(scaled))):
+            expected = c.tol if c.name in relative else c.tol * 10.0**k
+            assert s.tol == pytest.approx(expected, rel=1e-12), c.name
 
     @pytest.mark.parametrize("k", [-9, 0, 6, 9])
     def test_interlacing_is_scale_covariant(self, k):

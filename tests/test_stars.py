@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -308,9 +309,9 @@ class TestDependentRows:
         assert (part.v1, part.v2, part.v3) == ((0, 2), (3, 4), (1,))
 
     def test_drifting_class_is_split_at_its_first_member(self):
-        # strengths 1, 1, 1 + 0.9e-9 and 1 + 1.8e-9 chain into one class, but
-        # the last is too far from vertex 0 for one common strength; without
-        # it, rows 0 and 1 are equal
+        # strengths 1, 1, 1 + 0.9e-9 and 1 + 1.8e-9: the class of the smallest
+        # takes those within 1e-9 of it, and the last starts a class of its
+        # own; without it, rows 0 and 1 are equal
         g = build_graph(
             7,
             [
@@ -320,6 +321,33 @@ class TestDependentRows:
         )
         (part,) = analyze(g).dependent_rows
         assert (part.v1, part.v2, part.v3) == ((0, 2), (5, 6), (1,))
+
+    def test_near_tie_twins_give_one_claim_under_every_labelling(self):
+        # the README's twins 0-3 toward {4, 5}, strengths equal only within
+        # about 2e-9: the class of the smallest leaves out vertex 2 whatever
+        # the labels, and the other three rows in the plane give l = 1
+        rows = [
+            (0.746839440993691, 1.3857914105513542),
+            (0.7468394390005897, 1.3857914137511402),
+            (0.7468394378537437, 1.3857914158336861),
+            (0.7468394390005897, 1.385791414040458),
+        ]
+        for perm in itertools.permutations(range(4)):
+            g = build_graph(6, [(perm[i], 4 + j, w) for i, row in enumerate(rows)
+                                for j, w in enumerate(row)])
+            assert [p.l for p in analyze(g).dependent_rows] == [1], perm
+
+    def test_drifting_strengths_give_one_claim_set_under_every_labelling(self):
+        # strengths 1, 1, 1 + 0.9e-9, 1 + 1.8e-9, 1 + 1.8e-9 toward hubs 5
+        # and 6: classes {1, 1, 1 + 0.9e-9} and {1 + 1.8e-9} twice, each with
+        # one dependent row, whichever vertex comes first
+        rows = [(0.4, 0.6), (0.4, 0.6), (0.3, 0.7 + 0.9e-9), (0.2, 0.8 + 1.8e-9),
+                (0.2, 0.8 + 1.8e-9)]
+        for perm in itertools.permutations(range(5)):
+            g = build_graph(7, [(perm[i], 5 + j, w) for i, row in enumerate(rows)
+                                for j, w in enumerate(row)])
+            claims = [(round(w, 6), l) for w, l in predict_multiplicities(g)]
+            assert claims == [(1.0, 1), (1.0, 1)], perm
 
     @pytest.mark.parametrize("weight", [1.0, 1e-300])
     def test_tiny_weights_give_the_partitions_of_unit_weights(self, weight):
