@@ -24,7 +24,9 @@ sweep (0 of 200 by default).  On every graph without near ties of
 strength it also checks that the dependent-row claims do not change under
 one seeded relabelling of the vertices; the near-ties line counts, without
 failing on them, the graphs with near ties whose claims survive that
-relabelling.  On every graph, each
+relabelling.  Every fourth graph, from the first, is a star graph with
+near ties: its vertex 0, a twin of the first planted star, has its weights
+shifted by NEAR_TIE times WEIGHT_TOL.  On every graph, each
 multiplicity claim of the L, Q and normalized families is checked both
 ways, by the library's
 residual (the claimed l-th nearest eigenvalue within tol of w) and by the
@@ -69,6 +71,12 @@ from starlap import (
 from starlap.eigen import DEFAULT_TOL, spectral_gap_index, spectral_radius
 from starlap.partition import _embedding, _labels_from_signs, _lloyd, _relabel_by_smallest_member
 from starlap.stars import WEIGHT_TOL
+
+
+# the relative shift of one planted row in every fourth graph: a few
+# WEIGHT_TOL, which leaves its star unequal but within ten WEIGHT_TOL of its
+# twins' strength, a near tie
+NEAR_TIE = 3
 
 
 def _load_reference():
@@ -211,13 +219,16 @@ def kway_embedding(g, rng):
     return True, "other", moved
 
 
-def sweep_star(seed, rng, max_extra):
+def sweep_star(seed, rng, max_extra, near_tie):
     specs = [
         (int(rng.integers(2, 5)), int(rng.integers(1, 4)), float(rng.choice([0.5, 1.0, 2.0])))
         for _ in range(int(rng.integers(1, 4)))
     ]
     n = sum(m + k for m, k, _ in specs) + int(rng.integers(0, max_extra + 1))
     g = plant_star_graph(seed=seed, n=n, star_specs=specs)
+    if near_tie:
+        shift = 1.0 + NEAR_TIE * WEIGHT_TOL
+        g = build_graph(g.n, [(u, v, w * shift if u == 0 else w) for u, v, w in g.edges])
     results = {}
 
     classes = group_by_weight(detect_stars(g))
@@ -278,7 +289,7 @@ def main():
         seed = args.seed + i
         rng = np.random.default_rng(seed)
         if i % 2 == 0:
-            g, results = sweep_star(seed, rng, args.max_extra)
+            g, results = sweep_star(seed, rng, args.max_extra, near_tie=i % 4 == 0)
         else:
             g, results = sweep_dependent(seed, rng)
         same = relabelled(g, rng)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +32,6 @@ SIGN_EPS = 1e-12
 # e_i - e_j, needs a second
 STEP_TOL = 1e-13
 MAX_STEPS = 3
-# an n x n scan goes through at most this many blocks of rows, so that its
-# temporaries stay a small fraction of one dense matrix
-ROW_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,6 @@ class EigenvalueGroup:
 class MultiplicityTable:
     groups: tuple[EigenvalueGroup, ...]
     tol: float = 0.0    # the absolute gap the groups were formed at
-
-
-def row_blocks(n: int) -> Iterator[slice]:
-    """Consecutive slices of range(n), at most ROW_BLOCKS of them, of equal size but the last."""
-    step = max(1, -(-n // ROW_BLOCKS))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -165,11 +155,10 @@ def eigenvector_at(a: np.ndarray, value: float) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    sums = np.empty(n)
+    # |a| is freed before the solve allocates its own n x n copy, so it
+    # never sets the peak
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(n):   # no n x n |a|
-            np.abs(a[rows]).sum(axis=1, out=sums[rows])
-        bound = float(sums.max(initial=0.0)) or 1.0
+        bound = float(np.abs(a).sum(axis=1).max(initial=0.0)) or 1.0
     if not (math.isfinite(value) and math.isfinite(bound)):
         return np.full(n, np.nan)
     work = a if a.flags.writeable else a.copy()

@@ -9,6 +9,7 @@ decimal digits.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from typing import Any, Sequence
@@ -99,11 +100,12 @@ def _bulk_body(
             return None
         masses[x] = mass
     edges.append(body[at:])
-    lines = "".join(edges).splitlines()
-    if not any(map(str.strip, lines)):   # loadtxt warns on input with no data
+    text = "".join(edges)
+    if not text.strip():   # loadtxt warns on input with no data
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), masses
     try:
-        columns = np.loadtxt(lines, dtype=_EDGE_LINE, comments=None, ndmin=1)
+        # one string, not a list of line strings that outlive the parse
+        columns = np.loadtxt(io.StringIO(text), dtype=_EDGE_LINE, comments=None, ndmin=1)
     except ValueError:   # a field int() or float() rejects, `1_0`, a non-ASCII digit or an id beyond int64
         return None
     return columns["u"], columns["v"], columns["w"], masses

@@ -115,11 +115,11 @@ class GraphAnalysis:
     dependent-row partitions are computed once, on first use.  No dense
     matrix is kept: a family's matrix is written from the edge columns when
     it is solved and dropped after the solve, and a check that reads some
-    of a family's columns, or a block of A, builds only those from the
-    neighbour lists.  A family is solved through ``eigen.sym_eigen`` for
-    its eigenvalues only.  The second
-    eigenvector, which every Fiedler pair reads off the mass Laplacian, comes
-    from inverse iteration at the second eigenvalue
+    of a family's columns, or a block of A, builds only those columns from
+    the neighbour lists.  ``columns`` writes every one of them.  A family
+    is solved through ``eigen.sym_eigen`` for its eigenvalues only.  The
+    second eigenvector, which every Fiedler pair reads off the mass
+    Laplacian, comes from inverse iteration at the second eigenvalue
     (``eigen.eigenvector_at``), and no other eigenvector is computed.
 
     Families: "adjacency" (A), "laplacian" (L), "signless" (Q), "normalized"
@@ -229,10 +229,9 @@ class GraphAnalysis:
             if piece.size < 2:
                 continue
             tol = WEIGHT_TOL * float(s[piece].min())
-            touched = np.zeros(g.n, dtype=bool)
-            touched[self.column_entries(piece)[0]] = True
-            nbrs = np.flatnonzero(touched)
-            basis = _independent_columns(self.adjacency_block(nbrs, piece), tol)
+            block = self.columns("adjacency", piece)   # A[:, G]
+            nbrs = np.flatnonzero(block.any(axis=1))
+            basis = _independent_columns(block[nbrs], tol)
             if basis.all():
                 continue
             v1, v3 = piece[basis].tolist(), piece[~basis].tolist()
@@ -337,17 +336,6 @@ class GraphAnalysis:
             return nbrs[run], at, weights[run]
         pos = np.arange(at.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return nbrs[pos], at, weights[pos]
-
-    def adjacency_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """A[np.ix_(rows, cols)] for distinct rows, written from the neighbour lists."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        at_row = np.full(self.graph.n, -1)
-        at_row[rows] = np.arange(rows.size)
-        r, c, w = self.column_entries(cols)
-        kept = at_row[r] >= 0
-        out = np.zeros((rows.size, cols.size))
-        out[at_row[r[kept]], c[kept]] = w[kept]
-        return out
 
     def _family(self, family: str) -> str:
         """The family built and solved for `family`: with unit masses, a mass family's plain one."""
@@ -635,10 +623,13 @@ def verify_ldependent(
 
     Checks, in order: v1/v2 mutual attachment, v1 and v3 attached only into
     v2, each v3 row reproducible as a least-squares combination of the v1
-    rows (residual at most WEIGHT_TOL * w, w the first v1 vertex's
-    strength), and finally that all of v1 and v3 share that strength, to
-    within the same tolerance.  Coefficient positivity is recorded,
-    not enforced.  A vertex outside 0..n-1 raises IndexOutOfRangeError.
+    rows (residual at most WEIGHT_TOL * w, w the smallest strength of v1
+    and v3), and finally that all of v1 and v3 share a strength: each
+    within the same tolerance of w, the rule of _strength_classes, so no
+    label decides it.  All three read one block of A, its columns v1 and
+    v3.  The reported wtilde is the first v1 vertex's strength.
+    Coefficient positivity is recorded, not enforced.  A vertex outside
+    0..n-1 raises IndexOutOfRangeError.
     """
     ctx = analyze(g)
     v1_t, v2_t, v3_t = tuple(sorted(v1)), tuple(sorted(v2)), tuple(sorted(v3))
@@ -650,39 +641,38 @@ def verify_ldependent(
     if len(set(listed)) != len(listed):
         raise ConditionViolatedError(0, -1, "v1, v2, v3 must be disjoint, each vertex listed once")
     s = ctx.strengths
+    rows = v1_t + v3_t
+    on_v2 = list(v2_t)
+    block = ctx.columns("adjacency", rows)   # A[:, v1 + v3]
+    basis, targets = np.hsplit(block[on_v2], [len(v1_t)])   # A[v2, v1], A[v2, v3]
 
     # condition 1: every v1 vertex attaches into v2 and vice versa
-    v1_rows = ctx.adjacency_block(v1_t, v2_t)
-    attached = v1_rows > 0
-    reaches = attached.any(axis=1)
+    attached = basis > 0
+    reaches = attached.any(axis=0)
     if not reaches.all():
         i = v1_t[int(np.argmin(reaches))]
         raise ConditionViolatedError(1, i, "v1 vertex has no neighbor in v2")
-    reached = attached.any(axis=0)
+    reached = attached.any(axis=1)
     if not reached.all():
         j = v2_t[int(np.argmin(reached))]
         raise ConditionViolatedError(1, j, "v2 vertex has no neighbor in v1")
 
-    # condition 2: v1 and v3 have neighbors only inside v2; the first row
-    # in this order with an edge leaving v2 is reported, with its smallest
+    # condition 2: v1 and v3 have neighbors only inside v2; the first column
+    # of the block with an edge leaving v2 is reported, with its smallest
     # neighbour outside
-    inside = np.zeros(ctx.graph.n, dtype=bool)
-    inside[list(v2_t)] = True
-    rows = v1_t + v3_t
-    nbrs, at, _ = ctx.column_entries(rows)
-    leaving = np.flatnonzero(~inside[nbrs])
-    if leaving.size:
-        k = leaving[0]
-        raise ConditionViolatedError(2, rows[at[k]], f"edge to {nbrs[k]} leaves v2")
+    block[on_v2] = 0.0
+    at, nbrs = np.nonzero(block.T)
+    if at.size:
+        raise ConditionViolatedError(2, rows[at[0]], f"edge to {nbrs[0]} leaves v2")
 
-    wtilde = float(s[v1_t[0]]) if v1_t else 0.0
+    # the tolerance of the smallest strength, as in _strength_classes
+    strength = s[list(rows)]
+    smallest = float(strength.min()) if rows else 0.0
+    tol = WEIGHT_TOL * smallest
 
     # condition 3: each v3 row is a combination of the v1 rows on v2
-    basis = v1_rows.T
-    targets = ctx.adjacency_block(v3_t, v2_t).T
     coeffs = np.linalg.lstsq(basis, targets, rcond=None)[0]
     residual = np.abs(basis @ coeffs - targets).max(axis=0, initial=0.0)
-    tol = WEIGHT_TOL * wtilde
     over = np.flatnonzero(~(residual <= tol))   # a NaN residual fails too
     if over.size:
         raise ConditionViolatedError(
@@ -693,11 +683,12 @@ def verify_ldependent(
     coefficients = {i: dict(zip(v1_t, c)) for i, c in zip(v3_t, coeffs.T.tolist())}
     nonnegative = not (coeffs < -COEFF_EPS).any()
 
-    # common strength over v1 and v3; an overflowed (inf) one compares as NaN and fails
+    # common strength over v1 and v3: within tol of the smallest; an
+    # overflowed (inf) one compares as NaN and fails
     with np.errstate(invalid="ignore"):
-        bad = {int(i): float(s[i]) for i in rows if not abs(s[i] - wtilde) <= tol}
+        bad = {int(i): float(w) for i, w in zip(rows, strength) if not w - smallest <= tol}
     if bad:
-        bad[int(v1_t[0])] = wtilde
+        bad[int(rows[int(np.argmin(strength))])] = smallest
         raise NoCommonStrengthError(bad)
 
     return LDependentPartition(
@@ -705,7 +696,7 @@ def verify_ldependent(
         v2=v2_t,
         v3=v3_t,
         coefficients=coefficients,
-        wtilde=wtilde,
+        wtilde=float(s[v1_t[0]]) if v1_t else 0.0,
         coefficients_nonnegative=nonnegative,
     )
 

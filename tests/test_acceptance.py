@@ -316,7 +316,10 @@ def test_random_sweep_script_runs(monkeypatch, capsys):
     sweep.main()   # raises SystemExit(2) when any claim fails
     out = capsys.readouterr().out
     assert out.startswith("5 graphs") and "FAIL" not in out
-    assert " relabelled " in out and " near-ties " in out
+    # graphs 0 and 4 have near ties, which the relabelled line skips
+    relabelled = next(line for line in out.splitlines() if " relabelled " in line)
+    near_ties = next(line for line in out.splitlines() if " near-ties " in line)
+    assert relabelled.split()[1] == "3/3" and " 2 of 2 graphs " in near_ties
 
 
 def test_call_rss_script_runs(capsys, monkeypatch, tmp_path):
@@ -352,3 +355,12 @@ def test_call_rss_script_runs(capsys, monkeypatch, tmp_path):
         rss = line.split("peak_rss_mb ")[1].split(", wall_s")[0]
         peak = rss.split()[0]
         assert float(peak) > 0 and rss == f"{peak} [{peak}, {peak}]"
+
+    # a benchmark workload: each call of its pass, planted from the seed
+    ran_from.clear()
+    assert call_rss.main(["--src", src, "--runs", "1", "--workload", "ldep-dense"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    calls = [line.split(";")[0].split() for line in out if line.startswith("call: ")]
+    assert [c[1] for c in calls] == ["ldep", "verify"] and len(ran_from) == 2
+    assert calls[0][2] == calls[1][2] and calls[0][2].endswith("ldep.graph")
+    assert out.count("stdout: same on every run") == out.count("exit code: 0") == 2

@@ -578,7 +578,11 @@ def test_canonical_files_with_masses_and_comments_skip_the_line_by_line_pass(mon
     assert any(m != 1.0 for m in reduced.mass)
 
 
-@pytest.mark.parametrize("text", ["n 3", "n 3\n", "n 3\n\n  \n", "# c\nn 3\n# d\n", "n 3\nm 1 2\n"])
+@pytest.mark.parametrize("text", [
+    "n 3", "n 3\n", "n 3\n\n  \n", "# c\nn 3\n# d\n", "n 3\nm 1 2\n",
+    # blank, comment and mass lines, broken by \r\n, \r and the odd breaks
+    "n 3\r\n\n  \t\r# none\x0bm 1 2.5\x0c\u2028 \x85m 0 0.5\u2029\n",
+])
 def test_a_file_with_no_edges_parses_without_a_warning(tmp_path, capsys, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # np.loadtxt warns on input with no data

@@ -13,14 +13,12 @@ from starlap import (
     sym_eigen,
 )
 from starlap.eigen import (
-    ROW_BLOCKS,
     SIGN_EPS,
     STEP_TOL,
     EigenvalueGroup,
     MultiplicityTable,
     _normalize_signs,
     eigenvector_at,
-    row_blocks,
 )
 from starlap.errors import NotSymmetricError, TooFewValuesError
 
@@ -441,28 +439,8 @@ def test_a_start_nearly_orthogonal_to_the_eigenvector_takes_a_second_step(monkey
     assert np.linalg.norm(a @ x - value * x) <= STEP_TOL * float(np.abs(a).sum(axis=1).max())
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 33, 1000])
-def test_row_blocks_cover_the_rows_once(n):
-    blocks = list(row_blocks(n))
-    assert len(blocks) <= ROW_BLOCKS
-    assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_row_sums_by_blocks_are_the_whole_sums(seed):
-    # eigenvector_at sums |a| a block of rows at a time: each row's sum is
-    # the one the whole matrix's sum gives, bit for bit
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(20, 300))
-    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, size=(n, n))
-    sums = np.empty(n)
-    for rows in row_blocks(n):
-        np.abs(a[rows]).sum(axis=1, out=sums[rows])
-    assert sums.tobytes() == np.abs(a).sum(axis=1).tobytes()
-
-
 def _late_entry(bad, diagonal):
-    """A 50 x 50 symmetric matrix with one non-finite entry (or pair) in its last row block."""
+    """A 50 x 50 symmetric matrix with one non-finite entry (or pair) in a late row."""
     a = np.add.outer(np.arange(50.0), np.arange(50.0)) / 50.0
     if diagonal:
         a[47, 47] = bad
@@ -490,7 +468,7 @@ def test_one_late_non_finite_entry_gives_a_nan_spectrum(monkeypatch, bad, diagon
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_eigenvector_at_a_late_non_finite_row_gives_nan(monkeypatch, bad, diagonal):
-    # 1e308 entries make a row sum overflow in the last row block
+    # 1e308 entries make a late row's sum overflow
     def refuse(*args, **kwargs):
         raise AssertionError("LU solve of a non-finite input")
 

@@ -243,6 +243,18 @@ class TestVerifyLDependent:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoCommonStrengthError):
             verify_ldependent(g, v1=[0], v2=[2, 3], v3=[1])
 
+    def test_common_strength_is_judged_from_the_smallest_under_every_labelling(self):
+        # three independent rows toward hubs 0-3 at strengths 1, 1 + 0.6e-9
+        # and 1 + 1.1e-9, and their mean: all within WEIGHT_TOL of the
+        # middle one, but not of the smallest, whichever row v1[0] is
+        rows = [(0.4, 0.3, 0.2, 0.1), (0.1, 0.4, 0.3, 0.2 + 0.6e-9), (0.2, 0.1, 0.4, 0.3 + 1.1e-9)]
+        rows.append(tuple(np.mean(rows, axis=0)))
+        for perm in itertools.permutations(range(4, 8)):
+            g = build_graph(8, [(perm[i], j, w) for i, row in enumerate(rows)
+                                for j, w in enumerate(row)])
+            with pytest.raises(NoCommonStrengthError):
+                verify_ldependent(g, v1=perm[:3], v2=[0, 1, 2, 3], v3=perm[3:])
+
     def test_empty_v3_is_vacuous(self, f3):
         part = verify_ldependent(f3, v1=[0, 1], v2=[2, 3, 4], v3=[])
         assert part.l == 0 and part.coefficients == {}
@@ -550,9 +562,11 @@ def test_mass_strengths_are_the_column_sums_bit_for_bit(name):
 
 
 def test_adjacency_blocks_are_the_dense_blocks():
+    # the dependent-row checks read a block of A as rows of its columns
     g = _BIT_GRAPHS["stars120"]
     rows, cols = [5, 0, 119, 40], [3, 7, 0, 118, 41, 60]
-    assert _same_bits(analyze(g).adjacency_block(rows, cols), adjacency(g)[np.ix_(rows, cols)])
+    block = analyze(g).columns("adjacency", cols)[rows]
+    assert _same_bits(block, adjacency(g)[np.ix_(rows, cols)])
 
 
 def test_an_isolated_vertex_has_no_normalized_matrix():
