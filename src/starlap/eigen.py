@@ -10,7 +10,8 @@ Ties are decided by the same rule at DEFAULT_TOL: k-means counts two squared
 distances within DEFAULT_TOL * reach^2 as equal (reach bounds |r| + |c|), and
 recursive bisection two blocks' second eigenvalues within DEFAULT_TOL times
 the larger of their spectral radii; the first index, or the block holding
-the smallest vertex, wins.
+the smallest vertex, wins.  A unit eigenvector's entries within SIGN_EPS of 0
+have no sign (signs).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from .errors import NotSymmetricError, TooFewValuesError
 
 DEFAULT_TOL = 1e-8
-# an entry of a unit eigenvector at most this large has no sign
-SIGN_EPS = 1e-12
+# an entry of a unit eigenvector at most this large has no sign; rounding
+# left entries of up to 2.4e-12 off the support of a twin difference e_0 - e_1
+SIGN_EPS = 1e-9
 # inverse iteration stops once the residual is within STEP_TOL of the row-sum
 # bound: one step reached it on 589 planted graphs (at most 5e-14); a start
 # nearly orthogonal to the eigenvector, as sin(1..n) is to some twin pairs'
@@ -39,9 +41,9 @@ class Spectrum:
     """Ascending eigenvalues with matched orthonormal eigenvector columns.
 
     Column i of `vectors` pairs with `values[i]`.  Columns are sign-normalized
-    so the first entry of magnitude above 1e-12 is positive, which makes
-    downstream sign comparisons deterministic.  `vectors` is None when only
-    the eigenvalues were asked for.
+    so the first entry of magnitude above SIGN_EPS (1e-9) is positive, which
+    makes downstream sign comparisons deterministic.  `vectors` is None when
+    only the eigenvalues were asked for.
     """
 
     values: np.ndarray
@@ -81,6 +83,11 @@ class EigenvalueGroup:
 class MultiplicityTable:
     groups: tuple[EigenvalueGroup, ...]
     tol: float = 0.0    # the absolute gap the groups were formed at
+
+
+def signs(x: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 for each entry of x; 0 where |entry| <= SIGN_EPS, and for NaN."""
+    return (x > SIGN_EPS).astype(int) - (x < -SIGN_EPS)
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:

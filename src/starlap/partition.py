@@ -28,14 +28,13 @@ from .graphs import Graph, induced_subgraph
 from .reduction import Reduction, lift_vector, reduce_all
 from .stars import GraphAnalysis, analyze
 
-SIGN_COMPARE_EPS = 1e-9
 LLOYD_MAX_ITER = 100     # Lloyd iterations before k-means stops unconverged
 
 
 @dataclass(frozen=True)
 class FiedlerResult:
     lambda2: float
-    vector: np.ndarray       # unit norm, first significant entry positive
+    vector: np.ndarray       # unit norm, first entry above eigen.SIGN_EPS positive
     degenerate: bool         # second eigenvalue not simple at tolerance
 
 
@@ -53,7 +52,7 @@ class Partition:
 class SignAgreementReport:
     """Per-vertex sign comparison between original and lifted Fiedler vectors."""
 
-    pairs: tuple[tuple[int, int, int], ...]   # (vertex, original sign, lifted sign)
+    pairs: tuple[tuple[int, int, int], ...]   # (kept vertex, eigen.signs of each, after the flip)
     global_flip: bool
     agreement_fraction: float | None
     degenerate: bool
@@ -106,10 +105,9 @@ def fiedler(g: Graph | GraphAnalysis, tol_rel: float = eigen.DEFAULT_TOL) -> Fie
 
 
 def _labels_from_signs(vector: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
-    """Cluster 0 for nonnegative entries; near-zero entries go to 0 and are listed."""
-    labels = tuple(0 if x >= -eigen.SIGN_EPS else 1 for x in vector)
-    near_zero = [i for i, x in enumerate(vector) if abs(x) <= eigen.SIGN_EPS]
-    return labels, near_zero
+    """Cluster 1 for negative entries, 0 for the rest; the unsigned entries are listed."""
+    signs = eigen.signs(vector)
+    return tuple((signs < 0).astype(int).tolist()), np.flatnonzero(signs == 0).tolist()
 
 
 def sign_bipartition(g: Graph) -> Partition:
@@ -375,13 +373,13 @@ def compare_signs(
     """Compare the Fiedler sign patterns of a graph and its reduction.
 
     The reduced graph's Fiedler vector v lifts to K v on the original vertex
-    set; after an optional global flip, signs should agree on every kept
-    vertex with a significant entry.  A graph with fewer than two vertices or
-    more than one component, a degenerate second eigenvalue (either side) or
-    a second eigenvalue removed by the reduction make the comparison
-    inconclusive rather than failed.  A kept twin keeps every neighbour, so
-    the reduction of a connected graph is connected.  Removed vertices
-    inherit the cluster of their kept twin in `extended_labels` (a
+    set; after an optional global flip, signs (eigen.signs) should agree on
+    every kept vertex where both entries have one.  A graph with fewer than
+    two vertices or more than one component, a degenerate second eigenvalue
+    (either side) or a second eigenvalue removed by the reduction make the
+    comparison inconclusive rather than failed.  A kept twin keeps every
+    neighbour, so the reduction of a connected graph is connected.  Removed
+    vertices inherit the cluster of their kept twin in `extended_labels` (a
     convention, not a theorem).
     """
     ctx = analyze(g)
@@ -400,22 +398,17 @@ def compare_signs(
         )
 
     lifted = lift_vector(r, red.vector)
-    kept = [v for v in range(ctx.graph.n) if r.vertex_map[v] is not None]
-    significant = [
-        v
-        for v in kept
-        if abs(orig.vector[v]) > SIGN_COMPARE_EPS and abs(lifted[v]) > SIGN_COMPARE_EPS
-    ]
-    agree_plus = sum(1 for v in significant if orig.vector[v] * lifted[v] > 0)
-    flip = agree_plus < len(significant) - agree_plus
-    signed = -lifted if flip else lifted
-    pairs = tuple(
-        (v, int(np.sign(orig.vector[v])), int(np.sign(signed[v]))) for v in kept
-    )
-    agreements = sum(1 for v in significant if orig.vector[v] * signed[v] > 0)
-    fraction = agreements / len(significant) if significant else 1.0
+    kept = np.flatnonzero([v is not None for v in r.vertex_map])
+    orig_signs, lifted_signs = eigen.signs(orig.vector)[kept], eigen.signs(lifted)[kept]
+    product = orig_signs * lifted_signs   # 1 agrees, -1 disagrees, 0 is not compared
+    count, agree = int(np.count_nonzero(product)), int((product > 0).sum())
+    flip = agree < count - agree
+    if flip:
+        lifted, lifted_signs = -lifted, -lifted_signs
+    pairs = tuple(zip(kept.tolist(), orig_signs.tolist(), lifted_signs.tolist()))
+    fraction = max(agree, count - agree) / count if count else 1.0
 
-    labels = list(_labels_from_signs(signed)[0])
+    labels = list(_labels_from_signs(lifted)[0])
     for block in r.blocks:
         for v in block.rows[len(block.kept):]:
             labels[v] = labels[block.kept[0]]

@@ -330,10 +330,6 @@ class GraphAnalysis:
         starts = bounds[idx]
         counts = bounds[idx + 1] - starts
         at = np.repeat(np.arange(idx.size), counts)
-        if idx.size and idx[-1] - idx[0] == idx.size - 1 and (np.diff(idx) == 1).all():
-            # a run of consecutive vertices: their lists lie side by side
-            run = slice(starts[0], starts[0] + at.size)
-            return nbrs[run], at, weights[run]
         pos = np.arange(at.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return nbrs[pos], at, weights[pos]
 

@@ -19,6 +19,7 @@ from starlap.eigen import (
     MultiplicityTable,
     _normalize_signs,
     eigenvector_at,
+    signs,
 )
 from starlap.errors import NotSymmetricError, TooFewValuesError
 
@@ -258,6 +259,7 @@ def _sign_cases():
     yield "edge-columns", cols                         # column 0 is all zeros
     yield "empty", np.zeros((0, 0))
     yield "no-columns", np.zeros((3, 0))
+    yield "nan", np.array([[np.nan], [1.0], [-2.0]])   # NaN has no sign
 
 
 def _path_laplacian(n):
@@ -273,6 +275,9 @@ def test_vectorised_sign_normalization_equals_the_loop(name, vectors):
     assert out.shape == expected.shape and out.dtype == expected.dtype
     assert out.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
     assert out is not vectors
+    for column in vectors.T:   # signs, entry by entry, at the same boundaries
+        expected_signs = [(x > SIGN_EPS) - (x < -SIGN_EPS) for x in column.tolist()]
+        assert signs(column).tolist() == expected_signs
 
 
 def _group_reference(values, tol_rel=1e-8):

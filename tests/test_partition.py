@@ -345,6 +345,17 @@ class TestCompareSigns:
         assert report.agreement_fraction is None
         assert not report.passed
 
+    def test_an_unsigned_entry_is_reported_as_0_and_not_compared(self):
+        # swapping 0 <-> 2 and their pendants mirrors the graph, so the
+        # Fiedler vector is odd under it and its centre entry, 1.9e-16, is 0
+        g = build_graph(7, [(0, 1, 1), (1, 2, 1), (0, 3, 2), (0, 4, 2), (2, 5, 2), (2, 6, 2)])
+        assert abs(fiedler(g).vector[1]) <= eigen.SIGN_EPS
+        report = compare_signs(g, reduce_all(g, "collapse"))
+        assert not report.degenerate and report.agreement_fraction == 1.0
+        assert (1, 0, 0) in report.pairs
+        assert all(o and o == lifted for v, o, lifted in report.pairs if v != 1)
+        assert sign_bipartition(g).provenance.endswith("; zero entries at [1])")
+
     def test_planted_agreement(self):
         agreements = 0
         for seed in range(20):

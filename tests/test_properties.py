@@ -21,6 +21,7 @@ from starlap import (
     plant_ldependent_graph,
     plant_star_graph,
     reduce_all,
+    sign_bipartition,
     strengths,
     sym_eigen,
     verify_graph,
@@ -43,7 +44,7 @@ from starlap.stars import (
 
 from conftest import interlacing
 from reference import adjacency, multiplicity_at
-from test_partition import _kway_reference, assert_embedding_matches_a_full_eigh
+from test_partition import _kway_reference, assert_embedding_matches_a_full_eigh, reference_labels
 
 
 def _load_sweep():
@@ -167,6 +168,18 @@ def test_bipartition_clusters_nonempty(g):
     assert sorted(counts) == list(range(len(counts)))
     assert all(c > 0 for c in counts.values())
     assert len(counts) == 2
+
+
+def test_bisection_leaves_the_noise_off_a_twin_difference_unsigned():
+    # the sweep's seed-1286 graph: lambda2 = 0.5 is simple with eigenvector
+    # e_0 - e_1, and inverse iteration leaves its other entries at 0.2-2.4e-12
+    g = _SWEEP.sweep_star(1286, np.random.default_rng(1286), 12, near_tie=False)[0]
+    ctx = analyze(g)
+    assert g.n == 20 and not partition.fiedler(ctx).degenerate
+    bisection = sign_bipartition(g)
+    assert bisection.labels == reference_labels(ctx)
+    assert [v for v, label in enumerate(bisection.labels) if label] == [1]
+    assert bisection.provenance == f"fiedler-sign(lambda2=0.5; zero entries at {[*range(2, 20)]})"
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -222,8 +222,8 @@ class TestLift:
         lam2 = fiedler(r.reduced)
         assert not lam2.degenerate
         assert values.real[order[1]] == pytest.approx(lam2.lambda2)
-        signs = np.where(np.abs(right) > 1e-9, np.sign(right), 0.0)
-        expected = np.where(np.abs(lam2.vector) > 1e-9, np.sign(lam2.vector), 0.0)
+        signs = eigen.signs(right)
+        expected = eigen.signs(lam2.vector)
         assert np.any(signs) and (
             np.array_equal(signs, expected) or np.array_equal(signs, -expected)
         )
