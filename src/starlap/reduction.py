@@ -17,9 +17,11 @@ star.  Each holds the star's rows, the rows it keeps, its m x p frame of
 K, and the eigenvalue it removes q times from the mass Laplacian's
 spectrum, with the q local eigenvectors on its rows (`Block.complement`);
 no other module works these out.  K is held implicitly, as the vertex map
-and the frames (O(n + sum m p) numbers), the frames of one shape stacked,
-and every check and lift works through the blocks in O(n^2) time, one
-stacked np.matmul per shape; `Reduction.k_matrix` builds the dense matrix
+and the frames (O(n + sum m p) numbers), those of one (m, p) shape stacked
+as one (rows, cols, frames) tuple of arrays, and every check and lift works
+through them in O(n^2) time, one stacked np.matmul per shape.  The checks
+walk X K as plain n x w blocks of columns, a lift check adding one squared
+norm per block in walk order; `Reduction.k_matrix` builds the dense matrix
 only for a caller that asks for it.
 
 The reduced degree matrix is fixed as the column sums of M B, which makes the
@@ -85,8 +87,8 @@ class Reduction:
     """A reduced graph together with the map back to the original.
 
     K is the identity from each untouched vertex to its reduced index plus
-    the frame of each of `blocks`, stacked by shape (`_stacks`);
-    `k_matrix` builds it densely on each access.
+    the frame of each of `blocks`, stacked by shape as (rows, cols, frames)
+    (`_stacks`); `k_matrix` builds it densely on each access.
     """
 
     original: Graph
@@ -111,25 +113,23 @@ class Reduction:
         )
 
     @cached_property
-    def _stacks(self) -> tuple[_Stack, ...]:
-        """K's blocks, those of one (m, p) shape stacked, shapes in order of first use."""
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, block in enumerate(self.blocks):
-            by_shape.setdefault(block.frame.shape, []).append(i)
-        stacks = []
-        for members in by_shape.values():
-            blocks = [self.blocks[i] for i in members]
-            stacks.append(
-                _Stack(
-                    members=np.array(members, dtype=np.intp),
-                    rows=np.array([b.rows for b in blocks], dtype=np.intp),
-                    cols=np.array(
-                        [[self.vertex_map[v] for v in b.kept] for b in blocks], dtype=np.intp
-                    ),
-                    frames=np.stack([b.frame for b in blocks]),
-                )
+    def _stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(rows, cols, frames) per (m, p) shape of K's star blocks, shapes in order of first use.
+
+        Star i of a shape, in `blocks` order, has its m rows ascending in
+        rows[i], its p reduced columns in cols[i] and its frame in frames[i].
+        """
+        by_shape: dict[tuple[int, int], list[Block]] = {}
+        for block in self.blocks:
+            by_shape.setdefault(block.frame.shape, []).append(block)
+        return tuple(
+            (
+                np.array([b.rows for b in blocks], dtype=np.intp),
+                np.array([[self.vertex_map[v] for v in b.kept] for b in blocks], dtype=np.intp),
+                np.stack([b.frame for b in blocks]),
             )
-        return tuple(stacks)
+            for blocks in by_shape.values()
+        )
 
     @property
     def k_matrix(self) -> np.ndarray:
@@ -137,25 +137,10 @@ class Reduction:
         k = np.zeros((self.original.n, self.reduced.n))
         rows, cols = self._identity
         k[rows, cols] = 1.0
-        for stack in self._stacks:
-            k[stack.rows[:, :, None], stack.cols[:, None, :]] = stack.frames
+        for rows, cols, frames in self._stacks:
+            k[rows[:, :, None], cols[:, None, :]] = frames
         k.setflags(write=False)
         return k
-
-
-@dataclass(frozen=True)
-class _Stack:
-    """The blocks of K of one shape.
-
-    The i-th is blocks[members[i]]: rows[i] are its m original rows in
-    ascending order, cols[i] its p reduced columns and frames[i] its m x p
-    frame.
-    """
-
-    members: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    frames: np.ndarray
 
 
 def _swap_columns(k: int, p: int) -> np.ndarray:
@@ -251,16 +236,14 @@ def reduce_all(
 
 
 def _frames_times(frames: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """frames[i] @ x[i] for each i, x of shape (c, p, *rest): the c x m x *rest product.
+    """frames[i] @ x[i] for each i, x of shape (c, p) or (c, p, k): the c x m (x k) product.
 
-    One stacked np.matmul: each product is the m x p frame times a p-row
-    slice of x[i], one per index of the axes between p and the last, so
-    every entry is the one the frame's own product gives, bit for bit.
+    One stacked np.matmul, so every entry is the one the frame's own
+    product gives, bit for bit.
     """
     if x.ndim == 2:
         return np.matmul(frames, x[:, :, None])[:, :, 0]
-    stacked = np.expand_dims(frames, tuple(range(1, x.ndim - 2)))
-    return np.moveaxis(np.matmul(stacked, np.moveaxis(x, 1, -2)), -2, 1)
+    return np.matmul(frames, x)
 
 
 def _k_times(r: Reduction, m: np.ndarray) -> np.ndarray:
@@ -268,8 +251,8 @@ def _k_times(r: Reduction, m: np.ndarray) -> np.ndarray:
     out = np.zeros((r.original.n,) + m.shape[1:])
     rows, cols = r._identity
     out[rows] = m[cols]
-    for stack in r._stacks:
-        out[stack.rows] = _frames_times(stack.frames, m[stack.cols])
+    for rows, cols, frames in r._stacks:
+        out[rows] = _frames_times(frames, m[cols])
     return out
 
 
@@ -278,75 +261,67 @@ def _kt_times(r: Reduction, y: np.ndarray) -> np.ndarray:
     out = np.zeros((r.reduced.n,) + y.shape[1:])
     rows, cols = r._identity
     out[cols] = y[rows]
-    for stack in r._stacks:
-        out[stack.cols] = _frames_times(stack.frames.transpose(0, 2, 1), y[stack.rows])
+    for rows, cols, frames in r._stacks:
+        out[cols] = _frames_times(frames.transpose(0, 2, 1), y[rows])
     return out
 
 
 Columns = Callable[[np.ndarray], np.ndarray]
 
 
-def _column_blocks(
-    r: Reduction, x: Columns
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(slots, cols, X K[:, cols]) for blocks of K's columns, read off X's columns in one pass.
+def _column_blocks(r: Reduction, x: Columns) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(cols, X K[:, cols]) for blocks of K's columns, read off X's columns in one pass.
 
-    `x(idx)` returns X[:, idx], and each column of X is read once.  cols is
-    c x w and X K[:, cols] n x c x w: c of K's blocks side by side, slots
-    their places in K's order (the identity block's chunks first, then
-    `blocks` in order).  The identity block comes a chunk at a time,
-    and the stars of one shape c at a time, their products taken in one
-    stacked np.matmul, each bit for bit the product of its star alone.  A
-    star wider than a chunk reads its rows a chunk at a time.  No block
-    reads more than an eighth of K's width of X's columns at once, so the
-    blocks and their products stay below the size of a dense K.  Each
-    yielded block is the caller's to overwrite.
+    `x(idx)` returns X[:, idx], and each column of X is read once; each
+    block is n x w, with cols its w columns of K.  The walk yields the
+    identity block's chunks first, then, shape by shape in order of first
+    use, step // m stars of an m-row shape per block, their products taken
+    in one stacked np.matmul, each bit for bit the product of its star
+    alone.  A star wider than a chunk (m > step) is a block of its own and
+    reads its rows a chunk at a time.  No block reads more than an eighth
+    of K's width of X's columns at once, so the blocks and their products
+    stay below the size of a dense K.  Each yielded block is the caller's
+    to overwrite.
     """
     step = max(1, r.reduced.n // 8)
     rows, cols = r._identity
-    starts = range(0, rows.size, step)
-    for slot, start in enumerate(starts):
-        part = slice(start, start + step)
-        yield np.array([slot]), cols[None, part], x(rows[part])[:, None, :]
-    for stack in r._stacks:
-        count, m, p = stack.frames.shape
-        slots = len(starts) + stack.members
+    for start in range(0, rows.size, step):
+        yield cols[start:start + step], x(rows[start:start + step])
+    for rows, cols, frames in r._stacks:
+        count, m, p = frames.shape
         if m > step:
-            for i, (star_rows, frame) in enumerate(zip(stack.rows, stack.frames)):
+            for star_rows, star_cols, frame in zip(rows, cols, frames):
                 xk = x(star_rows[:step]) @ frame[:step]
                 for start in range(step, m, step):
                     xk += x(star_rows[start:start + step]) @ frame[start:start + step]
-                yield slots[i:i + 1], stack.cols[i:i + 1], xk[:, None, :]
+                yield star_cols, xk
             continue
         per = step // m
         for start in range(0, count, per):
             part = slice(start, start + per)
-            xs = x(stack.rows[part].ravel())
+            xs = x(rows[part].ravel())
             c = xs.shape[1] // m
-            xk = np.empty((xs.shape[0], c, p))
+            xk = np.empty((xs.shape[0], c * p))
             np.matmul(
                 xs.reshape(-1, c, m).transpose(1, 0, 2),
-                stack.frames[part],
-                out=xk.transpose(1, 0, 2),
+                frames[part],
+                out=xk.reshape(-1, c, p).transpose(1, 0, 2),
             )
-            yield slots[part], stack.cols[part], xk
+            yield cols[part].ravel(), xk
 
 
-def _lift_squares(
-    r: Reduction, slots: np.ndarray, xk: np.ndarray, reduced: np.ndarray
-) -> dict[int, float]:
-    """Each slot's squared Frobenius norm of (X K - K R)[:, cols], made in place from X K[:, cols].
+def _lift_square(r: Reduction, xk: np.ndarray, reduced: np.ndarray) -> float:
+    """The squared Frobenius norm of (X K - K R)[:, cols], made in place from X K[:, cols].
 
-    `reduced` is R[:, cols], and xk and it hold one slot's columns per
-    index of their middle axis.  X K - K R is the intertwining defect of
-    K.  For every unit eigenvector v of R with eigenvalue t, the lifted
-    pair (t, K v) has X K v - t K v = (X K - K R) v, so the defect's norm,
-    the square root of these sums added in slot order, bounds the
+    `reduced` is R[:, cols].  X K - K R is the intertwining defect of K.
+    For every unit eigenvector v of R with eigenvalue t, the lifted pair
+    (t, K v) has X K v - t K v = (X K - K R) v, so the defect's norm, the
+    square root of the blocks' squares added in walk order, bounds the
     eigen-equation residual of every lifted eigenvector at once.  NaN and
     inf propagate.
     """
     xk -= _k_times(r, reduced)
-    return {slot: float(np.vdot(xk[:, i], xk[:, i])) for i, slot in enumerate(slots.tolist())}
+    return float(np.vdot(xk, xk))
 
 
 def lift_vector(r: Reduction, v: np.ndarray) -> np.ndarray:
@@ -429,9 +404,9 @@ def _similarity_deviation(red: GraphAnalysis, idx: np.ndarray, tilde: np.ndarray
     return float(np.abs(similar, out=similar).max())   # idx is never empty
 
 
-def _lift_residual(squares: dict[int, float], radius: float) -> float:
-    """The intertwining defect's norm, its slots' squares added in slot order, over the radius."""
-    lift = math.sqrt(sum(squares[slot] for slot in sorted(squares)))
+def _lift_residual(squares: list[float], radius: float) -> float:
+    """The intertwining defect's norm, its blocks' squares added in walk order, over the radius."""
+    lift = math.sqrt(sum(squares))
     return lift / radius if radius else lift
 
 
@@ -465,8 +440,8 @@ def verify_reduction(
     # K^T K - I is zero outside the frames' F^T F - I: the identity block
     # and the blocks' disjoint row supports hold by construction
     ortho = [
-        _maxabs(stack.frames.transpose(0, 2, 1) @ stack.frames - np.eye(stack.frames.shape[2]))
-        for stack in r._stacks
+        _maxabs(frames.transpose(0, 2, 1) @ frames - np.eye(frames.shape[2]))
+        for _, _, frames in r._stacks
     ]
     peaks = []
 
@@ -477,11 +452,11 @@ def verify_reduction(
 
     # both passes bind their blocks to xk and r_cols, so that the Laplacian
     # pass does not start with the adjacency pass's last blocks still held
-    congruence, squares = [], {}
-    for slots, cols, xk in _column_blocks(r, columns_of_a):
-        r_cols = red.columns("mass-adjacency", cols.ravel()).reshape((-1,) + cols.shape)
+    congruence, squares = [], []
+    for cols, xk in _column_blocks(r, columns_of_a):
+        r_cols = red.columns("mass-adjacency", cols)
         congruence.append(_maxabs(_kt_times(r, xk) - r_cols))   # before the lift overwrites xk
-        squares.update(_lift_squares(r, slots, xk, r_cols))
+        squares.append(_lift_square(r, xk, r_cols))
     # np.max, unlike max, keeps a NaN wherever it stands
     scale = float(np.max(peaks, initial=0.0))
     lift_a = _lift_residual(squares, radius_a)
@@ -499,11 +474,11 @@ def verify_reduction(
     values_t = red.values("mass-laplacian")
     radius_l = eigen.spectral_radius(values_l)
     tol_l = tol_rel * radius_l
-    similarity, squares = [], {}
-    for slots, cols, xk in _column_blocks(r, lambda idx: ctx.columns("mass-laplacian", idx)):
-        r_cols = red.columns("mass-laplacian", cols.ravel())
-        similarity.append(_similarity_deviation(red, cols.ravel(), r_cols))
-        squares.update(_lift_squares(r, slots, xk, r_cols.reshape((-1,) + cols.shape)))
+    similarity, squares = [], []
+    for cols, xk in _column_blocks(r, lambda idx: ctx.columns("mass-laplacian", idx)):
+        r_cols = red.columns("mass-laplacian", cols)
+        similarity.append(_similarity_deviation(red, cols, r_cols))
+        squares.append(_lift_square(r, xk, r_cols))
     removals = [block.value for block in r.blocks for _ in range(block.q)]
     dev_l, note_l = _match_after_removal(values_l, values_t, removals, tol_l)
     return (

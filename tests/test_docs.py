@@ -96,3 +96,12 @@ def test_the_library_imports_only_numpy_and_the_standard_library():
                 if module.split(".")[0] not in {"numpy", "starlap", *sys.stdlib_module_names}
             ]
     assert found == []
+
+
+def test_readme_graph_file_example_parses():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^### Graph file format\n(.*?)^##", text, re.M | re.S).group(1)
+    g = starlap.parse_graph_file(re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1))
+    assert g.n == 5
+    assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == [(0, 3, 1.0), (0, 4, 1.0)]
+    assert g.mass == (1.5, 1.0, 1.0, 1.0, 1.0)

@@ -588,7 +588,7 @@ def _mixed_shapes():
 
 def _interleaved_shapes():
     # twelve stars of four shapes in shuffled order: with random frames,
-    # adding their squares stacked by shape rounds otherwise than in K's order
+    # one square per block of several stars rounds otherwise than one per star
     shapes = [(3, 2), (4, 3), (5, 1), (6, 2)]
     order = np.random.default_rng(0).permutation(12)
     return plant_star_graph(0, 110, [(*shapes[i % 4], float(1 + i % 3)) for i in order],
@@ -599,7 +599,8 @@ def _interleaved_shapes():
 @pytest.mark.parametrize("make", [_mixed_shapes, _star_heavy_graph], ids=["mixed", "wide"])
 def test_stacked_products_are_each_stars_own_bit_for_bit(make, policy):
     # one np.matmul per shape of K's star blocks gives, star by star, the
-    # bits of that star's own frame product
+    # bits of that star's own frame product, and the column walk yields each
+    # of K's columns once, in plain n x w blocks of X K
     g = make()
     r = reduce_all(g, policy)
     assert len({frame.shape for _, _, frame in _per_star(r)}) > 1 or make is _star_heavy_graph
@@ -613,17 +614,15 @@ def test_stacked_products_are_each_stars_own_bit_for_bit(make, policy):
     for rows, cols, frame in _per_star(r):
         assert (kty[cols] == frame.T @ y[rows]).all()
     x = rng.standard_normal((g.n, g.n))
-    read = []
-    blocks = {}
-    for slots, cols, xk in reduction._column_blocks(r, lambda idx: np.take(x, idx, axis=1)):
-        for i, slot in enumerate(slots.tolist()):
-            blocks[slot] = (cols[i], xk[:, i])
-    chunks = len(blocks) - len(r.blocks)
-    assert sorted(blocks) == list(range(len(blocks)))
+    walked, columns = [], {}
+    for cols, xk in reduction._column_blocks(r, lambda idx: np.take(x, idx, axis=1)):
+        assert xk.shape == (g.n, len(cols))
+        walked += cols.tolist()
+        columns.update(zip(cols.tolist(), xk.T))
+    assert sorted(walked) == list(range(r.reduced.n))
     step = max(1, r.reduced.n // 8)
-    for i, (rows, cols, frame) in enumerate(_per_star(r)):
-        got_cols, xk = blocks[chunks + i]
-        assert got_cols.tolist() == cols
+    for rows, cols, frame in _per_star(r):
+        xk = np.column_stack([columns[c] for c in cols])
         if len(rows) <= step:
             assert (xk == np.take(x, rows, axis=1) @ frame).all()
         else:
@@ -631,11 +630,18 @@ def test_stacked_products_are_each_stars_own_bit_for_bit(make, policy):
 
 
 def _lift_residual_reference(g, r, family):
-    """A lift residual as the per-star loop made it, from dense matrices, blocks in K's order."""
+    """A lift residual from dense matrices and per-star products, one square per block in walk order.
+
+    The walk: the identity chunks, then, shape by shape in order of first
+    use, step // m stars per block, or one star per block when m > step.
+    """
     ctx = analyze(g)
     x, reduced = ctx.matrix(family), ctx.reduced(r).matrix(family)
     rows, cols = r._identity
     step = max(1, r.reduced.n // 8)
+    by_shape = {}
+    for star in _per_star(r):
+        by_shape.setdefault(star[2].shape, []).append(star)
 
     def k_times(m):
         out = np.zeros((g.n,) + m.shape[1:])
@@ -646,11 +652,17 @@ def _lift_residual_reference(g, r, family):
 
     blocks = [(cols[i:i + step], np.take(x, rows[i:i + step], axis=1))
               for i in range(0, rows.size, step)]
-    for star_rows, star_cols, frame in _per_star(r):
-        xk = np.take(x, star_rows[:step], axis=1) @ frame[:step]
-        for i in range(step, len(star_rows), step):
-            xk += np.take(x, star_rows[i:i + step], axis=1) @ frame[i:i + step]
-        blocks.append((np.array(star_cols), xk))
+    for (m, _), stars in by_shape.items():
+        per = 1 if m > step else step // m
+        for start in range(0, len(stars), per):
+            products = []
+            for star_rows, _, frame in stars[start:start + per]:
+                xk = np.take(x, star_rows[:step], axis=1) @ frame[:step]
+                for i in range(step, m, step):
+                    xk += np.take(x, star_rows[i:i + step], axis=1) @ frame[i:i + step]
+                products.append(xk)
+            block_cols = [c for _, star_cols, _ in stars[start:start + per] for c in star_cols]
+            blocks.append((np.array(block_cols), np.hstack(products)))
     squares = 0.0
     for block_cols, xk in blocks:
         xk -= k_times(reduced[:, block_cols])
@@ -665,8 +677,8 @@ def _lift_residual_reference(g, r, family):
     ids=["mixed", "interleaved", "wide"],
 )
 def test_lift_residuals_are_the_per_star_loops_bit_for_bit(make, policy, tampered):
-    # the stacked blocks' squares are added in K's order, as the loop added
-    # them; random orthonormal frames make every star's square count
+    # one square per block, added in walk order as the loop adds them;
+    # random orthonormal frames make every star's bits count
     g = make()
     r = reduce_all(g, policy)
     if tampered:
